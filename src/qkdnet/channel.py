@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathkit import check_probability, poisson_pmf
+from .mathkit import check_probability, poisson_weights
 
 __all__ = [
     "ChannelParams",
@@ -34,6 +34,15 @@ TAIL_LIMIT = 1e-10
 
 #: default photon-number cutoff
 DEFAULT_N_CUT = 12
+
+#: intensity class labels, signal first; every other class is X-basis only
+LABELS = ("s", "u", "v", "w")
+X_LABELS = LABELS[1:]
+
+#: receiver-side acceptance factor for the passive 50:50 basis choice on
+#: the point-to-point links (the relay link conditions on both senders'
+#: bases instead, so no factor applies there)
+PASSIVE_BASIS_FACTOR = 0.5
 
 
 class TailBoundError(ValueError):
@@ -91,10 +100,6 @@ class IntensitySet:
             raise ValueError("z_basis_prob must be in (0, 1)")
         if len(self.x_weights) != 3 or min(self.x_weights) < 0 or sum(self.x_weights) <= 0:
             raise ValueError("x_weights must be three non-negative weights")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return ("s", "u", "v", "w")
 
     def mu(self, label: str) -> float:
         try:
@@ -279,12 +284,6 @@ def mdi_yield_model(
     )
 
 
-def _poisson_weights(mu: float, n_cut: int) -> tuple[np.ndarray, float]:
-    pmf = np.array([poisson_pmf(mu, k) for k in range(n_cut + 1)])
-    tail = max(0.0, 1.0 - pmf.sum())
-    return pmf, tail
-
-
 def expected_gain_and_qber(
     model: YieldModel,
     mu: float,
@@ -301,14 +300,14 @@ def expected_gain_and_qber(
         raise ValueError("nu must be given exactly when the model kind is MDI")
     errors = model.errors_for_basis(basis)
     if model.kind == "QKD":
-        p, tail = _poisson_weights(mu, model.n_cut)
+        p, tail = poisson_weights(mu, model.n_cut)
         if tail > TAIL_LIMIT:
             raise TailBoundError(f"Poisson tail {tail:.2e} beyond n_cut={model.n_cut} for mu={mu}")
         gain = float(p @ model.yields)
         err_gain = float(p @ (errors * model.yields))
     else:
-        pa, tail_a = _poisson_weights(mu, model.n_cut)
-        pb, tail_b = _poisson_weights(nu, model.n_cut)
+        pa, tail_a = poisson_weights(mu, model.n_cut)
+        pb, tail_b = poisson_weights(nu, model.n_cut)
         tail = tail_a + tail_b
         if tail > TAIL_LIMIT:
             raise TailBoundError(

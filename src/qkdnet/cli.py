@@ -91,9 +91,14 @@ def cmd_simulate(args) -> int:
     if slots < 0:
         raise ConfigError("slots: must be >= 0")
     weights = tuple(config.get("weights", (500, 1, 1)))
-    z_prob = float(config.get("z_prob", 0.8))
     seed = int(config.get("seed", 0))
     intensities = _intensities(config.get("intensities", {}), "intensities")
+    # the Z-basis probability has one source, intensities.z_basis_prob
+    if "z_prob" in config and config["z_prob"] != intensities.z_basis_prob:
+        raise ConfigError(
+            f"z_prob: {config['z_prob']!r} differs from intensities.z_basis_prob "
+            f"{intensities.z_basis_prob!r}; set only intensities.z_basis_prob"
+        )
 
     links = config.get("links", {})
     models = {}
@@ -116,7 +121,7 @@ def cmd_simulate(args) -> int:
             params = _build(ChannelParams, links[link].get("channel", {}), f"links.{link}.channel")
             models[link] = qkd_yield_model(params)
 
-    plan = schedule(slots, weights, z_prob, intensities, seed)
+    plan = schedule(slots, weights, intensities.z_basis_prob, intensities, seed)
     missing = sorted(plan.active_links() - set(models))
     if missing:
         raise ConfigError(f"links: plan schedules {missing} but no channel was configured")

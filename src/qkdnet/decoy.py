@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CountRecord, IntensitySet, DEFAULT_N_CUT
+from .channel import DEFAULT_N_CUT, X_LABELS, CountRecord, IntensitySet
 from .mathkit import (
     LpInfeasibleError,
     poisson_pmf,
+    poisson_weights,
     serfling_deviation,
     solve_bounded_lp,
 )
@@ -38,8 +39,6 @@ __all__ = [
     "estimate_bounds",
     "restrict_to_block",
 ]
-
-X_LABELS = ("u", "v", "w")
 
 
 class InconsistentCountsError(ValueError):
@@ -206,21 +205,6 @@ def widen_counts(record: CountRecord, eps: float, numerator: str = "detected") -
     return max(0.0, p_hat - delta), min(1.0, p_hat + delta)
 
 
-def _pair_weights(mu_a: float, mu_b: float, n_cut: int) -> tuple[np.ndarray, float]:
-    """Poisson product weights on the simplex n+m <= n_cut, plus tail mass."""
-    pa = np.array([poisson_pmf(mu_a, k) for k in range(n_cut + 1)])
-    pb = np.array([poisson_pmf(mu_b, k) for k in range(n_cut + 1)])
-    w = np.outer(pa, pb)
-    nn, mm = np.indices(w.shape)
-    w = np.where(nn + mm <= n_cut, w, 0.0)
-    return w, max(0.0, 1.0 - w.sum())
-
-
-def _single_weights(mu: float, n_cut: int) -> tuple[np.ndarray, float]:
-    p = np.array([poisson_pmf(mu, k) for k in range(n_cut + 1)])
-    return p, max(0.0, 1.0 - p.sum())
-
-
 def estimate_bounds(
     table: CountTable,
     intensities: IntensitySet,
@@ -262,31 +246,27 @@ def estimate_bounds(
     # diagnostics); the Serfling share is capped at its own domain.
     eps_serf = min(1.0, eps_each)
 
-    # Per-variable index maps and Poisson coefficient rows.
+    # Per-variable index maps and Poisson coefficient rows; relay rows keep
+    # only the simplex n + m <= n_cut and count the rest as tail mass.
     if mode == "MDI":
         mask = np.add.outer(np.arange(n_cut + 1), np.arange(n_cut + 1)) <= n_cut
         pairs = [(int(n), int(m)) for n, m in zip(*np.nonzero(mask))]
         var_index = {pair: i for i, pair in enumerate(pairs)}
         n_vars = len(var_index)
         single_var = var_index[(1, 1)]
-        rows = {}
-        tails = {}
-        for key in x_keys:
-            w, tail = _pair_weights(intensities.mu(key[0]), intensities.mu(key[1]), n_cut)
-            coeffs = np.zeros(n_vars)
-            for (n, m), i in var_index.items():
-                coeffs[i] = w[n, m]
-            rows[key] = coeffs
-            tails[key] = tail
     else:
         n_vars = n_cut + 1
         single_var = 1
-        rows = {}
-        tails = {}
-        for key in x_keys:
-            p, tail = _single_weights(intensities.mu(key[0]), n_cut)
-            rows[key] = p
-            tails[key] = tail
+    rows = {}
+    tails = {}
+    for key in x_keys:
+        if mode == "MDI":
+            pa, _ = poisson_weights(intensities.mu(key[0]), n_cut)
+            pb, _ = poisson_weights(intensities.mu(key[1]), n_cut)
+            w = np.where(mask, np.outer(pa, pb), 0.0)
+            rows[key], tails[key] = w[mask], max(0.0, 1.0 - w.sum())
+        else:
+            rows[key], tails[key] = poisson_weights(intensities.mu(key[0]), n_cut)
 
     gain_constraints = []
     error_constraints = []
@@ -324,12 +304,8 @@ def estimate_bounds(
     objective = np.zeros(n_vars)
     objective[single_var] = 1.0
     try:
-        y_res = solve_bounded_lp(
-            objective, gain_constraints, bounds01, sense="min", refine_assignment=False
-        )
-        z_res = solve_bounded_lp(
-            objective, error_constraints, bounds01, sense="max", refine_assignment=False
-        )
+        y_res = solve_bounded_lp(objective, gain_constraints, bounds01, sense="min")
+        z_res = solve_bounded_lp(objective, error_constraints, bounds01, sense="max")
     except LpInfeasibleError as exc:
         raise InconsistentCountsError(
             f"counts inconsistent with any photon-number model on link {table.link}"

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import CountRecord, IntensitySet, expected_gain_and_qber
+from .channel import PASSIVE_BASIS_FACTOR, CountRecord, IntensitySet, expected_gain_and_qber
 from .decoy import CountTable, estimate_bounds, restrict_to_block
+from .keyrate import entry_budgets
 from .qds import (
     InsecureChannelError,
     QdsParams,
@@ -25,41 +26,20 @@ from .qds import (
 
 __all__ = ["MultisigComparison", "expected_table", "multisig_comparison"]
 
-X_LABELS = ("u", "v", "w")
-
 
 def expected_table(model, intensities: IntensitySet, n_pulses: int, mode: str, link: str) -> CountTable:
     """Deterministic count table at the expected values (no sampling noise).
 
-    Smooth in the pulse budget, which the baseline's bisection over
+    Splits the pulse budget exactly as :func:`keyrate.synthesize_table`
+    does.  Smooth in the pulse budget, which the baseline's bisection over
     acquisition sizes relies on.
     """
     table = CountTable(link=link)
-    z = intensities.z_basis_prob
-    xp = intensities.x_probs()
-    if mode == "QKD":
-        shares = {(("s",), "Z"): z}
-        shares.update(
-            {((l,), "X"): (1.0 - z) * p for l, p in zip(X_LABELS, xp)}
-        )
-    else:
-        shares = {(("s", "s"), "Z"): z * z}
-        shares.update(
-            {
-                ((la, lb), "X"): (1.0 - z) ** 2 * pa * pb
-                for la, pa in zip(X_LABELS, xp)
-                for lb, pb in zip(X_LABELS, xp)
-            }
-        )
-    for (key, basis), share in shares.items():
-        sent = round(n_pulses * share)
+    for (key, basis), sent in entry_budgets(n_pulses, intensities, mode).items():
+        mus = [intensities.mu(label) for label in key]
+        gain, qber = expected_gain_and_qber(model, *mus, basis=basis)
         if mode == "QKD":
-            gain, qber = expected_gain_and_qber(model, intensities.mu(key[0]), basis=basis)
-            gain *= 0.5  # passive analyzer
-        else:
-            gain, qber = expected_gain_and_qber(
-                model, intensities.mu(key[0]), intensities.mu(key[1]), basis=basis
-            )
+            gain *= PASSIVE_BASIS_FACTOR
         detected = round(sent * gain)
         table.add(key, basis, CountRecord(sent, detected, round(detected * qber)))
     return table
@@ -74,16 +54,16 @@ class MultisigComparison:
     ratio: float
 
 
-def _distill(table, intensities, mode, c_sig, eps_decoy, eps_h, p_rep, p_fail):
-    """One full per-block analysis; None when the block is not signable."""
-    bounds = estimate_bounds(table, intensities, eps_decoy, mode)
-    z_rec = table.z_entry()
-    n_z = z_rec.detected
-    if c_sig >= n_z:
-        return None
-    c_test = n_z - c_sig
+def _block_signable(bounds, n_z, e_test, c_sig, c_test, eps_h, p_rep, p_fail) -> bool:
+    """Whether a c_sig-bit block drawn from an n_z-bit pool signs securely.
+
+    Runs the per-block chain on pool-level decoy bounds and test QBER; a
+    channel with no threshold gap is the one analytic "not signable"
+    outcome, and every other error propagates.
+    """
+    if c_sig < 1 or c_test < 1 or c_sig + c_test > n_z:
+        return False
     block = restrict_to_block(bounds, c_sig, n_z, eps_h)
-    e_test = z_rec.errors / z_rec.detected
     params = QdsParams(
         c_sig=c_sig, c_test=c_test, eps_h=eps_h, p_rep_budget=p_rep, p_fail_total=p_fail
     )
@@ -98,9 +78,9 @@ def _distill(table, intensities, mode, c_sig, eps_decoy, eps_h, p_rep, p_fail):
             duty_fraction=1.0,
             epsilon_inherited=bounds.epsilon_spent + 2.0 * eps_h,
         )
-    except (InsecureChannelError, ValueError):
-        return None
-    return report if report.secure else None
+    except InsecureChannelError:
+        return False
+    return report.secure
 
 
 def multisig_comparison(
@@ -123,34 +103,19 @@ def multisig_comparison(
     (expected-value tables keep feasibility monotone).
     """
     link = "AB" if mode == "MDI" else "AC"
-    table = expected_table(model, intensities, n_pulses_total, mode, link)
-    z_rec = table.z_entry()
-    n_z = z_rec.detected
-    bounds = estimate_bounds(table, intensities, eps_decoy, mode)
-    e_test = z_rec.errors / z_rec.detected
+
+    def pool_stats(n_pulses: int):
+        """Decoy bounds, Z pool size and test QBER of one acquisition."""
+        table = expected_table(model, intensities, n_pulses, mode, link)
+        z_rec = table.z_entry()
+        e_test = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
+        return estimate_bounds(table, intensities, eps_decoy, mode), z_rec.detected, e_test
+
+    bounds, n_z, e_test = pool_stats(n_pulses_total)
     c_test = int(n_z * test_fraction)
 
     def block_signable(c_sig: int) -> bool:
-        if c_sig < 1 or c_sig > n_z - c_test:
-            return False
-        block = restrict_to_block(bounds, c_sig, n_z, eps_h)
-        params = QdsParams(
-            c_sig=c_sig, c_test=c_test, eps_h=eps_h, p_rep_budget=p_rep, p_fail_total=p_fail
-        )
-        try:
-            report = distill_report(
-                block.s1_lower,
-                block.eph_upper,
-                e_test,
-                pool_size=n_z,
-                params=params,
-                total_time_s=1.0,
-                duty_fraction=1.0,
-                epsilon_inherited=bounds.epsilon_spent + 2.0 * eps_h,
-            )
-        except (InsecureChannelError, ValueError):
-            return False
-        return report.secure
+        return _block_signable(bounds, n_z, e_test, c_sig, c_test, eps_h, p_rep, p_fail)
 
     c_sig_min = min_feasible_acquisition(block_signable, 1, n_z - c_test)
     if c_sig_min is None:
@@ -158,16 +123,12 @@ def multisig_comparison(
     n_multi = n_blocks(n_z, c_test, c_sig_min)
 
     def acquisition_signable(n_pulses: int) -> bool:
-        sub = expected_table(model, intensities, n_pulses, mode, link)
-        sub_z = sub.z_entry().detected
-        c_sig = sub_z - int(sub_z * test_fraction)
-        try:
-            return (
-                _distill(sub, intensities, mode, c_sig, eps_decoy, eps_h, p_rep, p_fail)
-                is not None
-            )
-        except (InsecureChannelError, ValueError, KeyError):
-            return False
+        # the baseline spends its whole pool, less the test sample, on one block
+        sub_bounds, sub_z, sub_e_test = pool_stats(n_pulses)
+        sub_test = int(sub_z * test_fraction)
+        return _block_signable(
+            sub_bounds, sub_z, sub_e_test, sub_z - sub_test, sub_test, eps_h, p_rep, p_fail
+        )
 
     b_min = min_feasible_acquisition(acquisition_signable, 1000, n_pulses_total)
     n_baseline = n_pulses_total // b_min if b_min else 0

@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (
+    PASSIVE_BASIS_FACTOR,
+    X_LABELS,
     ChannelParams,
     IntensitySet,
     mdi_yield_model,
@@ -32,15 +34,11 @@ __all__ = [
     "leak_ec",
     "finite_size_delta",
     "secure_key_length",
+    "entry_budgets",
     "synthesize_table",
     "rate_sweep",
     "sweep_to_csv",
 ]
-
-#: receiver-side acceptance factor for the passive 50:50 basis choice on
-#: the point-to-point links (the relay link conditions on both senders'
-#: bases instead, so no factor applies there)
-PASSIVE_BASIS_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -126,19 +124,22 @@ def secure_key_length(
     )
 
 
-def _entry_budgets(n_pulses: int, intensities: IntensitySet, mode: str) -> dict:
-    """Per-entry sent counts when a pulse budget is split by basis bias."""
+def entry_budgets(n_pulses: int, intensities: IntensitySet, mode: str) -> dict:
+    """Per-entry sent counts when a pulse budget is split by basis bias.
+
+    Keys are ``(labels, basis)``, the Z-basis signal entry first.
+    """
     z = intensities.z_basis_prob
     xp = intensities.x_probs()
     budgets = {}
     if mode == "QKD":
         budgets[(("s",), "Z")] = round(n_pulses * z)
-        for label, p in zip(("u", "v", "w"), xp):
+        for label, p in zip(X_LABELS, xp):
             budgets[((label,), "X")] = round(n_pulses * (1.0 - z) * p)
     else:
         budgets[(("s", "s"), "Z")] = round(n_pulses * z * z)
-        for la, pa in zip(("u", "v", "w"), xp):
-            for lb, pb in zip(("u", "v", "w"), xp):
+        for la, pa in zip(X_LABELS, xp):
+            for lb, pb in zip(X_LABELS, xp):
                 budgets[((la, lb), "X")] = round(n_pulses * (1.0 - z) ** 2 * pa * pb)
     return budgets
 
@@ -159,28 +160,14 @@ def synthesize_table(
     50:50 analyzer factor.
     """
     table = CountTable(link=link)
-    budgets = _entry_budgets(n_pulses, intensities, mode)
+    budgets = entry_budgets(n_pulses, intensities, mode)
     seeds = np.random.SeedSequence(seed).generate_state(len(budgets) + 1)
+    gain_factor = PASSIVE_BASIS_FACTOR if mode == "QKD" else 1.0
     for i, ((key, basis), sent) in enumerate(sorted(budgets.items())):
-        if mode == "QKD":
-            rec = sample_counts(
-                model,
-                intensities.mu(key[0]),
-                None,
-                n_pulses=sent,
-                seed=int(seeds[i]),
-                basis=basis,
-                gain_factor=PASSIVE_BASIS_FACTOR,
-            )
-        else:
-            rec = sample_counts(
-                model,
-                intensities.mu(key[0]),
-                intensities.mu(key[1]),
-                n_pulses=sent,
-                seed=int(seeds[i]),
-                basis=basis,
-            )
+        mus = [intensities.mu(label) for label in key]
+        rec = sample_counts(
+            model, *mus, n_pulses=sent, seed=int(seeds[i]), basis=basis, gain_factor=gain_factor
+        )
         table.add(key, basis, rec)
     return table
 

@@ -21,16 +21,13 @@ __all__ = [
     "hoeffding_exponent_log",
     "poisson_pmf",
     "log_poisson_pmf",
+    "poisson_weights",
     "LpResult",
     "LpInfeasibleError",
     "LpUnboundedError",
     "solve_bounded_lp",
     "check_probability",
-    "check_failure_budget",
 ]
-
-#: relative tolerance guaranteed by solve_bounded_lp
-LP_TOL = 1e-8
 
 #: absolute tolerance of the inverse-entropy bisection
 INV_ENTROPY_TOL = 1e-9
@@ -41,13 +38,6 @@ def check_probability(value: float, name: str = "probability") -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
-
-
-def check_failure_budget(eps: float, name: str = "epsilon") -> float:
-    """Validate that ``eps`` lies in (0, 1] and return it."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"{name} must be in (0, 1], got {eps!r}")
-    return float(eps)
 
 
 def binary_entropy(p: float) -> float:
@@ -144,6 +134,12 @@ def poisson_pmf(mu: float, n: int) -> float:
     return 0.0 if log_p == -math.inf else math.exp(log_p)
 
 
+def poisson_weights(mu: float, n_cut: int) -> tuple[np.ndarray, float]:
+    """Poisson pmf over photon numbers 0..n_cut and the mass beyond the cutoff."""
+    pmf = np.array([poisson_pmf(mu, k) for k in range(n_cut + 1)])
+    return pmf, max(0.0, 1.0 - pmf.sum())
+
+
 class LpInfeasibleError(ValueError):
     """The constraint set admits no feasible point."""
 
@@ -155,16 +151,9 @@ class LpUnboundedError(ValueError):
 @dataclass(frozen=True)
 class LpResult:
     optimum: float
-    assignment: np.ndarray
 
 
-def solve_bounded_lp(
-    objective,
-    constraints,
-    variable_bounds,
-    sense: str = "min",
-    refine_assignment: bool = True,
-) -> LpResult:
+def solve_bounded_lp(objective, constraints, variable_bounds, sense: str = "min") -> LpResult:
     """Solve a small box-bounded linear program deterministically.
 
     Parameters
@@ -177,10 +166,6 @@ def solve_bounded_lp(
         Sequence of ``(lo, hi)`` intervals, one per variable.
     sense:
         ``"min"`` or ``"max"``.
-    refine_assignment:
-        When True, ties between degenerate optima are broken by returning the
-        lexicographically smallest assignment (one extra solve per variable).
-        Callers that consume only the optimum value may disable this.
 
     Raises
     ------
@@ -218,65 +203,18 @@ def solve_bounded_lp(
         "primal_feasibility_tolerance": 1e-10,
         "dual_feasibility_tolerance": 1e-10,
     }
-
-    def _solve(cost, box, extra_rows=None, extra_rhs=None):
-        a, b = a_ub, b_ub
-        if extra_rows:
-            stack = list(a) if a is not None else []
-            a = np.array(stack + extra_rows)
-            b = np.concatenate([b if b is not None else np.zeros(0), extra_rhs])
-        res = linprog(cost, A_ub=a, b_ub=b, bounds=box, method="highs", options=solver_opts)
-        if res.status == 2:
-            # Presolve can misjudge constraint windows thinner than its own
-            # tolerances; only a full solve may declare infeasibility.
-            res = linprog(
-                cost, A_ub=a, b_ub=b, bounds=box, method="highs",
-                options={**solver_opts, "presolve": False},
-            )
-        if res.status == 2:
-            raise LpInfeasibleError("constraints admit no feasible point")
-        if res.status == 3:
-            raise LpUnboundedError("objective unbounded over the feasible set")
-        if not res.success:
-            raise RuntimeError(f"LP solver failed: {res.message}")
-        return res
-
-    res = _solve(sign * c, bounds)
-    optimum = sign * res.fun
-    assignment = np.asarray(res.x, dtype=float)
-
-    if refine_assignment and n > 1:
-        assignment = _lexicographic_refine(_solve, sign * c, optimum * sign, bounds, assignment)
-
-    return LpResult(optimum=float(optimum), assignment=assignment)
-
-
-def _lexicographic_refine(solve, cost_signed, opt_signed, bounds, fallback):
-    """Pick the lexicographically smallest optimal assignment.
-
-    Pins the objective near its optimum, then minimises each coordinate in
-    turn, narrowing that coordinate's box bound before moving on.  Slack
-    sits above the solver's feasibility tolerance (vertices are separated
-    on the problem scale, so ties still break exactly); if the pinned
-    system degenerates numerically the slack is escalated once, and as a
-    last resort the unrefined (still deterministic) assignment stands.
-    """
-    n = len(fallback)
-    for pin_tol in (1e-6, 1e-4):
-        box = list(bounds)
-        pin_row = [list(cost_signed)]
-        pin_rhs = [opt_signed + pin_tol * max(1.0, abs(opt_signed))]
-        refined = np.array(fallback, dtype=float)
-        try:
-            for i in range(n):
-                cost = np.zeros(n)
-                cost[i] = 1.0
-                sub = solve(cost, box, pin_row, pin_rhs)
-                value = float(sub.x[i])
-                refined[i] = value
-                lo, hi = box[i]
-                box[i] = (lo, min(hi, value + pin_tol * max(1.0, abs(value))))
-            return refined
-        except LpInfeasibleError:
-            continue
-    return fallback
+    res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=solver_opts)
+    if res.status == 2:
+        # Presolve can misjudge constraint windows thinner than its own
+        # tolerances; only a full solve may declare infeasibility.
+        res = linprog(
+            sign * c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
+            options={**solver_opts, "presolve": False},
+        )
+    if res.status == 2:
+        raise LpInfeasibleError("constraints admit no feasible point")
+    if res.status == 3:
+        raise LpUnboundedError("objective unbounded over the feasible set")
+    if not res.success:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    return LpResult(optimum=float(sign * res.fun))

@@ -17,43 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CountRecord, IntensitySet
+from .channel import LABELS, PASSIVE_BASIS_FACTOR, CountRecord, IntensitySet
 from .decoy import CountTable
 
 __all__ = [
     "SESSION_NAMES",
     "SessionPlan",
-    "DetectionEvent",
     "ZPool",
     "RunResult",
     "MessageBus",
     "schedule",
     "run_plan",
-    "squash_event",
-    "mdi_sift",
 ]
 
 SESSION_NAMES = ("MDI_AB", "QKD_AC", "QKD_BC")
 SESSION_LINK = {0: "AB", 1: "AC", 2: "BC"}
-LABELS = ("s", "u", "v", "w")
 
-Z_CLICKS = frozenset("HV")
-X_CLICKS = frozenset("DA")
-BIT_OF_CLICK = {"H": 0, "V": 1, "D": 0, "A": 1}
-
+#: slots simulated per vectorised step of run_plan
 DEFAULT_CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One recorded click pattern at the measurement node."""
-
-    slot: int
-    clicks: frozenset
-
-    def __post_init__(self):
-        if not self.clicks or not self.clicks <= (Z_CLICKS | X_CLICKS):
-            raise ValueError("clicks must be a non-empty subset of {H, V, D, A}")
 
 
 @dataclass
@@ -96,7 +77,7 @@ class RunResult:
 def schedule(
     slots: int,
     weights=(500, 1, 1),
-    z_prob: float = 0.8,
+    z_prob: float | None = None,
     intensities: IntensitySet | None = None,
     seed: int = 0,
 ) -> SessionPlan:
@@ -104,11 +85,21 @@ def schedule(
 
     Z-basis slots carry the signal intensity only; X-basis slots draw one
     of u/v/w with the intensity set's weights.  Point-to-point sessions pin
-    the inactive sender to the vacuum class.
+    the inactive sender to the vacuum class.  The Z-basis probability is
+    the intensity set's ``z_basis_prob``; a ``z_prob`` given as well must
+    equal it.
     """
     if slots < 0:
         raise ValueError("slots must be >= 0")
     intensities = intensities or IntensitySet()
+    if z_prob is None:
+        z_prob = intensities.z_basis_prob
+    if not 0.0 <= z_prob <= 1.0:
+        raise ValueError(f"z_prob must be in [0, 1], got {z_prob!r}")
+    if z_prob != intensities.z_basis_prob:
+        raise ValueError(
+            f"z_prob {z_prob!r} differs from intensities.z_basis_prob {intensities.z_basis_prob!r}"
+        )
     w = np.asarray(weights, dtype=float)
     if w.shape != (3,) or w.min() < 0 or w.sum() <= 0:
         raise ValueError("weights must be three non-negative values with a positive sum")
@@ -140,39 +131,6 @@ def schedule(
     )
 
 
-def mdi_sift(basis: str, alice_bit: int, bob_bit: int) -> tuple[int, bool]:
-    """Apply the triplet-projection flip rule to one accepted coincidence.
-
-    The accepted Bell outcome anti-correlates rectilinear preparations and
-    correlates diagonal ones, so the second sender flips his bit in Z and
-    keeps it in X.  Returns (bob_final_bit, is_error).
-    """
-    if basis == "Z":
-        final = 1 - bob_bit
-    elif basis == "X":
-        final = bob_bit
-    else:
-        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    return final, final != alice_bit
-
-
-def squash_event(event: DetectionEvent, rng) -> tuple[str, int] | None:
-    """Map a click pattern onto a single-qubit outcome.
-
-    Single branch, single click: the detector's bit value.  Multiple clicks
-    within one branch squash to a uniformly random bit in that branch.
-    Cross-branch patterns are unusable and return None.
-    """
-    z = event.clicks & Z_CLICKS
-    x = event.clicks & X_CLICKS
-    if z and x:
-        return None
-    clicks, basis = (z, "Z") if z else (x, "X")
-    if len(clicks) == 1:
-        return basis, BIT_OF_CLICK[next(iter(clicks))]
-    return basis, int(rng.integers(0, 2))
-
-
 class _Tally:
     __slots__ = ("sent", "detected", "errors")
 
@@ -192,7 +150,6 @@ def run_plan(
     plan: SessionPlan,
     models: dict,
     seed: int = 0,
-    chunk_slots: int = DEFAULT_CHUNK,
 ) -> RunResult:
     """Simulate a session plan against per-link ground-truth models.
 
@@ -227,8 +184,8 @@ def run_plan(
         t.detected += int(detected)
         t.errors += int(errors)
 
-    for start in range(0, plan.slots, max(1, chunk_slots)):
-        sl = slice(start, min(plan.slots, start + chunk_slots))
+    for start in range(0, plan.slots, DEFAULT_CHUNK):
+        sl = slice(start, min(plan.slots, start + DEFAULT_CHUNK))
         session = plan.session[sl]
         ba, bb = plan.basis_a[sl], plan.basis_b[sl]
         ia, ib = plan.intensity_a[sl], plan.intensity_b[sl]
@@ -277,7 +234,7 @@ def run_plan(
             model = models[link]
             n = _clip_photons(rng, mu_of[active_int[m]], model.n_cut)
             detect = rng.random(m.sum()) < model.yields[n]
-            branch_x = rng.random(m.sum()) < 0.5  # passive analyzer branch
+            branch_x = rng.random(m.sum()) < PASSIVE_BASIS_FACTOR  # passive analyzer branch
             basis_x = active_basis[m] == 1
             recorded = detect & (branch_x == basis_x)
             diag["branch_mismatch_discarded"] += int((detect & ~recorded).sum())

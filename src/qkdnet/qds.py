@@ -58,7 +58,7 @@ __all__ = [
 #: refuse to materialise block indices above this pool size
 MAX_MATERIALISED_POOL = 200_000_000
 
-#: default gap fractions for the authentication/verification thresholds
+#: gap fractions of the authentication and verification thresholds
 THIRDS = (1.0 / 3.0, 2.0 / 3.0)
 
 
@@ -169,17 +169,13 @@ def qber_upper(e_test: float, c_test: int, c_sig: int, eps_h: float) -> float:
     return min(1.0, e_test + serfling_deviation(c_sig, c_test, eps_h))
 
 
-def thresholds(
-    e_sig_upper: float, p_e: float, fractions: tuple = THIRDS
-) -> tuple[float, float]:
+def thresholds(e_sig_upper: float, p_e: float) -> tuple[float, float]:
     """Authentication and verification thresholds inside the (QBER, p_E) gap.
 
-    Defaults to equal thirds: s_auth one third above the QBER bound and
-    s_ver one third below the attacker floor.
+    Equal thirds: s_auth one third above the QBER bound and s_ver one third
+    below the attacker floor.
     """
-    f_auth, f_ver = fractions
-    if not 0.0 < f_auth < f_ver < 1.0:
-        raise ValueError("threshold fractions must satisfy 0 < f_auth < f_ver < 1")
+    f_auth, f_ver = THIRDS
     gap = p_e - e_sig_upper
     if gap <= 0.0:
         raise InsecureChannelError(
@@ -347,7 +343,16 @@ class Verdict:
     reason: str = ""
 
 
-def _verify(declaration: dict, holdings, threshold: float) -> Verdict:
+def _check(declaration: dict, holdings, threshold: float, l: int) -> Verdict:
+    """One recipient's verdict on a declaration.
+
+    Rejects a recipient holding fewer than ``l`` positions, then compares
+    the held bits with the declared ones; the mismatch fraction must stay
+    strictly below ``threshold``.
+    """
+    held = sum(len(h.positions) for h in holdings)
+    if held < l:
+        return Verdict(False, 0, held, threshold, f"fewer than {l} positions held")
     mismatches = 0
     checked = 0
     for holding in holdings:
@@ -383,15 +388,10 @@ def sign_and_verify(
     """
     if message_bit not in (0, 1):
         raise ValueError("message_bit must be 0 or 1")
-    verdicts = {}
-    for role, threshold in (("direct", s_auth), ("forwarded", s_ver)):
-        holdings = recipient_blocks.get(role, [])
-        total = sum(len(h.positions) for h in holdings)
-        if total < l:
-            verdicts[role] = Verdict(False, 0, total, threshold, f"fewer than {l} positions held")
-            continue
-        verdicts[role] = _verify(alice_keys, holdings, threshold)
-    return verdicts
+    return {
+        role: _check(alice_keys, recipient_blocks.get(role, []), threshold, l)
+        for role, threshold in (("direct", s_auth), ("forwarded", s_ver))
+    }
 
 
 def run_signing_session(
@@ -409,21 +409,27 @@ def run_signing_session(
     """Drive sign -> check -> transfer -> verify over the classical channel.
 
     The signer declares to the direct recipient, who checks against the
-    authentication threshold and, when satisfied, relays the declaration to
-    the second recipient for verification.  Returns per-recipient verdicts.
+    authentication threshold and, only when satisfied, relays the
+    declaration to the second recipient for verification; a declaration
+    the direct recipient rejects is never transferred, and the forwarded
+    verdict then records that rejection.  Returns per-recipient verdicts.
     """
     for party in (signer, direct, forwarded):
         bus.register(party)
     bus.send(signer, direct, {"type": "declare", "bit": message_bit, "keys": alice_keys})
     declaration = bus.receive(direct, signer)
-    direct_verdict = _verify(declaration["keys"], holdings.get("direct", []), s_auth)
-    result = {"direct": direct_verdict}
-    bus.send(direct, forwarded, {"type": "transfer", "declaration": declaration, "accepted": direct_verdict.accepted})
+    direct_verdict = _check(declaration["keys"], holdings.get("direct", []), s_auth, l)
+    if not direct_verdict.accepted:
+        reason = "direct recipient rejected: " + (
+            direct_verdict.reason or "mismatch fraction at or above s_auth"
+        )
+        return {"direct": direct_verdict, "forwarded": Verdict(False, 0, 0, s_ver, reason)}
+    bus.send(direct, forwarded, {"type": "transfer", "declaration": declaration})
     relayed = bus.receive(forwarded, direct)
-    result["forwarded"] = _verify(
-        relayed["declaration"]["keys"], holdings.get("forwarded", []), s_ver
-    )
-    return result
+    return {
+        "direct": direct_verdict,
+        "forwarded": _check(relayed["declaration"]["keys"], holdings.get("forwarded", []), s_ver, l),
+    }
 
 
 def distill_report(
@@ -435,7 +441,6 @@ def distill_report(
     total_time_s: float,
     duty_fraction: float,
     epsilon_inherited: float = 0.0,
-    threshold_fractions: tuple = THIRDS,
 ) -> QdsReport:
     """Run the full per-block security chain and assemble the report.
 
@@ -450,7 +455,7 @@ def distill_report(
     c_sig, c_test = params.c_sig, params.c_test
     p_e = eve_error_floor(s1_sig_lower, c_sig, eph_sig_upper)
     e_sig = qber_upper(e_test, c_test, c_sig, params.eps_h)
-    s_auth, s_ver = thresholds(e_sig, p_e, threshold_fractions)
+    s_auth, s_ver = thresholds(e_sig, p_e)
     l_sig = signature_length(s_auth, s_ver, params.p_rep_budget)
     p_rep = repudiation_bound(s_auth, s_ver, c_sig)
     p_hab, p_for = abort_and_forge(e_sig, s_auth, s_ver, p_e, c_sig)
@@ -480,7 +485,7 @@ def distill_report(
             "pool_size": pool_size,
             "total_time_s": total_time_s,
             "duty_fraction": duty_fraction,
-            "threshold_fractions": list(threshold_fractions),
+            "threshold_fractions": list(THIRDS),
             "s1_sig_lower": s1_sig_lower,
             "eph_sig_upper": eph_sig_upper,
         },

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdnet.channel import (
+    LABELS,
+    X_LABELS,
     ChannelParams,
     CountRecord,
     IntensitySet,
@@ -44,7 +46,8 @@ class TestIntensitySet:
 
     def test_labels_and_lookup(self):
         ints = IntensitySet()
-        assert [ints.mu(l) for l in ints.labels] == [0.5, 0.1, 0.02, 0.0]
+        assert [ints.mu(l) for l in LABELS] == [0.5, 0.1, 0.02, 0.0]
+        assert X_LABELS == LABELS[1:]
 
 
 class TestQkdYieldModel:

@@ -67,6 +67,25 @@ class TestSimulate:
         assert rc == 2
         assert "links.AC.channel" in capsys.readouterr().err
 
+    def test_z_prob_disagreeing_with_intensities_is_config_error(self, tmp_path, capsys):
+        cfg = dict(SIM_CONFIG, z_prob=0.7)
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "z_prob" in capsys.readouterr().err
+
+    def test_z_prob_comes_from_intensities(self, tmp_path):
+        biased = dict(SIM_CONFIG["intensities"], z_basis_prob=0.65)
+        implicit = {k: v for k, v in SIM_CONFIG.items() if k != "z_prob"}
+        implicit["intensities"] = biased
+        explicit = dict(implicit, z_prob=0.65)
+        out1, out2 = tmp_path / "implicit", tmp_path / "explicit"
+        assert main(["simulate", "--config", write_config(tmp_path, implicit, "a.json"),
+                     "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", write_config(tmp_path, explicit, "b.json"),
+                     "--out", str(out2)]) == 0
+        for name in ("counts_AB.json", "counts_AC.json", "counts_BC.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
 
 class TestKeyrate:
     def make_counts(self, tmp_path):

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from qkdnet.channel import ChannelParams, IntensitySet, qkd_yield_model
+from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from qkdnet.decoy import DecoyBounds, estimate_bounds
+from qkdnet.experiments import expected_table
 from qkdnet.keyrate import (
     SecurityParams,
     finite_size_delta,
@@ -131,3 +132,20 @@ class TestRateSweep:
     def test_empty_distances_rejected(self):
         with pytest.raises(ValueError):
             rate_sweep(ChannelParams(distance_km=0), IntensitySet(), [], "QKD", SecurityParams())
+
+
+class TestEntryBudgets:
+    @pytest.mark.parametrize("mode", ["QKD", "MDI"])
+    @pytest.mark.parametrize("n_pulses", [1000, 123_457, 26_701_985, 10**12])
+    def test_expected_and_sampled_tables_split_alike(self, mode, n_pulses):
+        side = ChannelParams(distance_km=5.0)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        intensities = IntensitySet(
+            s=0.8, u=0.5, v=0.15, w=0.0, z_basis_prob=0.65, x_weights=(0.6, 0.25, 0.15)
+        )
+        link = "AC" if mode == "QKD" else "AB"
+        sampled = synthesize_table(model, intensities, n_pulses, mode, link, seed=3)
+        expected = expected_table(model, intensities, n_pulses, mode, link)
+        assert set(sampled.entries) == set(expected.entries)
+        for key, rec in sampled.entries.items():
+            assert expected.entries[key].sent == rec.sent, key

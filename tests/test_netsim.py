@@ -10,15 +10,7 @@ from qkdnet.channel import (
     mdi_yield_model,
     qkd_yield_model,
 )
-from qkdnet.netsim import (
-    DetectionEvent,
-    MessageBus,
-    UnknownPartyError,
-    mdi_sift,
-    run_plan,
-    schedule,
-    squash_event,
-)
+from qkdnet.netsim import MessageBus, UnknownPartyError, run_plan, schedule
 
 
 def default_models(distance=10.0):
@@ -64,45 +56,21 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule(100, weights=(0, 0, 0), seed=1)
 
+    def test_z_prob_comes_from_intensities(self):
+        intensities = IntensitySet(z_basis_prob=0.65)
+        implicit = schedule(10_000, intensities=intensities, seed=15)
+        explicit = schedule(10_000, (500, 1, 1), 0.65, intensities, 15)
+        assert implicit.z_prob == 0.65
+        assert np.array_equal(implicit.basis_a, explicit.basis_a)
 
-class TestMdiSift:
-    def test_rectilinear_same_preparation_is_error_after_flip(self):
-        final, is_error = mdi_sift("Z", 0, 0)
-        assert final == 1
-        assert is_error
+    @pytest.mark.parametrize("z_prob", [-0.1, 1.5, float("nan")])
+    def test_z_prob_outside_unit_interval_rejected(self, z_prob):
+        with pytest.raises(ValueError, match=r"z_prob must be in \[0, 1\]"):
+            schedule(100, z_prob=z_prob, seed=1)
 
-    def test_rectilinear_anticorrelated_matches(self):
-        final, is_error = mdi_sift("Z", 0, 1)
-        assert final == 0
-        assert not is_error
-
-    def test_diagonal_keeps_bit(self):
-        assert mdi_sift("X", 1, 1) == (1, False)
-        assert mdi_sift("X", 1, 0) == (0, True)
-
-
-class TestSquashEvent:
-    def test_single_clicks(self):
-        rng = np.random.default_rng(0)
-        assert squash_event(DetectionEvent(0, frozenset("H")), rng) == ("Z", 0)
-        assert squash_event(DetectionEvent(0, frozenset("V")), rng) == ("Z", 1)
-        assert squash_event(DetectionEvent(0, frozenset("D")), rng) == ("X", 0)
-        assert squash_event(DetectionEvent(0, frozenset("A")), rng) == ("X", 1)
-
-    def test_cross_branch_discarded(self):
-        rng = np.random.default_rng(0)
-        assert squash_event(DetectionEvent(0, frozenset("HD")), rng) is None
-
-    def test_double_click_squashes_to_uniform_bit(self):
-        rng = np.random.default_rng(1)
-        outcomes = {
-            squash_event(DetectionEvent(0, frozenset("HV")), rng) for _ in range(200)
-        }
-        assert outcomes == {("Z", 0), ("Z", 1)}
-
-    def test_empty_event_rejected(self):
-        with pytest.raises(ValueError):
-            DetectionEvent(0, frozenset())
+    def test_z_prob_disagreeing_with_intensities_rejected(self):
+        with pytest.raises(ValueError, match="differs from intensities.z_basis_prob"):
+            schedule(100, z_prob=0.7, intensities=IntensitySet(z_basis_prob=0.8), seed=1)
 
 
 class TestRunPlan:

@@ -320,6 +320,67 @@ class TestSigningSession:
         assert verdicts["forwarded"].accepted
         assert len(bus.log) == 2  # declaration + transfer
 
+    def test_recipient_with_fewer_than_l_positions_rejected(self):
+        rng = np.random.default_rng(22)
+        keys = {"AB": rng.integers(0, 2, 500, dtype=np.int8)}
+        short = np.arange(499)
+        holdings = {
+            "direct": [Holding("AB", short, keys["AB"][short])],
+            "forwarded": [Holding("AB", short, keys["AB"][short])],
+        }
+        verdicts = run_signing_session(
+            MessageBus(), "alice", "bob", "charlie", 0, keys, holdings, 0.02, 0.05, 500
+        )
+        assert not verdicts["direct"].accepted
+        assert "fewer than 500 positions" in verdicts["direct"].reason
+
+    def test_forwarded_recipient_with_fewer_than_l_positions_rejected(self):
+        rng = np.random.default_rng(23)
+        keys = {"AB": rng.integers(0, 2, 500, dtype=np.int8)}
+        full, short = np.arange(500), np.arange(10)
+        holdings = {
+            "direct": [Holding("AB", full, keys["AB"])],
+            "forwarded": [Holding("AB", short, keys["AB"][short])],
+        }
+        verdicts = run_signing_session(
+            MessageBus(), "alice", "bob", "charlie", 0, keys, holdings, 0.02, 0.05, 500
+        )
+        assert verdicts["direct"].accepted
+        assert not verdicts["forwarded"].accepted
+        assert "fewer than 500 positions" in verdicts["forwarded"].reason
+
+    def test_direct_rejection_sends_no_transfer(self):
+        rng = np.random.default_rng(24)
+        keys = {"AB": rng.integers(0, 2, 500, dtype=np.int8)}
+        forged = 1 - keys["AB"]  # every position mismatches
+        holdings = {
+            "direct": [Holding("AB", np.arange(500), forged)],
+            "forwarded": [Holding("AB", np.arange(500), keys["AB"])],
+        }
+        bus = MessageBus()
+        verdicts = run_signing_session(
+            bus, "alice", "bob", "charlie", 0, keys, holdings, 0.02, 0.05, 500
+        )
+        assert not verdicts["direct"].accepted
+        assert len(bus.log) == 1  # the declaration only
+        assert not verdicts["forwarded"].accepted
+        assert verdicts["forwarded"].checked == 0
+        assert "direct recipient rejected" in verdicts["forwarded"].reason
+
+    def test_session_agrees_with_sign_and_verify(self):
+        rng = np.random.default_rng(25)
+        keys = {"AB": rng.integers(0, 2, 400, dtype=np.int8)}
+        positions = np.arange(400)
+        bits = keys["AB"].copy()
+        bits[:10] = 1 - bits[:10]  # 2.5% mismatches: above s_auth, below s_ver
+        holdings = {"direct": [Holding("AB", positions, keys["AB"])],
+                    "forwarded": [Holding("AB", positions, bits)]}
+        session = run_signing_session(
+            MessageBus(), "alice", "bob", "charlie", 0, keys, holdings, 0.02, 0.05, 400
+        )
+        direct = sign_and_verify(0, keys, holdings, 0.02, 0.05, 400)
+        assert session == direct
+
 
 class TestHonestAcceptanceFrequency:
     def test_honest_runs_accept_at_reduced_length(self):

@@ -149,6 +149,10 @@ class TestPoissonPmf:
         total = sum(poisson_pmf(mu, n) for n in range(n_max + 1))
         assert 1.0 - total < 1e-12
 
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            poisson_pmf(-1.0, 0)
+
 
 class TestPoissonWeights:
     @pytest.mark.parametrize("mu", [0.0, 0.02, 0.1, 0.5, 0.8, 2.0])
@@ -168,7 +172,7 @@ class TestPoissonWeights:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            poisson_pmf(-1.0, 0)
+            poisson_weights(-1.0, 0)
 
 
 def _brute_force_optimum(objective, constraints, bounds, sense):

@@ -14,7 +14,9 @@ failure budget split evenly across every widened quantity; the reported
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -105,9 +107,6 @@ class CountTable:
             if basis == "Z":
                 return rec
         raise KeyError("table has no Z-basis entry")
-
-    def x_entries(self) -> dict:
-        return {key: rec for (key, basis), rec in self.entries.items() if basis == "X"}
 
     # -- serialization ----------------------------------------------------
 
@@ -222,19 +221,16 @@ def estimate_bounds(
     """
     if mode not in ("QKD", "MDI"):
         raise ValueError(f"mode must be 'QKD' or 'MDI', got {mode!r}")
-    if mode == "MDI":
-        x_keys = [(a, b) for a in X_LABELS for b in X_LABELS]
-    else:
-        x_keys = [(l,) for l in X_LABELS]
+    senders = 2 if mode == "MDI" else 1
+    x_keys = list(itertools.product(X_LABELS, repeat=senders))
     x_records = {}
     for key in x_keys:
         try:
             x_records[key] = table.entries[(key, "X")]
         except KeyError:
             raise KeyError(f"table is missing the X-basis entry for {key}") from None
-    z_key = ("s", "s") if mode == "MDI" else ("s",)
     try:
-        z_record = table.entries[(z_key, "Z")]
+        z_record = table.entries[(("s",) * senders, "Z")]
     except KeyError:
         raise KeyError("table is missing the Z-basis signal entry") from None
 
@@ -246,81 +242,56 @@ def estimate_bounds(
     # diagnostics); the Serfling share is capped at its own domain.
     eps_serf = min(1.0, eps_each)
 
-    # Per-variable index maps and Poisson coefficient rows; relay rows keep
-    # only the simplex n + m <= n_cut and count the rest as tail mass.
-    if mode == "MDI":
-        mask = np.add.outer(np.arange(n_cut + 1), np.arange(n_cut + 1)) <= n_cut
-        pairs = [(int(n), int(m)) for n, m in zip(*np.nonzero(mask))]
-        var_index = {pair: i for i, pair in enumerate(pairs)}
-        n_vars = len(var_index)
-        single_var = var_index[(1, 1)]
-    else:
-        n_vars = n_cut + 1
-        single_var = 1
-    rows = {}
-    tails = {}
+    # One variable per photon-number tuple, row-major; relay rows keep only
+    # the simplex n + m <= n_cut and count the rest as tail mass.
+    mask = np.indices((n_cut + 1,) * senders).sum(axis=0) <= n_cut
+    coords = np.argwhere(mask)
+    index = np.zeros(mask.shape, dtype=int)
+    index[mask] = np.arange(len(coords))
+    pmf = {label: poisson_weights(intensities.mu(label), n_cut)[0] for label in X_LABELS}
+    weights, tails = [], []
     for key in x_keys:
-        if mode == "MDI":
-            pa, _ = poisson_weights(intensities.mu(key[0]), n_cut)
-            pb, _ = poisson_weights(intensities.mu(key[1]), n_cut)
-            w = np.where(mask, np.outer(pa, pb), 0.0)
-            rows[key], tails[key] = w[mask], max(0.0, 1.0 - w.sum())
-        else:
-            rows[key], tails[key] = poisson_weights(intensities.mu(key[0]), n_cut)
+        w = np.where(mask, functools.reduce(np.multiply.outer, [pmf[l] for l in key]), 0.0)
+        weights.append(w[mask])
+        tails.append(max(0.0, 1.0 - w.sum()))
+    weights, tails = np.array(weights), np.array(tails)
+    # Rate rows shared by both LPs, per key: -W_k x <= -max(0, lo_k - tail_k), W_k x <= hi_k.
+    rate_rows = np.stack([-weights, weights], axis=1).reshape(-1, len(coords))
 
-    gain_constraints = []
-    error_constraints = []
-    for key in x_keys:
-        rec = x_records[key]
-        g_lo, g_hi = widen_counts(rec, eps_each)
-        e_lo, e_hi = widen_counts(rec, eps_each, numerator="errors")
-        coeffs = rows[key]
-        tail = tails[key]
-        gain_constraints.append((coeffs, ">=", max(0.0, g_lo - tail)))
-        gain_constraints.append((coeffs, "<=", g_hi))
-        error_constraints.append((coeffs, ">=", max(0.0, e_lo - tail)))
-        error_constraints.append((coeffs, "<=", e_hi))
+    def rate_rhs(numerator):
+        lo, hi = np.array([widen_counts(x_records[k], eps_each, numerator) for k in x_keys]).T
+        return np.stack([-np.maximum(0.0, lo - tails), hi], axis=1).ravel()
 
     # Threshold detection never clicks less when more photons arrive, so the
-    # true yields are monotone in each photon-number index; the rows tighten
-    # the yield LP considerably in the low-count regime.  Error gains carry
-    # no such guarantee and stay unconstrained.
-    if mode == "MDI":
-        for (n, m), i in var_index.items():
-            for nb in ((n + 1, m), (n, m + 1)):
-                if nb in var_index:
-                    row = np.zeros(n_vars)
-                    row[i] = 1.0
-                    row[var_index[nb]] = -1.0
-                    gain_constraints.append((row, "<=", 0.0))
-    else:
-        for n in range(n_cut):
-            row = np.zeros(n_vars)
-            row[n] = 1.0
-            row[n + 1] = -1.0
-            gain_constraints.append((row, "<=", 0.0))
+    # true yields are monotone in each photon-number index; the rows
+    # y(n) - y(n + e_axis) <= 0 tighten the yield LP considerably in the
+    # low-count regime.  Error gains carry no such guarantee.
+    step = coords[:, None, :] + np.eye(senders, dtype=int)
+    var, axis = np.nonzero(step.sum(axis=2) <= n_cut)
+    monotone = np.zeros((len(var), len(coords)))
+    monotone[np.arange(len(var)), var] = 1.0
+    monotone[np.arange(len(var)), index[tuple(step[var, axis].T)]] = -1.0
 
-    bounds01 = [(0.0, 1.0)] * n_vars
-    objective = np.zeros(n_vars)
-    objective[single_var] = 1.0
+    objective = np.zeros(len(coords))
+    objective[index[(1,) * senders]] = 1.0
     try:
-        y_res = solve_bounded_lp(objective, gain_constraints, bounds01, sense="min")
-        z_res = solve_bounded_lp(objective, error_constraints, bounds01, sense="max")
+        y1 = solve_bounded_lp(
+            objective,
+            np.vstack([rate_rows, monotone]),
+            np.concatenate([rate_rhs("detected"), np.zeros(len(var))]),
+            "min",
+        )
+        z1 = solve_bounded_lp(objective, rate_rows, rate_rhs("errors"), "max")
     except LpInfeasibleError as exc:
         raise InconsistentCountsError(
             f"counts inconsistent with any photon-number model on link {table.link}"
         ) from exc
 
-    y1_lower = min(1.0, max(0.0, y_res.optimum))
-    z1_upper = min(1.0, max(0.0, z_res.optimum))
+    y1_lower = min(1.0, max(0.0, y1))
+    z1_upper = min(1.0, max(0.0, z1))
 
-    s_mu = intensities.mu("s")
-    if mode == "MDI":
-        p1_z = poisson_pmf(s_mu, 1) ** 2
-        p1_x = {key: poisson_pmf(intensities.mu(key[0]), 1) * poisson_pmf(intensities.mu(key[1]), 1) for key in x_keys}
-    else:
-        p1_z = poisson_pmf(s_mu, 1)
-        p1_x = {key: poisson_pmf(intensities.mu(key[0]), 1) for key in x_keys}
+    p1_z = poisson_pmf(intensities.mu("s"), 1) ** senders
+    p1_x = {key: math.prod(pmf[l][1] for l in key) for key in x_keys}
 
     s1_lower = int(math.floor(z_record.sent * p1_z * y1_lower))
     s1_lower = min(s1_lower, z_record.detected)

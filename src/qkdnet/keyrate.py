@@ -24,7 +24,7 @@ from .channel import (
     qkd_yield_model,
     sample_counts,
 )
-from .decoy import CountTable, DecoyBounds, estimate_bounds
+from .decoy import CountTable, DecoyBounds, InconsistentCountsError, estimate_bounds
 from .mathkit import binary_entropy
 
 __all__ = [
@@ -189,8 +189,9 @@ def rate_sweep(
     the distance symmetrically between the two senders), a count table is
     sampled for the pulse budget, the decoy bounds and key length are
     computed, and the key is divided by the wall-clock-equivalent time
-    ``n_pulses / clock_rate / duty``.  Pipeline failures yield a zero-rate
-    point with a note instead of aborting the sweep.
+    ``n_pulses / clock_rate / duty``.  Counts that admit no photon-number
+    model yield a zero-rate point whose note says so; every other error
+    propagates.
 
     Half of ``security.eps_sec`` funds the decoy estimation; the remainder
     is carried by the finite-size correction's composition.
@@ -223,16 +224,18 @@ def rate_sweep(
             points.append(
                 SweepPoint(dist, mode, result.secure_bits, elapsed, result.rate_bps)
             )
-        except (ValueError, KeyError) as exc:
+        except InconsistentCountsError as exc:
             points.append(SweepPoint(dist, mode, 0, elapsed, 0.0, note=str(exc)))
     return points
 
 
 def sweep_to_csv(points) -> str:
-    """Plot-ready CSV: distance_km, mode, secure_bits, elapsed_s, rate_bps."""
+    """Plot-ready CSV: distance_km, mode, secure_bits, elapsed_s, rate_bps, note."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["distance_km", "mode", "secure_bits", "elapsed_s", "rate_bps"])
+    writer.writerow(["distance_km", "mode", "secure_bits", "elapsed_s", "rate_bps", "note"])
     for p in points:
-        writer.writerow([p.distance_km, p.mode, p.secure_bits, f"{p.elapsed_s:.6g}", f"{p.rate_bps:.6g}"])
+        writer.writerow(
+            [p.distance_km, p.mode, p.secure_bits, f"{p.elapsed_s:.6g}", f"{p.rate_bps:.6g}", p.note]
+        )
     return buf.getvalue()

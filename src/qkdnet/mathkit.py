@@ -1,14 +1,13 @@
 """Numerical kernels shared by the analysis stack.
 
 Binary entropy and its inverse, the Serfling and Hoeffding concentration
-terms, Poisson photon-number statistics, and a small bounded linear-program
-wrapper.  Everything here is a pure function of its inputs.
+terms, Poisson photon-number statistics, and a small linear-program wrapper
+over the unit box.  Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -22,9 +21,7 @@ __all__ = [
     "poisson_pmf",
     "log_poisson_pmf",
     "poisson_weights",
-    "LpResult",
     "LpInfeasibleError",
-    "LpUnboundedError",
     "solve_bounded_lp",
     "check_probability",
 ]
@@ -144,77 +141,31 @@ class LpInfeasibleError(ValueError):
     """The constraint set admits no feasible point."""
 
 
-class LpUnboundedError(ValueError):
-    """The objective is unbounded over the feasible set."""
+def solve_bounded_lp(objective, a_ub, b_ub, sense: str = "min") -> float:
+    """Optimum of ``objective @ x`` subject to ``a_ub @ x <= b_ub`` over the unit box.
 
-
-@dataclass(frozen=True)
-class LpResult:
-    optimum: float
-
-
-def solve_bounded_lp(objective, constraints, variable_bounds, sense: str = "min") -> LpResult:
-    """Solve a small box-bounded linear program deterministically.
-
-    Parameters
-    ----------
-    objective:
-        Coefficient sequence c; the objective is ``c @ x``.
-    constraints:
-        Iterable of ``(coeffs, op, rhs)`` with ``op`` one of ``"<="``/``">="``.
-    variable_bounds:
-        Sequence of ``(lo, hi)`` intervals, one per variable.
-    sense:
-        ``"min"`` or ``"max"``.
-
-    Raises
-    ------
-    LpInfeasibleError, LpUnboundedError
-        Explicit outcomes; never silently returns garbage.
+    Every variable lies in [0, 1], so the optimum is always finite.  Raises
+    :class:`LpInfeasibleError` when no point of the box meets the rows and
+    ``RuntimeError`` on any other solver failure; never silently returns
+    garbage.
     """
     c = np.asarray(objective, dtype=float)
-    n = c.size
-    if n == 0 or n > 200:
-        raise ValueError(f"expected 1..200 variables, got {n}")
-    bounds = [(float(lo), float(hi)) for lo, hi in variable_bounds]
-    if len(bounds) != n:
-        raise ValueError("variable_bounds length must match objective length")
-
-    rows, rhs = [], []
-    for coeffs, op, b in constraints:
-        a = np.zeros(n)
-        a[: len(coeffs)] = coeffs
-        if op == "<=":
-            rows.append(a)
-            rhs.append(float(b))
-        elif op == ">=":
-            rows.append(-a)
-            rhs.append(-float(b))
-        else:
-            raise ValueError(f"unknown constraint op {op!r}")
-    a_ub = np.array(rows) if rows else None
-    b_ub = np.array(rhs) if rows else None
-
-    sign = 1.0 if sense == "min" else -1.0
+    if not 1 <= c.size <= 200:
+        raise ValueError(f"expected 1..200 variables, got {c.size}")
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-
-    solver_opts = {
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-    }
-    res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=solver_opts)
+    sign = 1.0 if sense == "min" else -1.0
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs", options=options)
     if res.status == 2:
         # Presolve can misjudge constraint windows thinner than its own
         # tolerances; only a full solve may declare infeasibility.
         res = linprog(
-            sign * c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
-            options={**solver_opts, "presolve": False},
+            sign * c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs",
+            options={**options, "presolve": False},
         )
     if res.status == 2:
         raise LpInfeasibleError("constraints admit no feasible point")
-    if res.status == 3:
-        raise LpUnboundedError("objective unbounded over the feasible set")
     if not res.success:
         raise RuntimeError(f"LP solver failed: {res.message}")
-    return LpResult(optimum=float(sign * res.fun))
+    return float(sign * res.fun)

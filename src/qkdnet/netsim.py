@@ -131,15 +131,6 @@ def schedule(
     )
 
 
-class _Tally:
-    __slots__ = ("sent", "detected", "errors")
-
-    def __init__(self):
-        self.sent = 0
-        self.detected = 0
-        self.errors = 0
-
-
 def _clip_photons(rng, mu_arr: np.ndarray, n_cut: int) -> np.ndarray:
     # Tail mass beyond the cutoff is below 1e-10 for the admissible
     # intensities, so clipping does not disturb the statistics.
@@ -169,7 +160,10 @@ def run_plan(
 
     mu_of = np.array([plan.intensities.mu(l) for l in LABELS])
     rng = np.random.default_rng(seed)
-    tallies = {link: {} for link in ("AB", "AC", "BC")}
+    # counts[link][basis * 16 + config] = (sent, detected, errors), basis 0 = Z
+    # and 1 = X; config is 4 * ia + ib on the relay link, else the sender's
+    # intensity index.
+    counts = {link: np.zeros((32, 3), dtype=np.int64) for link in ("AB", "AC", "BC")}
     pools = {link: ([], []) for link in ("AB", "AC", "BC")}
     diag = {
         "basis_mismatch_slots": 0,
@@ -178,11 +172,9 @@ def run_plan(
         "slots_per_session": {name: 0 for name in SESSION_NAMES},
     }
 
-    def tally(link, key, basis, sent, detected, errors):
-        t = tallies[link].setdefault((key, basis), _Tally())
-        t.sent += int(sent)
-        t.detected += int(detected)
-        t.errors += int(errors)
+    def tally(link, index, sent, detected, errors):
+        for column, sel in enumerate((sent, detected, errors)):
+            counts[link][:, column] += np.bincount(index[sel], minlength=32)
 
     for start in range(0, plan.slots, DEFAULT_CHUNK):
         sl = slice(start, min(plan.slots, start + DEFAULT_CHUNK))
@@ -210,18 +202,8 @@ def run_plan(
             # flip rule (anti-correlated in Z, correlated in X).
             bit_a = rng.integers(0, 2, size=m.sum(), dtype=np.int8)
             ok = accept & match
-            config = (ia[m].astype(np.int32) * 4 + ib[m]).astype(np.int32)
-            basis_code = is_z.astype(np.int32)  # 1 = Z
-            for basis_val, basis_name in ((1, "Z"), (0, "X")):
-                sel = ok & (basis_code == basis_val)
-                rel = match & (basis_code == basis_val)
-                cfg_sent = np.bincount(config[rel], minlength=16)
-                cfg_det = np.bincount(config[sel], minlength=16)
-                cfg_err = np.bincount(config[sel & err], minlength=16)
-                for cfg in np.nonzero(cfg_sent)[0]:
-                    key = (LABELS[cfg // 4], LABELS[cfg % 4])
-                    tally("AB", key, basis_name, cfg_sent[cfg], cfg_det[cfg], cfg_err[cfg])
-            z_sel = ok & (basis_code == 1)
+            tally("AB", ba[m] * 16 + ia[m] * 4 + ib[m], match, ok, ok & err)
+            z_sel = ok & is_z
             if z_sel.any():
                 pools["AB"][0].append(bit_a[z_sel].copy())
                 pools["AB"][1].append(err[z_sel].copy())
@@ -241,14 +223,7 @@ def run_plan(
             err_prob = np.where(basis_x, model.error_rates[n], model.z_error_rates[n])
             err = rng.random(m.sum()) < err_prob
             bit_a = rng.integers(0, 2, size=m.sum(), dtype=np.int8)
-            config = active_int[m].astype(np.int32) * 2 + basis_x
-            cfg_sent = np.bincount(config, minlength=8)
-            cfg_det = np.bincount(config[recorded], minlength=8)
-            cfg_err = np.bincount(config[recorded & err], minlength=8)
-            for cfg in np.nonzero(cfg_sent)[0]:
-                key = (LABELS[cfg // 2],)
-                basis_name = "X" if cfg % 2 else "Z"
-                tally(link, key, basis_name, cfg_sent[cfg], cfg_det[cfg], cfg_err[cfg])
+            tally(link, active_basis[m] * 16 + active_int[m], slice(None), recorded, recorded & err)
             z_sel = recorded & ~basis_x
             if z_sel.any():
                 pools[link][0].append(bit_a[z_sel].copy())
@@ -258,8 +233,10 @@ def run_plan(
     z_pools = {}
     for link in ("AB", "AC", "BC"):
         table = CountTable(link=link)
-        for (key, basis), t in tallies[link].items():
-            table.add(key, basis, CountRecord(t.sent, t.detected, t.errors))
+        for row in np.nonzero(counts[link][:, 0])[0]:
+            basis, config = divmod(int(row), 16)
+            key = (LABELS[config // 4], LABELS[config % 4]) if link == "AB" else (LABELS[config],)
+            table.add(key, "ZX"[basis], CountRecord(*counts[link][row].tolist()))
         tables[link] = table
         bits, errs = pools[link]
         z_pools[link] = ZPool(

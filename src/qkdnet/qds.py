@@ -83,6 +83,8 @@ class QdsParams:
             raise ValueError("eps_h must be in (0, 1)")
         if not 0.0 < self.p_rep_budget < 1.0:
             raise ValueError("p_rep_budget must be in (0, 1)")
+        if not 0.0 < self.p_fail_total < 1.0:
+            raise ValueError("p_fail_total must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,18 @@ class QdsReport:
 
     @property
     def secure(self) -> bool:
-        """Ordering gap, block feasibility and total failure budget all hold."""
+        """Ordering gap, block feasibility and total failure budget all hold.
+
+        A report whose params lack ``c_sig`` or ``p_fail_total`` is not secure.
+        """
+        if "c_sig" not in self.params or "p_fail_total" not in self.params:
+            return False
         ordered = (
             self.e_test <= self.e_sig_upper < self.s_auth < self.s_ver < self.p_e
         )
         total = self.p_rep + self.p_hab + self.p_for + self.epsilon_spent
-        fits = self.l_sig <= self.params.get("c_sig", self.l_sig)
-        return ordered and fits and total <= self.params.get("p_fail_total", 1.0)
+        fits = self.l_sig <= self.params["c_sig"]
+        return ordered and fits and total <= self.params["p_fail_total"]
 
     def to_json(self) -> str:
         doc = asdict(self)

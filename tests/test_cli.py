@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qkdnet import keyrate
 from qkdnet.cli import main
+from qkdnet.decoy import InconsistentCountsError
 
 SIM_CONFIG = {
     "slots": 50_000,
@@ -144,10 +146,30 @@ class TestSweep:
         assert rc == 0
         text = (out / "sweep_qkd.csv").read_text()
         lines = text.strip().splitlines()
-        assert lines[0] == "distance_km,mode,secure_bits,elapsed_s,rate_bps"
+        assert lines[0] == "distance_km,mode,secure_bits,elapsed_s,rate_bps,note"
         assert len(lines) == 3
-        rates = [float(l.split(",")[-1]) for l in lines[1:]]
+        rates = [float(l.split(",")[4]) for l in lines[1:]]
         assert rates[0] >= rates[1]
+
+    def test_inconsistent_counts_note_in_csv_and_json(self, tmp_path, capsys, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise InconsistentCountsError("counts inconsistent with any photon-number model")
+
+        monkeypatch.setattr(keyrate, "estimate_bounds", inconsistent)
+        cfg = write_config(tmp_path, {"mode": "QKD", "distances": [5], "channel": {"distance_km": 0}})
+        assert main(["sweep", "--config", cfg]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert row.split(",")[2] == "0"
+        assert row.endswith(",counts inconsistent with any photon-number model")
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+        (point,) = json.loads(capsys.readouterr().out)
+        assert point["secure_bits"] == 0
+        assert point["note"] == "counts inconsistent with any photon-number model"
+
+    def test_pipeline_error_exits_nonzero(self, tmp_path, capsys):
+        cfg = {"mode": "MDI", "distances": [5], "channel": {"distance_km": 0}, "n_pulses": 10}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "zero sent pulses" in capsys.readouterr().err
 
     def test_unknown_preset_fails(self, capsys):
         assert main(["sweep", "--preset", "nope"]) == 2

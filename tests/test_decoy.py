@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qkdnet import decoy, mathkit
 from qkdnet.channel import (
     ChannelParams,
     CountRecord,
@@ -203,6 +204,31 @@ class TestEstimateBoundsMdi:
             bounds = estimate_bounds(table, intensities, 1e-6, "MDI")
             assert bounds.y1_lower <= model.yields[1, 1] + 1e-12
             assert bounds.eph_upper >= model.error_rates[1, 1] - 1e-12
+
+
+class TestLpContract:
+    """Each estimate_bounds call makes exactly two LP solves (yield, error),
+    each a single linprog call, through decoy's solve_bounded_lp global."""
+
+    @pytest.mark.parametrize("mode, link", [("QKD", "AC"), ("MDI", "AB")])
+    def test_two_solves_per_table(self, monkeypatch, mode, link):
+        calls = {"solve": 0, "linprog": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(decoy, "solve_bounded_lp", counted("solve", decoy.solve_bounded_lp))
+        monkeypatch.setattr(mathkit, "linprog", counted("linprog", mathkit.linprog))
+        side = ChannelParams(distance_km=20)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        intensities = IntensitySet(s=0.5, u=0.2, v=0.05, w=0.0)
+        table = synthesize_table(model, intensities, 10**13, mode, link, seed=1)
+        estimate_bounds(table, intensities, 1e-6, mode)
+        assert calls == {"solve": 2, "linprog": 2}
 
 
 class TestRestrictToBlock:

@@ -126,8 +126,16 @@ class TestRateSweep:
         points = rate_sweep(params, IntensitySet(), [1.0], "QKD", SecurityParams(), n_pulses=10**8)
         text = sweep_to_csv(points)
         lines = text.strip().splitlines()
-        assert lines[0] == "distance_km,mode,secure_bits,elapsed_s,rate_bps"
+        assert lines[0] == "distance_km,mode,secure_bits,elapsed_s,rate_bps,note"
         assert lines[1].startswith("1.0,QKD,")
+
+    def test_pipeline_error_raises(self):
+        # ten pulses leave most table entries empty: a bug in the inputs, not
+        # a zero-rate point
+        with pytest.raises(ValueError, match="zero sent pulses"):
+            rate_sweep(
+                ChannelParams(distance_km=0), IntensitySet(), [5.0], "MDI", SecurityParams(), n_pulses=10
+            )
 
     def test_empty_distances_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from scipy.stats import poisson as scipy_poisson
 
 from qkdnet.mathkit import (
     LpInfeasibleError,
-    LpUnboundedError,
     binary_entropy,
     hoeffding_exponent_bound,
     hoeffding_exponent_log,
@@ -175,28 +174,14 @@ class TestPoissonWeights:
             poisson_weights(-1.0, 0)
 
 
-def _brute_force_optimum(objective, constraints, bounds, sense):
-    """Vertex enumeration oracle for tiny LPs: intersect every choice of
-    n active constraints (inequalities and box faces), keep feasible points,
-    and scan the objective."""
+def _brute_force_optimum(objective, a_ub, b_ub, sense):
+    """Vertex enumeration oracle for tiny LPs over the unit box: intersect
+    every choice of n active constraints (rows of ``a_ub`` and box faces),
+    keep feasible points, and scan the objective."""
     c = np.asarray(objective, dtype=float)
     n = c.size
-    rows = []
-    rhs = []
-    for coeffs, op, b in constraints:
-        a = np.zeros(n)
-        a[: len(coeffs)] = coeffs
-        sign = 1.0 if op == "<=" else -1.0
-        rows.append(sign * a)
-        rhs.append(sign * b)
-    for i, (lo, hi) in enumerate(bounds):
-        for sign, b in ((-1.0, -lo), (1.0, hi)):
-            a = np.zeros(n)
-            a[i] = sign
-            rows.append(a)
-            rhs.append(b)
-    rows = np.array(rows)
-    rhs = np.array(rhs)
+    rows = np.vstack([a_ub, -np.eye(n), np.eye(n)])
+    rhs = np.concatenate([b_ub, np.zeros(n), np.ones(n)])
     best = None
     for combo in itertools.combinations(range(len(rows)), n):
         a = rows[list(combo)]
@@ -215,31 +200,34 @@ def _brute_force_optimum(objective, constraints, bounds, sense):
 
 class TestSolveBoundedLp:
     def test_single_variable_max(self):
-        res = solve_bounded_lp([1.0], [([1.0], "<=", 3.0)], [(0, 10)], "max")
-        assert res.optimum == pytest.approx(3.0, rel=1e-8)
+        assert solve_bounded_lp([1.0], [[1.0]], [0.3], "max") == pytest.approx(0.3, rel=1e-8)
 
     def test_two_variable_min(self):
-        res = solve_bounded_lp(
-            [1.0, 1.0], [([1.0, 2.0], ">=", 2.0)], [(0, 1), (0, 1)], "min"
+        # x + 2y >= 2 on the unit box: the cheapest point is (0, 1)
+        assert solve_bounded_lp([1.0, 1.0], [[-1.0, -2.0]], [-2.0], "min") == pytest.approx(
+            1.0, rel=1e-8
         )
-        assert res.optimum == pytest.approx(1.0, rel=1e-8)
 
     def test_infeasible(self):
+        # x >= 2 leaves the unit box
         with pytest.raises(LpInfeasibleError):
-            solve_bounded_lp([1.0], [([1.0], ">=", 2.0)], [(0, 1)], "min")
+            solve_bounded_lp([1.0], [[-1.0]], [-2.0], "min")
 
     def test_degenerate_optimum(self):
         # every point on x + y = 1 is optimal; the optimum value is still unique
-        res = solve_bounded_lp(
-            [1.0, 1.0], [([1.0, 1.0], ">=", 1.0)], [(0, 1), (0, 1)], "min"
+        assert solve_bounded_lp([1.0, 1.0], [[-1.0, -1.0]], [-1.0], "min") == pytest.approx(
+            1.0, rel=1e-8
         )
-        assert res.optimum == pytest.approx(1.0, rel=1e-8)
 
     def test_determinism(self):
-        args = ([0.3, -1.2, 0.5], [([1.0, 1.0, 1.0], "<=", 2.0)], [(0, 1)] * 3, "min")
-        first = solve_bounded_lp(*args)
-        second = solve_bounded_lp(*args)
-        assert first.optimum == second.optimum
+        args = ([0.3, -1.2, 0.5], [[1.0, 1.0, 1.0]], [2.0], "min")
+        assert solve_bounded_lp(*args) == solve_bounded_lp(*args)
+
+    def test_rejects_bad_sense_and_size(self):
+        with pytest.raises(ValueError, match="sense"):
+            solve_bounded_lp([1.0], [[1.0]], [1.0], "maximise")
+        with pytest.raises(ValueError, match="variables"):
+            solve_bounded_lp(np.ones(201), np.ones((1, 201)), [1.0], "min")
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -247,14 +235,11 @@ class TestSolveBoundedLp:
         n = data.draw(st.integers(min_value=1, max_value=4))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         c = rng.uniform(-1, 1, n)
-        constraints = []
-        for _ in range(data.draw(st.integers(0, 4))):
-            coeffs = rng.uniform(-1, 1, n)
-            constraints.append((coeffs, "<=", float(rng.uniform(0.1, 2.0))))
-        bounds = [(0.0, float(rng.uniform(0.5, 2.0))) for _ in range(n)]
+        m = data.draw(st.integers(0, 4))
+        a_ub = rng.uniform(-1, 1, (m, n))
+        b_ub = rng.uniform(0.1, 2.0, m)
         sense = data.draw(st.sampled_from(["min", "max"]))
-        oracle = _brute_force_optimum(c, constraints, bounds, sense)
+        oracle = _brute_force_optimum(c, a_ub, b_ub, sense)
         if oracle is None:
             return
-        res = solve_bounded_lp(c, constraints, bounds, sense)
-        assert res.optimum == pytest.approx(oracle, rel=1e-6, abs=1e-8)
+        assert solve_bounded_lp(c, a_ub, b_ub, sense) == pytest.approx(oracle, rel=1e-6, abs=1e-8)

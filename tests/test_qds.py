@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -442,6 +443,18 @@ class TestDistillReport:
         doc = json.loads(report.to_json())
         assert doc["secure"] is True
         assert doc["params"]["c_sig"] == MDI["c_sig"]
+
+    @pytest.mark.parametrize("missing", ["c_sig", "p_fail_total"])
+    def test_secure_fails_closed_without_its_params(self, missing):
+        report = self.relay_report()
+        params = {k: v for k, v in report.params.items() if k != missing}
+        assert report.secure
+        assert not dataclasses.replace(report, params=params).secure
+
+    @pytest.mark.parametrize("p_fail_total", [-5.0, 0.0, 1.0, 2.0])
+    def test_params_reject_failure_budget_outside_unit_interval(self, p_fail_total):
+        with pytest.raises(ValueError, match="p_fail_total"):
+            QdsParams(c_sig=10, c_test=10, p_fail_total=p_fail_total)
 
     def test_insecure_channel_raises(self):
         params = QdsParams(c_sig=10_000, c_test=10_000, eps_h=1e-10)

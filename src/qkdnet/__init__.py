@@ -53,7 +53,6 @@ from .qds import (
     extract_blocks,
     n_blocks,
     qber_upper,
-    sign_and_verify,
     signature_length,
     symmetrise,
     thresholds,

@@ -9,7 +9,6 @@ per-photon-number yields.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,8 +31,8 @@ __all__ = [
 #: Poisson mass allowed beyond the photon-number cutoff before we refuse
 TAIL_LIMIT = 1e-10
 
-#: default photon-number cutoff
-DEFAULT_N_CUT = 12
+#: photon-number cutoff of every yield model, decoy LP and simulated pulse
+N_CUT = 12
 
 #: intensity class labels, signal first; every other class is X-basis only
 LABELS = ("s", "u", "v", "w")
@@ -46,7 +45,7 @@ PASSIVE_BASIS_FACTOR = 0.5
 
 
 class TailBoundError(ValueError):
-    """Mean photon number too large for the model's photon-number cutoff."""
+    """Mean photon number too large for the photon-number cutoff ``N_CUT``."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ class YieldModel:
 
     ``yields`` and the error maps are 1-D arrays indexed by photon number n
     for a point-to-point (QKD) link, or 2-D arrays indexed by the photon
-    pair (n, m) for the relay (MDI) link, with n, m in 0..n_cut.
+    pair (n, m) for the relay (MDI) link, with n, m in 0..N_CUT.
 
     ``error_rates`` is the test-basis (X) error map consumed by the decoy
     estimation; ``z_error_rates`` is the key-basis map used when sampling
@@ -146,7 +145,6 @@ class YieldModel:
     yields: np.ndarray
     error_rates: np.ndarray
     z_error_rates: np.ndarray = None
-    n_cut: int = DEFAULT_N_CUT
 
     def __post_init__(self):
         if self.kind not in ("QKD", "MDI"):
@@ -156,7 +154,7 @@ class YieldModel:
         for name in ("yields", "error_rates", "z_error_rates"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            expected = (self.n_cut + 1,) if self.kind == "QKD" else (self.n_cut + 1,) * 2
+            expected = (N_CUT + 1,) if self.kind == "QKD" else (N_CUT + 1,) * 2
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
             if arr.min() < 0.0 or arr.max() > 1.0:
@@ -169,36 +167,13 @@ class YieldModel:
             return self.z_error_rates
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "n_cut": self.n_cut,
-                "yields": self.yields.tolist(),
-                "error_rates": self.error_rates.tolist(),
-                "z_error_rates": self.z_error_rates.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "YieldModel":
-        doc = json.loads(text)
-        return cls(
-            kind=doc["kind"],
-            yields=np.array(doc["yields"], dtype=float),
-            error_rates=np.array(doc["error_rates"], dtype=float),
-            z_error_rates=np.array(doc["z_error_rates"], dtype=float),
-            n_cut=int(doc["n_cut"]),
-        )
-
 
 def _eta_n(eta: float, n: np.ndarray) -> np.ndarray:
     """P(at least one of n photons survives), 1 - (1-eta)^n."""
     return 1.0 - (1.0 - eta) ** n
 
 
-def qkd_yield_model(params: ChannelParams, n_cut: int = DEFAULT_N_CUT) -> YieldModel:
+def qkd_yield_model(params: ChannelParams) -> YieldModel:
     """Point-to-point yield model.
 
     With eta the end-to-end transmittance and Y0 = 2 * dark_count_prob the
@@ -212,7 +187,7 @@ def qkd_yield_model(params: ChannelParams, n_cut: int = DEFAULT_N_CUT) -> YieldM
     """
     eta = params.transmittance
     y0 = min(1.0, 2.0 * params.dark_count_prob)
-    n = np.arange(n_cut + 1)
+    n = np.arange(N_CUT + 1)
     eta_n = _eta_n(eta, n)
     yields = y0 + eta_n - y0 * eta_n
     with np.errstate(invalid="ignore"):
@@ -221,7 +196,7 @@ def qkd_yield_model(params: ChannelParams, n_cut: int = DEFAULT_N_CUT) -> YieldM
             (0.5 * y0 + params.misalignment * eta_n * (1.0 - y0)) / np.where(yields > 0, yields, 1.0),
             0.0,
         )
-    return YieldModel(kind="QKD", yields=yields, error_rates=np.clip(errors, 0, 1), n_cut=n_cut)
+    return YieldModel(kind="QKD", yields=yields, error_rates=np.clip(errors, 0, 1))
 
 
 def mdi_yield_model(
@@ -230,7 +205,6 @@ def mdi_yield_model(
     hom_visibility: float = 1.0,
     bell_success: float = 0.5,
     x_multiphoton_floor: float = 0.25,
-    n_cut: int = DEFAULT_N_CUT,
 ) -> YieldModel:
     """Relay (two-sender) yield model.
 
@@ -254,7 +228,7 @@ def mdi_yield_model(
     check_probability(bell_success, "bell_success")
     check_probability(x_multiphoton_floor, "x_multiphoton_floor")
     eta_a, eta_b = params_a.transmittance, params_b.transmittance
-    n = np.arange(n_cut + 1)
+    n = np.arange(N_CUT + 1)
     eta_an = _eta_n(eta_a, n)[:, None]
     eta_bm = _eta_n(eta_b, n)[None, :]
     signal = bell_success * eta_an * eta_bm
@@ -280,7 +254,6 @@ def mdi_yield_model(
         yields=yields,
         error_rates=np.clip(mix(e_x), 0, 1),
         z_error_rates=np.clip(mix(e_z), 0, 1),
-        n_cut=n_cut,
     )
 
 
@@ -292,26 +265,26 @@ def expected_gain_and_qber(
 ) -> tuple[float, float]:
     """Poisson-mixture gain and QBER of an intensity (pair) under the model.
 
-    Raises :class:`TailBoundError` when the Poisson mass beyond the model's
-    photon-number cutoff exceeds ``TAIL_LIMIT``; below that, the truncation
-    error is folded into nothing larger than 1e-10 absolute on the gain.
+    Raises :class:`TailBoundError` when the Poisson mass beyond ``N_CUT``
+    exceeds ``TAIL_LIMIT``; below that, the truncation error is folded into
+    nothing larger than 1e-10 absolute on the gain.
     """
     if (nu is None) != (model.kind == "QKD"):
         raise ValueError("nu must be given exactly when the model kind is MDI")
     errors = model.errors_for_basis(basis)
     if model.kind == "QKD":
-        p, tail = poisson_weights(mu, model.n_cut)
+        p, tail = poisson_weights(mu, N_CUT)
         if tail > TAIL_LIMIT:
-            raise TailBoundError(f"Poisson tail {tail:.2e} beyond n_cut={model.n_cut} for mu={mu}")
+            raise TailBoundError(f"Poisson tail {tail:.2e} beyond N_CUT={N_CUT} for mu={mu}")
         gain = float(p @ model.yields)
         err_gain = float(p @ (errors * model.yields))
     else:
-        pa, tail_a = poisson_weights(mu, model.n_cut)
-        pb, tail_b = poisson_weights(nu, model.n_cut)
+        pa, tail_a = poisson_weights(mu, N_CUT)
+        pb, tail_b = poisson_weights(nu, N_CUT)
         tail = tail_a + tail_b
         if tail > TAIL_LIMIT:
             raise TailBoundError(
-                f"Poisson tail {tail:.2e} beyond n_cut={model.n_cut} for mu={mu}, nu={nu}"
+                f"Poisson tail {tail:.2e} beyond N_CUT={N_CUT} for mu={mu}, nu={nu}"
             )
         w = np.outer(pa, pb)
         gain = float((w * model.yields).sum())

@@ -10,6 +10,7 @@ status 0; only genuine errors exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -54,9 +55,7 @@ def load_preset(name: str) -> dict:
 def _build(cls, doc: dict, path: str):
     try:
         return cls(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -218,17 +217,7 @@ def cmd_sweep(args) -> int:
         mdi_model_kwargs=config.get("mdi_model"),
     )
     if args.format == "json":
-        rows = [
-            {
-                "distance_km": p.distance_km,
-                "mode": p.mode,
-                "secure_bits": p.secure_bits,
-                "elapsed_s": p.elapsed_s,
-                "rate_bps": p.rate_bps,
-                "note": p.note,
-            }
-            for p in points
-        ]
+        rows = [dataclasses.asdict(p) for p in points]
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
         name = f"sweep_{mode.lower()}.json"
     else:

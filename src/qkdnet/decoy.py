@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DEFAULT_N_CUT, X_LABELS, CountRecord, IntensitySet
+from .channel import N_CUT, X_LABELS, CountRecord, IntensitySet
 from .mathkit import (
     LpInfeasibleError,
     poisson_pmf,
@@ -78,25 +78,16 @@ class CountTable:
     """
 
     link: str  # AB | AC | BC
-    entries: dict = field(default_factory=dict)
+    entries: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.link not in ("AB", "AC", "BC"):
             raise ValueError(f"link must be AB, AC or BC, got {self.link!r}")
-        normalised = {}
-        for (label, basis), rec in self.entries.items():
-            key = _label_key(label)
-            _check_entry(key, basis)
-            normalised[(key, basis)] = rec
-        self.entries = normalised
 
     def add(self, label, basis: str, record: CountRecord):
         key = _label_key(label)
         _check_entry(key, basis)
         self.entries[(key, basis)] = record
-
-    def get(self, label, basis: str) -> CountRecord:
-        return self.entries[(_label_key(label), basis)]
 
     @property
     def is_pair(self) -> bool:
@@ -209,7 +200,6 @@ def estimate_bounds(
     intensities: IntensitySet,
     eps_total: float,
     mode: str,
-    n_cut: int = DEFAULT_N_CUT,
 ) -> DecoyBounds:
     """Decoy-state bounds for the Z-basis signal class of one link.
 
@@ -243,12 +233,12 @@ def estimate_bounds(
     eps_serf = min(1.0, eps_each)
 
     # One variable per photon-number tuple, row-major; relay rows keep only
-    # the simplex n + m <= n_cut and count the rest as tail mass.
-    mask = np.indices((n_cut + 1,) * senders).sum(axis=0) <= n_cut
+    # the simplex n + m <= N_CUT and count the rest as tail mass.
+    mask = np.indices((N_CUT + 1,) * senders).sum(axis=0) <= N_CUT
     coords = np.argwhere(mask)
     index = np.zeros(mask.shape, dtype=int)
     index[mask] = np.arange(len(coords))
-    pmf = {label: poisson_weights(intensities.mu(label), n_cut)[0] for label in X_LABELS}
+    pmf = {label: poisson_weights(intensities.mu(label), N_CUT)[0] for label in X_LABELS}
     weights, tails = [], []
     for key in x_keys:
         w = np.where(mask, functools.reduce(np.multiply.outer, [pmf[l] for l in key]), 0.0)
@@ -267,7 +257,7 @@ def estimate_bounds(
     # y(n) - y(n + e_axis) <= 0 tighten the yield LP considerably in the
     # low-count regime.  Error gains carry no such guarantee.
     step = coords[:, None, :] + np.eye(senders, dtype=int)
-    var, axis = np.nonzero(step.sum(axis=2) <= n_cut)
+    var, axis = np.nonzero(step.sum(axis=2) <= N_CUT)
     monotone = np.zeros((len(var), len(coords)))
     monotone[np.arange(len(var)), var] = 1.0
     monotone[np.arange(len(var)), index[tuple(step[var, axis].T)]] = -1.0

@@ -19,7 +19,6 @@ __all__ = [
     "hoeffding_exponent_bound",
     "hoeffding_exponent_log",
     "poisson_pmf",
-    "log_poisson_pmf",
     "poisson_weights",
     "LpInfeasibleError",
     "solve_bounded_lp",
@@ -114,21 +113,15 @@ def hoeffding_exponent_bound(delta: float, n: int) -> float:
     return min(1.0, math.exp(log_p))
 
 
-def log_poisson_pmf(mu: float, n: int) -> float:
-    """Natural log of the Poisson pmf; -inf where the pmf is zero."""
+def poisson_pmf(mu: float, n: int) -> float:
+    """Poisson pmf e^-mu mu^n / n!, evaluated in log space for stability."""
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
     if mu == 0.0:
-        return 0.0 if n == 0 else -math.inf
-    return n * math.log(mu) - mu - math.lgamma(n + 1)
-
-
-def poisson_pmf(mu: float, n: int) -> float:
-    """Poisson pmf e^-mu mu^n / n!, evaluated in log space for stability."""
-    log_p = log_poisson_pmf(mu, n)
-    return 0.0 if log_p == -math.inf else math.exp(log_p)
+        return 1.0 if n == 0 else 0.0
+    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
 def poisson_weights(mu: float, n_cut: int) -> tuple[np.ndarray, float]:

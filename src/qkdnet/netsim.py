@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LABELS, PASSIVE_BASIS_FACTOR, CountRecord, IntensitySet
+from .channel import LABELS, N_CUT, PASSIVE_BASIS_FACTOR, CountRecord, IntensitySet
 from .decoy import CountTable
 
 __all__ = [
@@ -131,10 +131,10 @@ def schedule(
     )
 
 
-def _clip_photons(rng, mu_arr: np.ndarray, n_cut: int) -> np.ndarray:
+def _clip_photons(rng, mu_arr: np.ndarray) -> np.ndarray:
     # Tail mass beyond the cutoff is below 1e-10 for the admissible
     # intensities, so clipping does not disturb the statistics.
-    return np.minimum(rng.poisson(mu_arr), n_cut)
+    return np.minimum(rng.poisson(mu_arr), N_CUT)
 
 
 def run_plan(
@@ -188,8 +188,8 @@ def run_plan(
         m = session == 0
         if m.any():
             model = models["AB"]
-            n_a = _clip_photons(rng, mu_of[ia[m]], model.n_cut)
-            n_b = _clip_photons(rng, mu_of[ib[m]], model.n_cut)
+            n_a = _clip_photons(rng, mu_of[ia[m]])
+            n_b = _clip_photons(rng, mu_of[ib[m]])
             accept = rng.random(m.sum()) < model.yields[n_a, n_b]
             match = ba[m] == bb[m]
             diag["basis_mismatch_slots"] += int((~match).sum())
@@ -214,7 +214,7 @@ def run_plan(
             if not m.any():
                 continue
             model = models[link]
-            n = _clip_photons(rng, mu_of[active_int[m]], model.n_cut)
+            n = _clip_photons(rng, mu_of[active_int[m]])
             detect = rng.random(m.sum()) < model.yields[n]
             branch_x = rng.random(m.sum()) < PASSIVE_BASIS_FACTOR  # passive analyzer branch
             basis_x = active_basis[m] == 1

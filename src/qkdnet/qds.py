@@ -49,7 +49,6 @@ __all__ = [
     "extract_blocks",
     "timing_report",
     "symmetrise",
-    "sign_and_verify",
     "distill_report",
     "run_signing_session",
     "min_feasible_acquisition",
@@ -126,12 +125,6 @@ class QdsReport:
         doc = asdict(self)
         doc["secure"] = self.secure
         return json.dumps(doc, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QdsReport":
-        doc = json.loads(text)
-        doc.pop("secure", None)
-        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -377,30 +370,6 @@ def _check(declaration: dict, holdings, threshold: float, l: int) -> Verdict:
     return Verdict(accepted, mismatches, checked, threshold)
 
 
-def sign_and_verify(
-    message_bit: int,
-    alice_keys: dict,
-    recipient_blocks: dict,
-    s_auth: float,
-    s_ver: float,
-    l: int,
-) -> dict:
-    """Check a declaration against each recipient's known positions.
-
-    ``alice_keys`` maps link -> declared bit string for ``message_bit``;
-    ``recipient_blocks`` maps "direct"/"forwarded" to lists of
-    :class:`Holding`.  The direct recipient accepts below the
-    authentication threshold, the forwarded recipient below the (laxer)
-    verification threshold; both comparisons are strict.
-    """
-    if message_bit not in (0, 1):
-        raise ValueError("message_bit must be 0 or 1")
-    return {
-        role: _check(alice_keys, recipient_blocks.get(role, []), threshold, l)
-        for role, threshold in (("direct", s_auth), ("forwarded", s_ver))
-    }
-
-
 def run_signing_session(
     bus: MessageBus,
     signer: str,
@@ -419,8 +388,13 @@ def run_signing_session(
     authentication threshold and, only when satisfied, relays the
     declaration to the second recipient for verification; a declaration
     the direct recipient rejects is never transferred, and the forwarded
-    verdict then records that rejection.  Returns per-recipient verdicts.
+    verdict then records that rejection.  ``alice_keys`` maps link ->
+    declared bits for ``message_bit`` (0 or 1); ``holdings`` maps
+    "direct"/"forwarded" to lists of :class:`Holding`.  Both comparisons are
+    strict.  Returns per-recipient verdicts.
     """
+    if message_bit not in (0, 1):
+        raise ValueError("message_bit must be 0 or 1")
     for party in (signer, direct, forwarded):
         bus.register(party)
     bus.send(signer, direct, {"type": "declare", "bit": message_bit, "keys": alice_keys})

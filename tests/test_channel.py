@@ -215,20 +215,6 @@ class TestSampleCounts:
 
 
 class TestYieldModelSerialization:
-    def test_round_trip_qkd(self):
-        model = qkd_yield_model(ChannelParams(distance_km=25))
-        clone = YieldModel.from_json(model.to_json())
-        assert clone.kind == model.kind
-        assert np.array_equal(clone.yields, model.yields)
-        assert np.array_equal(clone.error_rates, model.error_rates)
-
-    def test_round_trip_mdi_keeps_both_error_maps(self):
-        p = ChannelParams(distance_km=25)
-        model = mdi_yield_model(p, p)
-        clone = YieldModel.from_json(model.to_json())
-        assert np.array_equal(clone.z_error_rates, model.z_error_rates)
-        assert not np.array_equal(clone.error_rates, clone.z_error_rates)
-
     def test_validation_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             YieldModel(kind="QKD", yields=np.zeros(5), error_rates=np.zeros(5))

@@ -90,7 +90,7 @@ class TestCountTable:
         table.add(("s", "s"), "Z", CountRecord(200, 20, 2))
         clone = CountTable.from_json(table.to_json())
         assert clone.link == "AB"
-        assert clone.get(("u", "v"), "X") == CountRecord(100, 10, 1)
+        assert clone.entries[(("u", "v"), "X")] == CountRecord(100, 10, 1)
         assert clone.to_json() == table.to_json()
 
     def test_csv_round_trip(self):
@@ -196,13 +196,15 @@ class TestEstimateBoundsMdi:
         assert bounds.mode == "MDI"
 
     def test_sampled_tables_bracket_truth(self):
-        side = ChannelParams(distance_km=20)
+        # criterion 7's intensities at 10 km keep the yield bound off zero,
+        # so the bracket tests the LP rather than its clamp
+        side = ChannelParams(distance_km=10)
         model = mdi_yield_model(side, side)
-        intensities = IntensitySet(s=0.5, u=0.2, v=0.05, w=0.0)
+        intensities = IntensitySet(s=0.5, u=0.3, v=0.1, w=0.0)
         for seed in range(10):
             table = synthesize_table(model, intensities, 10**13, "MDI", "AB", seed)
             bounds = estimate_bounds(table, intensities, 1e-6, "MDI")
-            assert bounds.y1_lower <= model.yields[1, 1] + 1e-12
+            assert 0.0 < bounds.y1_lower <= model.yields[1, 1] + 1e-12
             assert bounds.eph_upper >= model.error_rates[1, 1] - 1e-12
 
 

@@ -9,7 +9,6 @@ from qkdnet.qds import (
     Holding,
     InsecureChannelError,
     QdsParams,
-    QdsReport,
     SignatureBlock,
     abort_and_forge,
     distill_report,
@@ -20,7 +19,6 @@ from qkdnet.qds import (
     qber_upper,
     repudiation_bound,
     run_signing_session,
-    sign_and_verify,
     signature_length,
     symmetrise,
     thresholds,
@@ -256,50 +254,73 @@ class TestSymmetrise:
 
 
 class TestSignAndVerify:
+    """Verdicts of one signing session: the direct recipient checks against
+    s_auth, the forwarded one against the laxer s_ver, both strictly."""
+
     def setup_method(self):
         rng = np.random.default_rng(11)
         self.l = 1000
         self.keys = {"AB": rng.integers(0, 2, self.l, dtype=np.int8)}
         self.positions = np.arange(self.l)
 
-    def holdings(self, bits):
-        return {"direct": [Holding("AB", self.positions, bits)],
-                "forwarded": [Holding("AB", self.positions, bits)]}
+    def session(self, direct_bits, forwarded_bits, message_bit=0):
+        holdings = {"direct": [Holding("AB", self.positions, direct_bits)],
+                    "forwarded": [Holding("AB", self.positions, forwarded_bits)]}
+        return self.run(holdings, message_bit)
+
+    def run(self, holdings, message_bit=0):
+        return run_signing_session(
+            MessageBus(), "alice", "bob", "charlie", message_bit, self.keys, holdings,
+            0.02, 0.05, self.l,
+        )
+
+    def flipped(self, count):
+        bits = self.keys["AB"].copy()
+        bits[:count] = 1 - bits[:count]
+        return bits
 
     def test_zero_mismatches_both_accept(self):
-        verdicts = sign_and_verify(
-            0, self.keys, self.holdings(self.keys["AB"].copy()), 0.02, 0.05, self.l
-        )
+        verdicts = self.session(self.keys["AB"].copy(), self.keys["AB"].copy())
         assert verdicts["direct"].accepted
         assert verdicts["forwarded"].accepted
 
     def test_forger_at_error_floor_rejected(self):
         p_e = 0.10
         rng = np.random.default_rng(5)
-        bits = self.keys["AB"].copy()
         flip = rng.random(self.l) < p_e
-        bits = np.bitwise_xor(bits, flip.astype(np.int8))
-        verdicts = sign_and_verify(0, self.keys, self.holdings(bits), 0.02, 0.05, self.l)
+        forged = np.bitwise_xor(self.keys["AB"], flip.astype(np.int8))
+        verdicts = self.session(self.keys["AB"].copy(), forged)
+        assert verdicts["direct"].accepted
         assert not verdicts["forwarded"].accepted
+        assert verdicts["forwarded"].checked == self.l
 
     def test_exact_threshold_rejects(self):
-        bits = self.keys["AB"].copy()
-        bits[:20] = 1 - bits[:20]  # mismatch fraction exactly 0.02
-        verdicts = sign_and_verify(0, self.keys, self.holdings(bits), 0.02, 0.05, self.l)
+        verdicts = self.session(self.flipped(20), self.keys["AB"].copy())  # exactly s_auth
         assert not verdicts["direct"].accepted  # strict inequality
-        assert verdicts["forwarded"].accepted  # 0.02 < 0.05
+        assert verdicts["direct"].mismatches == 20
+
+    def test_exact_verification_threshold_rejects(self):
+        verdicts = self.session(self.keys["AB"].copy(), self.flipped(50))  # exactly s_ver
+        assert verdicts["direct"].accepted
+        assert not verdicts["forwarded"].accepted  # strict inequality
+        assert verdicts["forwarded"].mismatches == 50
+        laxer = self.session(self.keys["AB"].copy(), self.flipped(20))
+        assert laxer["forwarded"].accepted  # s_auth < s_ver
 
     def test_malformed_declaration_rejected_with_reason(self):
-        holdings = {"direct": [Holding("XX", self.positions, self.keys["AB"])]}
-        verdicts = sign_and_verify(0, self.keys, holdings, 0.02, 0.05, self.l)
+        verdicts = self.run({"direct": [Holding("XX", self.positions, self.keys["AB"])]})
         assert not verdicts["direct"].accepted
         assert "missing link" in verdicts["direct"].reason
 
     def test_short_block_rejected(self):
-        holdings = {"direct": [Holding("AB", self.positions[:10], self.keys["AB"][:10])]}
-        verdicts = sign_and_verify(0, self.keys, holdings, 0.02, 0.05, self.l)
+        short = self.positions[:10]
+        verdicts = self.run({"direct": [Holding("AB", short, self.keys["AB"][:10])]})
         assert not verdicts["direct"].accepted
         assert "fewer than" in verdicts["direct"].reason
+
+    def test_message_bit_must_be_binary(self):
+        with pytest.raises(ValueError, match="message_bit"):
+            self.session(self.keys["AB"], self.keys["AB"], message_bit=2)
 
 
 class TestSigningSession:
@@ -368,20 +389,6 @@ class TestSigningSession:
         assert verdicts["forwarded"].checked == 0
         assert "direct recipient rejected" in verdicts["forwarded"].reason
 
-    def test_session_agrees_with_sign_and_verify(self):
-        rng = np.random.default_rng(25)
-        keys = {"AB": rng.integers(0, 2, 400, dtype=np.int8)}
-        positions = np.arange(400)
-        bits = keys["AB"].copy()
-        bits[:10] = 1 - bits[:10]  # 2.5% mismatches: above s_auth, below s_ver
-        holdings = {"direct": [Holding("AB", positions, keys["AB"])],
-                    "forwarded": [Holding("AB", positions, bits)]}
-        session = run_signing_session(
-            MessageBus(), "alice", "bob", "charlie", 0, keys, holdings, 0.02, 0.05, 400
-        )
-        direct = sign_and_verify(0, keys, holdings, 0.02, 0.05, 400)
-        assert session == direct
-
 
 class TestHonestAcceptanceFrequency:
     def test_honest_runs_accept_at_reduced_length(self):
@@ -438,10 +445,9 @@ class TestDistillReport:
 
     def test_json_round_trip(self):
         report = self.relay_report()
-        clone = QdsReport.from_json(report.to_json())
-        assert clone == report
         doc = json.loads(report.to_json())
-        assert doc["secure"] is True
+        assert doc.pop("secure") is True
+        assert doc == dataclasses.asdict(report)
         assert doc["params"]["c_sig"] == MDI["c_sig"]
 
     @pytest.mark.parametrize("missing", ["c_sig", "p_fail_total"])

@@ -19,6 +19,7 @@ import numpy as np
 
 from .channel import LABELS, N_CUT, PASSIVE_BASIS_FACTOR, CountRecord, IntensitySet
 from .decoy import CountTable
+from .mathkit import poisson_weights
 
 __all__ = [
     "SESSION_NAMES",
@@ -31,10 +32,32 @@ __all__ = [
 ]
 
 SESSION_NAMES = ("MDI_AB", "QKD_AC", "QKD_BC")
-SESSION_LINK = {0: "AB", 1: "AC", 2: "BC"}
+LINKS = ("AB", "AC", "BC")  # the link each session code runs
 
-#: slots simulated per vectorised step of run_plan
+#: slots drawn per vectorised step of schedule and run_plan
 DEFAULT_CHUNK = 1 << 20
+
+# Slot configurations: rows 0-63 are the relay link's (basis a, basis b,
+# intensity a, intensity b), rows 64-71 and 72-79 the AC and BC links'
+# (sender basis, sender intensity).  CONFIG_OF maps a slot's (session,
+# basis a, basis b, intensity a, intensity b), packed into 8 bits as
+# session << 6 | basis a << 5 | basis b << 4 | intensity a << 2 | intensity b,
+# to its row.
+N_CONFIGS = 80
+_ba, _bb, _ia, _ib = np.indices((2, 2, 4, 4)).reshape(4, -1)
+CONFIG_OF = np.concatenate([np.arange(64), 64 + 4 * _ba + _ia, 72 + 4 * _bb + _ib]).astype(np.int16)
+#: recorded rows of each link's count table: row -> (link, intensity label(s), basis)
+TABLE_ROWS = {
+    **{b * 48 + c: ("AB", (LABELS[c // 4], LABELS[c % 4]), "ZX"[b]) for b in (0, 1) for c in range(16)},
+    **{64 + 8 * k + 4 * b + i: (link, (LABELS[i],), "ZX"[b])
+       for k, link in enumerate(("AC", "BC")) for b in (0, 1) for i in range(4)},
+}
+# A slot's cell is 4 * row + outcome, with outcomes 0 recorded error,
+# 1 recorded correct, 2 discarded detection and 3 no detection.  POOL_OF
+# gives the index in LINKS of the link whose Z pool a cell feeds, -1 for none.
+POOL_OF = np.full((N_CONFIGS, 4), -1, dtype=np.int8)
+POOL_OF[0:16, :2], POOL_OF[64:68, :2], POOL_OF[72:76, :2] = 0, 1, 2
+POOL_OF = POOL_OF.ravel()
 
 
 @dataclass
@@ -53,7 +76,7 @@ class SessionPlan:
     intensity_b: np.ndarray
 
     def active_links(self) -> set:
-        return {SESSION_LINK[int(s)] for s in np.unique(self.session)}
+        return {link for k, link in enumerate(LINKS) if np.count_nonzero(self.session == k)}
 
 
 @dataclass
@@ -104,19 +127,24 @@ def schedule(
     if w.shape != (3,) or w.min() < 0 or w.sum() <= 0:
         raise ValueError("weights must be three non-negative values with a positive sum")
     rng = np.random.default_rng(seed)
-    session = rng.choice(3, size=slots, p=w / w.sum()).astype(np.int8)
-
-    def draw_party():
-        basis = (rng.random(slots) >= z_prob).astype(np.int8)  # 1 = X
-        x_pick = rng.choice(3, size=slots, p=intensities.x_probs()).astype(np.int8)
-        intensity = np.where(basis == 0, 0, 1 + x_pick).astype(np.int8)
-        return basis, intensity
-
-    basis_a, intensity_a = draw_party()
-    basis_b, intensity_b = draw_party()
-    # Vacuum switch: the party not sending in a point-to-point session.
-    intensity_b = np.where(session == 1, 3, intensity_b).astype(np.int8)
-    intensity_a = np.where(session == 2, 3, intensity_a).astype(np.int8)
+    # One uniform per slot picks the session and one per sender its
+    # intensity: below z_prob the signal class, above it u, v or w by x_probs.
+    session_edges = np.cumsum(w / w.sum())[:2]
+    sender_edges = z_prob + (1.0 - z_prob) * np.cumsum([0.0, *intensities.x_probs()[:2]])
+    session, basis_a, basis_b, intensity_a, intensity_b = (np.empty(slots, np.int8) for _ in range(5))
+    draws = ((session, session_edges), (intensity_a, sender_edges), (intensity_b, sender_edges))
+    for start in range(0, slots, DEFAULT_CHUNK):
+        sl = slice(start, min(slots, start + DEFAULT_CHUNK))
+        for out, edges in draws:
+            u = rng.random(sl.stop - sl.start)
+            out[sl] = u >= edges[0]
+            for edge in edges[1:]:
+                out[sl] += u >= edge
+        basis_a[sl] = intensity_a[sl] > 0  # 1 = X
+        basis_b[sl] = intensity_b[sl] > 0
+        # Vacuum switch: the party not sending in a point-to-point session.
+        intensity_b[sl][session[sl] == 1] = 3
+        intensity_a[sl][session[sl] == 2] = 3
     return SessionPlan(
         slots=slots,
         weights=tuple(float(x) for x in w),
@@ -131,10 +159,38 @@ def schedule(
     )
 
 
-def _clip_photons(rng, mu_arr: np.ndarray) -> np.ndarray:
-    # Tail mass beyond the cutoff is below 1e-10 for the admissible
-    # intensities, so clipping does not disturb the statistics.
-    return np.minimum(rng.poisson(mu_arr), N_CUT)
+def _outcome_table(models: dict, intensities: IntensitySet) -> np.ndarray:
+    """Cumulative outcome probabilities per configuration row, shape (3, N_CONFIGS).
+
+    Entry [k, row] is the probability of outcomes 0..k.  Photon numbers
+    follow min(Poisson(mu), N_CUT), so each class's Poisson tail is folded
+    into N_CUT.  A relay slot records its coincidence only when the two
+    senders' bases match and discards it otherwise; a point-to-point slot
+    records its detection when the passive analyzer branch (X with
+    probability PASSIVE_BASIS_FACTOR) matches the sender's basis.  Rows of
+    links without a model stay zero.
+    """
+    photons = np.zeros((len(LABELS), N_CUT + 1))
+    for i, label in enumerate(LABELS):
+        pmf, tail = poisson_weights(intensities.mu(label), N_CUT)
+        photons[i] = np.append(pmf[:-1], pmf[-1] + tail)
+    probs = np.zeros((N_CONFIGS, 3))
+    if "AB" in models:
+        m = models["AB"]
+        joint = np.einsum("in,jm->ijnm", photons, photons) * m.yields
+        gain = joint.sum(axis=(2, 3)).ravel()
+        for b in (0, 1):
+            err = (joint * m.errors_for_basis("ZX"[b])).sum(axis=(2, 3)).ravel()
+            probs[b * 48 : b * 48 + 16, :2] = np.c_[err, gain - err]
+        probs[16:48, 2] = np.tile(gain, 2)
+    for row, link in ((64, "AC"), (72, "BC")):
+        if link in models:
+            m = models[link]
+            gain = photons @ m.yields
+            for b, keep in ((0, 1.0 - PASSIVE_BASIS_FACTOR), (1, PASSIVE_BASIS_FACTOR)):
+                err = keep * (photons @ (m.yields * m.errors_for_basis("ZX"[b])))
+                probs[row + 4 * b : row + 4 * b + 4] = np.c_[err, keep * gain - err, (1.0 - keep) * gain]
+    return np.cumsum(probs, axis=1).T.copy()
 
 
 def run_plan(
@@ -149,100 +205,62 @@ def run_plan(
     coincidences land in the diagnostics tally.  Point-to-point slots record
     a detection when the passive analyzer branch matches the sender's basis.
     Z-basis signal detections append (bit, error-flag) pairs to the link's
-    undisclosed pool.  Deterministic under ``seed``.
+    undisclosed pool.
+
+    Photon numbers are marginalised exactly: each slot's outcome is one
+    uniform draw against its configuration's outcome law
+    (:func:`_outcome_table`).  The draws come from a child stream of
+    ``seed``'s sequence, independent of the stream :func:`schedule` drew
+    the plan from under the same seed.  Deterministic under ``seed``.
     """
-    for link in sorted(plan.active_links()):
+    links = plan.active_links()
+    for link in sorted(links):
         if link not in models:
             raise KeyError(f"plan schedules link {link} but no model was given")
         want = "MDI" if link == "AB" else "QKD"
         if models[link].kind != want:
             raise ValueError(f"link {link} needs a {want} model, got {models[link].kind}")
 
-    mu_of = np.array([plan.intensities.mu(l) for l in LABELS])
-    rng = np.random.default_rng(seed)
-    # counts[link][basis * 16 + config] = (sent, detected, errors), basis 0 = Z
-    # and 1 = X; config is 4 * ia + ib on the relay link, else the sender's
-    # intensity index.
-    counts = {link: np.zeros((32, 3), dtype=np.int64) for link in ("AB", "AC", "BC")}
-    pools = {link: ([], []) for link in ("AB", "AC", "BC")}
-    diag = {
-        "basis_mismatch_slots": 0,
-        "cross_branch_discarded": 0,
-        "branch_mismatch_discarded": 0,
-        "slots_per_session": {name: 0 for name in SESSION_NAMES},
-    }
-
-    def tally(link, index, sent, detected, errors):
-        for column, sel in enumerate((sent, detected, errors)):
-            counts[link][:, column] += np.bincount(index[sel], minlength=32)
-
+    cumulative = _outcome_table({link: models[link] for link in links}, plan.intensities)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    hist = np.zeros((N_CONFIGS, 4), dtype=np.int64)
+    pools = {link: ([np.zeros(0, np.int8)], [np.zeros(0, bool)]) for link in LINKS}
+    columns = (plan.session, plan.basis_a, plan.basis_b, plan.intensity_a, plan.intensity_b)
     for start in range(0, plan.slots, DEFAULT_CHUNK):
         sl = slice(start, min(plan.slots, start + DEFAULT_CHUNK))
-        session = plan.session[sl]
-        ba, bb = plan.basis_a[sl], plan.basis_b[sl]
-        ia, ib = plan.intensity_a[sl], plan.intensity_b[sl]
-        for code, name in enumerate(SESSION_NAMES):
-            diag["slots_per_session"][name] += int((session == code).sum())
+        key = np.zeros(sl.stop - sl.start, dtype=np.uint8)
+        for column, shift, limit in zip(columns, (6, 5, 4, 2, 0), (3, 2, 2, 4, 4)):
+            code = column[sl].view(np.uint8)
+            if code.max() >= limit:
+                raise ValueError(f"plan codes outside [0, {limit}) in slots {start}..{sl.stop - 1}")
+            key |= code << shift
+        row = CONFIG_OF[key]
+        u = rng.random(row.size)
+        cell = row * 4
+        for edges in cumulative:
+            cell += u >= edges[row]
+        hist += np.bincount(cell, minlength=4 * N_CONFIGS).reshape(N_CONFIGS, 4)
+        # Prepared bits: the first sender's bit is uniform; the second sender's
+        # preparation realises the error flag through the flip rule.
+        pool_of = POOL_OF[cell]
+        for k, link in enumerate(LINKS):
+            hit = np.flatnonzero(pool_of == k)
+            pools[link][0].append(rng.integers(0, 2, size=hit.size, dtype=np.int8))
+            pools[link][1].append(cell[hit] % 4 == 0)
 
-        # ---- relay slots -------------------------------------------------
-        m = session == 0
-        if m.any():
-            model = models["AB"]
-            n_a = _clip_photons(rng, mu_of[ia[m]])
-            n_b = _clip_photons(rng, mu_of[ib[m]])
-            accept = rng.random(m.sum()) < model.yields[n_a, n_b]
-            match = ba[m] == bb[m]
-            diag["basis_mismatch_slots"] += int((~match).sum())
-            diag["cross_branch_discarded"] += int((accept & ~match).sum())
-            is_z = ba[m] == 0
-            err_prob = np.where(is_z, model.z_error_rates[n_a, n_b], model.error_rates[n_a, n_b])
-            err = rng.random(m.sum()) < err_prob
-            # Prepared bits: the first sender's bit is uniform; the second
-            # sender's preparation realises the drawn error flag through the
-            # flip rule (anti-correlated in Z, correlated in X).
-            bit_a = rng.integers(0, 2, size=m.sum(), dtype=np.int8)
-            ok = accept & match
-            tally("AB", ba[m] * 16 + ia[m] * 4 + ib[m], match, ok, ok & err)
-            z_sel = ok & is_z
-            if z_sel.any():
-                pools["AB"][0].append(bit_a[z_sel].copy())
-                pools["AB"][1].append(err[z_sel].copy())
-
-        # ---- point-to-point slots ---------------------------------------
-        for code, link, active_basis, active_int in ((1, "AC", ba, ia), (2, "BC", bb, ib)):
-            m = session == code
-            if not m.any():
-                continue
-            model = models[link]
-            n = _clip_photons(rng, mu_of[active_int[m]])
-            detect = rng.random(m.sum()) < model.yields[n]
-            branch_x = rng.random(m.sum()) < PASSIVE_BASIS_FACTOR  # passive analyzer branch
-            basis_x = active_basis[m] == 1
-            recorded = detect & (branch_x == basis_x)
-            diag["branch_mismatch_discarded"] += int((detect & ~recorded).sum())
-            err_prob = np.where(basis_x, model.error_rates[n], model.z_error_rates[n])
-            err = rng.random(m.sum()) < err_prob
-            bit_a = rng.integers(0, 2, size=m.sum(), dtype=np.int8)
-            tally(link, active_basis[m] * 16 + active_int[m], slice(None), recorded, recorded & err)
-            z_sel = recorded & ~basis_x
-            if z_sel.any():
-                pools[link][0].append(bit_a[z_sel].copy())
-                pools[link][1].append(err[z_sel].copy())
-
-    tables = {}
-    z_pools = {}
-    for link in ("AB", "AC", "BC"):
-        table = CountTable(link=link)
-        for row in np.nonzero(counts[link][:, 0])[0]:
-            basis, config = divmod(int(row), 16)
-            key = (LABELS[config // 4], LABELS[config % 4]) if link == "AB" else (LABELS[config],)
-            table.add(key, "ZX"[basis], CountRecord(*counts[link][row].tolist()))
-        tables[link] = table
-        bits, errs = pools[link]
-        z_pools[link] = ZPool(
-            bits=np.concatenate(bits) if bits else np.zeros(0, dtype=np.int8),
-            error_flags=np.concatenate(errs) if errs else np.zeros(0, dtype=bool),
-        )
+    sent = hist.sum(axis=1)
+    records = np.c_[sent, hist[:, 0] + hist[:, 1], hist[:, 0]]
+    diag = {
+        "basis_mismatch_slots": int(hist[16:48].sum()),
+        "cross_branch_discarded": int(hist[:64, 2].sum()),
+        "branch_mismatch_discarded": int(hist[64:, 2].sum()),
+        "slots_per_session": dict(zip(SESSION_NAMES, np.add.reduceat(sent, [0, 64, 72]).tolist())),
+    }
+    tables = {link: CountTable(link=link) for link in LINKS}
+    for row, (link, label, basis) in TABLE_ROWS.items():
+        if sent[row]:
+            tables[link].add(label, basis, CountRecord(*records[row].tolist()))
+    z_pools = {link: ZPool(np.concatenate(bits), np.concatenate(errs)) for link, (bits, errs) in pools.items()}
     return RunResult(tables=tables, z_pools=z_pools, diagnostics=diag)
 
 

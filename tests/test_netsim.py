@@ -4,13 +4,41 @@ import numpy as np
 import pytest
 
 from qkdnet.channel import (
+    LABELS,
+    N_CUT,
+    PASSIVE_BASIS_FACTOR,
     ChannelParams,
     IntensitySet,
     expected_gain_and_qber,
     mdi_yield_model,
     qkd_yield_model,
 )
-from qkdnet.netsim import MessageBus, UnknownPartyError, run_plan, schedule
+from qkdnet.mathkit import poisson_pmf
+from qkdnet.netsim import (
+    CONFIG_OF,
+    MessageBus,
+    UnknownPartyError,
+    _outcome_table,
+    run_plan,
+    schedule,
+)
+
+
+def _within_five_sigma(count, n, p):
+    return abs(count - n * p) < 5 * math.sqrt(n * p * (1 - p)) + 1
+
+
+def assert_entries_match_model(result, models, intensities, min_sent=2000):
+    """Each entry's detections and errors against its exact expected rates."""
+    for link, table in result.tables.items():
+        keep = 1.0 if link == "AB" else PASSIVE_BASIS_FACTOR
+        for (key, basis), rec in table.entries.items():
+            if rec.sent < min_sent:
+                continue
+            mus = [intensities.mu(label) for label in key]
+            gain, qber = expected_gain_and_qber(models[link], *mus, basis=basis)
+            assert _within_five_sigma(rec.detected, rec.sent, keep * gain), (link, key, basis)
+            assert _within_five_sigma(rec.errors, rec.sent, keep * gain * qber), (link, key, basis)
 
 
 def default_models(distance=10.0):
@@ -52,6 +80,17 @@ class TestSchedule:
         plan = schedule(10_000, weights=(0, 1, 0), seed=5)
         assert np.all(plan.intensity_b == 3)
 
+    @pytest.mark.parametrize("x_weights", [(0.6, 0.25, 0.15), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0)])
+    def test_intensity_class_fractions_within_five_sigma(self, x_weights):
+        n = 10**6
+        intensities = IntensitySet(s=0.8, u=0.5, v=0.15, z_basis_prob=0.65, x_weights=x_weights)
+        plan = schedule(n, weights=(1, 0, 0), intensities=intensities, seed=16)
+        probs = [0.65, *(0.35 * intensities.x_probs())]
+        for column in (plan.intensity_a, plan.intensity_b):
+            counts = np.bincount(column, minlength=4)
+            for count, p in zip(counts, probs):
+                assert _within_five_sigma(count, n, p)
+
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             schedule(100, weights=(0, 0, 0), seed=1)
@@ -92,6 +131,15 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             run_plan(plan, {"AB": default_models()["AC"]}, seed=8)
 
+    @pytest.mark.parametrize("field, code", [
+        ("session", 4), ("basis_a", 2), ("basis_b", -1), ("intensity_a", 4), ("intensity_b", 7),
+    ])
+    def test_out_of_range_plan_codes_rejected(self, field, code):
+        plan = schedule(1000, weights=(1, 0, 0), seed=19)
+        getattr(plan, field)[500] = code
+        with pytest.raises(ValueError, match="plan codes outside"):
+            run_plan(plan, default_models(), seed=19)
+
     def test_deterministic(self):
         plan = schedule(50_000, seed=9)
         models = default_models()
@@ -104,6 +152,9 @@ class TestRunPlan:
         plan = schedule(200_000, weights=(2, 1, 1), seed=10)
         result = run_plan(plan, default_models(), seed=10)
         diag = result.diagnostics
+        for link, pool in result.z_pools.items():
+            z_rec = result.tables[link].z_entry()
+            assert (len(pool), int(pool.error_flags.sum())) == (z_rec.detected, z_rec.errors)
         ab_sent = sum(rec.sent for rec in result.tables["AB"].entries.values())
         assert ab_sent + diag["basis_mismatch_slots"] == diag["slots_per_session"]["MDI_AB"]
         for link, name in (("AC", "QKD_AC"), ("BC", "QKD_BC")):
@@ -120,24 +171,45 @@ class TestRunPlan:
         models = default_models(distance=5.0)
         plan = schedule(2_000_000, weights=(3, 1, 0), z_prob=0.8, intensities=intensities, seed=11)
         result = run_plan(plan, models, seed=11)
+        assert_entries_match_model(result, models, intensities)
 
-        for (key, basis), rec in result.tables["AB"].entries.items():
-            if rec.sent < 2000:
-                continue
-            gain, _ = expected_gain_and_qber(
-                models["AB"], intensities.mu(key[0]), intensities.mu(key[1]), basis=basis
-            )
-            sigma = math.sqrt(rec.sent * gain * (1 - gain))
-            assert abs(rec.detected - rec.sent * gain) < 5 * sigma + 1
+    def test_plan_and_run_streams_independent_under_one_seed(self):
+        # Every caller passes one seed to both schedule and run_plan; the run
+        # must not replay the uniforms that placed the sessions.
+        intensities = IntensitySet()
+        models = default_models(distance=5.0)
+        plan = schedule(1_000_000, weights=(1, 1, 0), intensities=intensities, seed=17)
+        result = run_plan(plan, models, seed=17)
+        assert result.tables["AB"].entries and result.tables["AC"].entries
+        assert_entries_match_model(result, models, intensities)
 
-        for (key, basis), rec in result.tables["AC"].entries.items():
-            if rec.sent < 2000:
-                continue
-            gain, _ = expected_gain_and_qber(models["AC"], intensities.mu(key[0]), basis=basis)
-            # passive analyzer keeps half the detections
-            mean = rec.sent * gain * 0.5
-            sigma = math.sqrt(rec.sent * gain * 0.5)
-            assert abs(rec.detected - mean) < 5 * sigma + 1
+    def test_discard_tallies_match_model_predictions(self):
+        intensities = IntensitySet(s=0.8, u=0.5, v=0.15)
+        models = default_models(distance=0.0)
+        plan = schedule(2_000_000, weights=(3, 1, 1), intensities=intensities, seed=18)
+        diag = run_plan(plan, models, seed=18).diagnostics
+        mu = [intensities.mu(label) for label in LABELS]
+
+        relay_mismatch = (plan.session == 0) & (plan.basis_a != plan.basis_b)
+        mean = var = 0.0
+        for ia in range(4):
+            for ib in range(4):
+                n = np.count_nonzero(relay_mismatch & (plan.intensity_a == ia) & (plan.intensity_b == ib))
+                gain, _ = expected_gain_and_qber(models["AB"], mu[ia], mu[ib])
+                mean, var = mean + n * gain, var + n * gain * (1 - gain)
+        assert abs(diag["cross_branch_discarded"] - mean) < 5 * math.sqrt(var) + 1
+
+        mean = var = 0.0
+        for code, link, basis, intensity in ((1, "AC", plan.basis_a, plan.intensity_a),
+                                             (2, "BC", plan.basis_b, plan.intensity_b)):
+            for b in (0, 1):
+                # a Z slot is discarded on the X branch, an X slot on the Z branch
+                discard = PASSIVE_BASIS_FACTOR if b == 0 else 1 - PASSIVE_BASIS_FACTOR
+                for i in range(4):
+                    n = np.count_nonzero((plan.session == code) & (basis == b) & (intensity == i))
+                    p = discard * expected_gain_and_qber(models[link], mu[i])[0]
+                    mean, var = mean + n * p, var + n * p * (1 - p)
+        assert abs(diag["branch_mismatch_discarded"] - mean) < 5 * math.sqrt(var) + 1
 
     def test_z_pool_error_rate_matches_model(self):
         intensities = IntensitySet()
@@ -175,6 +247,37 @@ class TestRunPlan:
             p2 = other.detected / other.sent
             sigma = math.sqrt(p1 * (1 - p1) / rec.sent + p2 * (1 - p2) / other.sent)
             assert abs(p1 - p2) < 5 * sigma + 1e-9
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("distance", [0.0, 10.0, 50.0])
+    def test_rows_equal_exact_outcome_law(self, distance):
+        intensities = IntensitySet()
+        models = default_models(distance)
+        probs = np.diff(_outcome_table(models, intensities), axis=0, prepend=0.0)
+        mu = [intensities.mu(label) for label in LABELS]
+        for key in range(192):
+            session, ba, bb, ia, ib = key >> 6, key >> 5 & 1, key >> 4 & 1, key >> 2 & 3, key & 3
+            row = probs[:, CONFIG_OF[key]]
+            if session == 0:
+                gain, qber = expected_gain_and_qber(models["AB"], mu[ia], mu[ib], basis="ZX"[ba])
+                want = (gain * qber, gain * (1 - qber), 0.0) if ba == bb else (0.0, 0.0, gain)
+            else:
+                link, basis, i = ("AC", ba, ia) if session == 1 else ("BC", bb, ib)
+                gain, qber = expected_gain_and_qber(models[link], mu[i], basis="ZX"[basis])
+                keep = PASSIVE_BASIS_FACTOR if basis == 1 else 1 - PASSIVE_BASIS_FACTOR
+                want = (keep * gain * qber, keep * gain * (1 - qber), (1 - keep) * gain)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12, err_msg=str(key))
+
+    def test_photon_tail_folds_into_cutoff(self):
+        # photon numbers follow min(Poisson(mu), N_CUT): the whole Poisson tail
+        # sits on N_CUT, also for a class too bright for expected_gain_and_qber
+        model = default_models()["AC"]
+        pmf = [poisson_pmf(8.0, n) for n in range(N_CUT)]
+        law = np.append(pmf, 1.0 - sum(pmf))
+        cumulative = _outcome_table({"AC": model}, IntensitySet(s=8.0))
+        # session AC, sender A in Z with the signal class: all detections
+        assert cumulative[-1, CONFIG_OF[1 << 6]] == pytest.approx(law @ model.yields, abs=1e-12)
 
 
 class TestMessageBus:

@@ -54,7 +54,6 @@ from .qds import (
     n_blocks,
     qber_upper,
     signature_length,
-    symmetrise,
     thresholds,
     timing_report,
 )

@@ -9,7 +9,6 @@ per-photon-number yields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +23,14 @@ __all__ = [
     "TailBoundError",
     "qkd_yield_model",
     "mdi_yield_model",
+    "sift_keep",
     "expected_gain_and_qber",
+    "outcome_law",
     "sample_counts",
 ]
 
-#: Poisson mass allowed beyond the photon-number cutoff before we refuse
+#: Poisson mass of one intensity class allowed beyond the photon-number
+#: cutoff before every count law refuses it
 TAIL_LIMIT = 1e-10
 
 #: photon-number cutoff of every yield model, decoy LP and simulated pulse
@@ -38,9 +40,8 @@ N_CUT = 12
 LABELS = ("s", "u", "v", "w")
 X_LABELS = LABELS[1:]
 
-#: receiver-side acceptance factor for the passive 50:50 basis choice on
-#: the point-to-point links (the relay link conditions on both senders'
-#: bases instead, so no factor applies there)
+#: probability that a point-to-point receiver's passive analyzer takes the X
+#: branch (the Z branch takes the rest); :func:`sift_keep` is its one reader
 PASSIVE_BASIS_FACTOR = 0.5
 
 
@@ -257,6 +258,32 @@ def mdi_yield_model(
     )
 
 
+def _photon_law(mu: float) -> np.ndarray:
+    """Law of min(Poisson(mu), N_CUT); a tail beyond ``TAIL_LIMIT`` raises TailBoundError."""
+    pmf, tail = poisson_weights(mu, N_CUT)
+    if tail > TAIL_LIMIT:
+        raise TailBoundError(f"Poisson tail {tail:.2e} beyond N_CUT={N_CUT} for mu={mu}")
+    pmf[-1] += tail
+    return pmf
+
+
+def sift_keep(kind: str, basis: str, other_basis: str | None = None) -> float:
+    """Probability that a detection in ``basis`` is recorded, not discarded.
+
+    On the relay link ("MDI") a coincidence is recorded exactly when the
+    senders' bases match (``other_basis`` defaults to ``basis``).  On a
+    point-to-point link ("QKD") a detection is recorded when the passive
+    analyzer takes the sender's basis: X with ``PASSIVE_BASIS_FACTOR``.
+    """
+    if basis not in ("Z", "X"):
+        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+    if kind == "MDI":
+        return 1.0 if other_basis in (None, basis) else 0.0
+    if kind == "QKD":
+        return PASSIVE_BASIS_FACTOR if basis == "X" else 1.0 - PASSIVE_BASIS_FACTOR
+    raise ValueError(f"kind must be 'QKD' or 'MDI', got {kind!r}")
+
+
 def expected_gain_and_qber(
     model: YieldModel,
     mu: float,
@@ -265,32 +292,40 @@ def expected_gain_and_qber(
 ) -> tuple[float, float]:
     """Poisson-mixture gain and QBER of an intensity (pair) under the model.
 
-    Raises :class:`TailBoundError` when the Poisson mass beyond ``N_CUT``
-    exceeds ``TAIL_LIMIT``; below that, the truncation error is folded into
-    nothing larger than 1e-10 absolute on the gain.
+    Photon numbers follow min(Poisson(mu), N_CUT) for each sender; a class
+    whose Poisson mass beyond ``N_CUT`` exceeds ``TAIL_LIMIT`` raises
+    :class:`TailBoundError`.
     """
     if (nu is None) != (model.kind == "QKD"):
         raise ValueError("nu must be given exactly when the model kind is MDI")
-    errors = model.errors_for_basis(basis)
-    if model.kind == "QKD":
-        p, tail = poisson_weights(mu, N_CUT)
-        if tail > TAIL_LIMIT:
-            raise TailBoundError(f"Poisson tail {tail:.2e} beyond N_CUT={N_CUT} for mu={mu}")
-        gain = float(p @ model.yields)
-        err_gain = float(p @ (errors * model.yields))
-    else:
-        pa, tail_a = poisson_weights(mu, N_CUT)
-        pb, tail_b = poisson_weights(nu, N_CUT)
-        tail = tail_a + tail_b
-        if tail > TAIL_LIMIT:
-            raise TailBoundError(
-                f"Poisson tail {tail:.2e} beyond N_CUT={N_CUT} for mu={mu}, nu={nu}"
-            )
-        w = np.outer(pa, pb)
-        gain = float((w * model.yields).sum())
-        err_gain = float((w * errors * model.yields).sum())
+    weights = _photon_law(mu)
+    if nu is not None:
+        weights = np.outer(weights, _photon_law(nu))
+    detect = weights * model.yields
+    gain = min(1.0, float(detect.sum()))
+    err_gain = float((detect * model.errors_for_basis(basis)).sum())
     qber = err_gain / gain if gain > 0.0 else 0.0
     return gain, min(1.0, qber)
+
+
+def outcome_law(
+    model: YieldModel,
+    mu: float,
+    nu: float | None = None,
+    basis: str = "X",
+    keep: float = 1.0,
+) -> np.ndarray:
+    """Probabilities of (recorded error, recorded correct, discarded detection,
+    no detection) for one pulse (pair); non-negative, summing to one.
+
+    A detection occurs with the gain of :func:`expected_gain_and_qber` and
+    errs with its QBER; it is recorded with probability ``keep`` (the
+    link's sifting, :func:`sift_keep`) and discarded otherwise.
+    """
+    check_probability(keep, "keep")
+    gain, qber = expected_gain_and_qber(model, mu, nu, basis)
+    recorded = keep * gain
+    return np.array([recorded * qber, recorded * (1.0 - qber), gain - recorded, 1.0 - gain])
 
 
 def sample_counts(
@@ -304,19 +339,14 @@ def sample_counts(
 ) -> CountRecord:
     """Draw a finitely-sampled :class:`CountRecord` for one configuration.
 
-    detected ~ Binomial(n_pulses, gain_factor * gain) and
-    errors ~ Binomial(detected, qber), from a generator seeded with ``seed``
-    (same seed, same record).  ``gain_factor`` scales the acceptance
-    probability for receiver-side sifting (e.g. a passive 50:50 basis
-    choice) without touching the model.
+    One multinomial draw of ``n_pulses`` over :func:`outcome_law` with
+    ``keep=gain_factor`` (the sifting acceptance, :func:`sift_keep`), from a
+    generator seeded with ``seed``: same seed, same record.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
-    check_probability(gain_factor, "gain_factor")
-    gain, qber = expected_gain_and_qber(model, mu, nu, basis=basis)
+    law = outcome_law(model, mu, nu, basis, keep=gain_factor)
     if n_pulses == 0:
         return CountRecord(0, 0, 0)
-    rng = np.random.default_rng(seed)
-    detected = int(rng.binomial(n_pulses, gain_factor * gain))
-    errors = int(rng.binomial(detected, qber)) if detected else 0
-    return CountRecord(sent=int(n_pulses), detected=detected, errors=errors)
+    errors, correct, _, _ = np.random.default_rng(seed).multinomial(n_pulses, law).tolist()
+    return CountRecord(sent=int(n_pulses), detected=errors + correct, errors=errors)

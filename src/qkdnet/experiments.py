@@ -13,36 +13,50 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import PASSIVE_BASIS_FACTOR, CountRecord, IntensitySet, expected_gain_and_qber
+from .channel import CountRecord, IntensitySet, outcome_law, sift_keep
 from .decoy import CountTable, estimate_bounds, restrict_to_block
 from .keyrate import entry_budgets
-from .qds import (
-    InsecureChannelError,
-    QdsParams,
-    distill_report,
-    min_feasible_acquisition,
-    n_blocks,
-)
+from .qds import InsecureChannelError, QdsParams, distill_report, n_blocks
 
-__all__ = ["MultisigComparison", "expected_table", "multisig_comparison"]
+__all__ = ["MultisigComparison", "expected_table", "min_feasible_acquisition", "multisig_comparison"]
 
 
 def expected_table(model, intensities: IntensitySet, n_pulses: int, mode: str, link: str) -> CountTable:
     """Deterministic count table at the expected values (no sampling noise).
 
-    Splits the pulse budget exactly as :func:`keyrate.synthesize_table`
-    does.  Smooth in the pulse budget, which the baseline's bisection over
-    acquisition sizes relies on.
+    Splits the pulse budget and reads the outcome law exactly as
+    :func:`keyrate.synthesize_table` does.  Smooth in the pulse budget,
+    which the baseline's bisection over acquisition sizes relies on.
     """
     table = CountTable(link=link)
     for (key, basis), sent in entry_budgets(n_pulses, intensities, mode).items():
         mus = [intensities.mu(label) for label in key]
-        gain, qber = expected_gain_and_qber(model, *mus, basis=basis)
-        if mode == "QKD":
-            gain *= PASSIVE_BASIS_FACTOR
-        detected = round(sent * gain)
-        table.add(key, basis, CountRecord(sent, detected, round(detected * qber)))
+        err, correct, _, _ = outcome_law(model, *mus, basis=basis, keep=sift_keep(mode, basis))
+        detected = round(sent * (err + correct))
+        errors = round(detected * err / (err + correct)) if detected else 0
+        table.add(key, basis, CountRecord(sent, detected, errors))
     return table
+
+
+def min_feasible_acquisition(feasible, lo: int, hi: int) -> int | None:
+    """Smallest acquisition size in [lo, hi] accepted by ``feasible``.
+
+    ``feasible`` must be monotone (once an acquisition is large enough it
+    stays feasible).  Returns None when even ``hi`` fails.  Backs the
+    single-signature-per-acquisition baseline against which the
+    multi-signature protocol is compared.
+    """
+    if not feasible(hi):
+        return None
+    if feasible(lo):
+        return lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (
-    PASSIVE_BASIS_FACTOR,
     X_LABELS,
     ChannelParams,
     IntensitySet,
     mdi_yield_model,
     qkd_yield_model,
     sample_counts,
+    sift_keep,
 )
 from .decoy import CountTable, DecoyBounds, InconsistentCountsError, estimate_bounds
 from .mathkit import binary_entropy
@@ -156,17 +156,17 @@ def synthesize_table(
 
     The pulse budget is split across configurations by the basis bias and
     X-intensity weights; slots where the two senders' bases differ on the
-    relay link are lost, and point-to-point entries carry the passive
-    50:50 analyzer factor.
+    relay link are lost, and each entry keeps its detections with the
+    link's sifting acceptance (:func:`channel.sift_keep`).
     """
     table = CountTable(link=link)
     budgets = entry_budgets(n_pulses, intensities, mode)
     seeds = np.random.SeedSequence(seed).generate_state(len(budgets) + 1)
-    gain_factor = PASSIVE_BASIS_FACTOR if mode == "QKD" else 1.0
     for i, ((key, basis), sent) in enumerate(sorted(budgets.items())):
         mus = [intensities.mu(label) for label in key]
         rec = sample_counts(
-            model, *mus, n_pulses=sent, seed=int(seeds[i]), basis=basis, gain_factor=gain_factor
+            model, *mus, n_pulses=sent, seed=int(seeds[i]), basis=basis,
+            gain_factor=sift_keep(mode, basis),
         )
         table.add(key, basis, rec)
     return table

@@ -18,6 +18,7 @@ __all__ = [
     "serfling_deviation",
     "hoeffding_exponent_bound",
     "hoeffding_exponent_log",
+    "probability_from_log",
     "poisson_pmf",
     "poisson_weights",
     "LpInfeasibleError",
@@ -46,10 +47,11 @@ def binary_entropy(p: float) -> float:
 
 
 def inv_binary_entropy(y: float) -> float:
-    """Inverse of :func:`binary_entropy` on the monotone branch [0, 1/2].
+    """Inverse of :func:`binary_entropy` on [0, 1/2], erring low.
 
-    Bisection; the result p satisfies |binary_entropy(p) - y| corresponding
-    to an absolute error below ``INV_ENTROPY_TOL`` in p.
+    Bisection returning its bracket's lower end p, so binary_entropy(p) <= y;
+    unless float resolution runs out, p lies within ``INV_ENTROPY_TOL`` of
+    the inverse and binary_entropy(p) within 1e-10 of y.
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"entropy value must be in [0, 1], got {y!r}")
@@ -57,22 +59,22 @@ def inv_binary_entropy(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
-    lo, hi = 0.0, 0.5
-    mid = 0.25
-    # Converge in both coordinates: tiny entropy values need p resolved far
-    # below the nominal tolerance (the slope diverges at p = 0).
+    lo, hi, h_lo = 0.0, 0.5, 0.0
+    # Invariant h(lo) < y <= h(hi).  Converge in both coordinates: tiny
+    # entropy values need p resolved far below the nominal tolerance (the
+    # slope diverges at p = 0).
     for _ in range(1100):
-        mid = 0.5 * (lo + hi)
-        h_mid = binary_entropy(mid)
-        if hi - lo <= INV_ENTROPY_TOL and abs(h_mid - y) <= 1e-10:
+        if hi - lo <= INV_ENTROPY_TOL and y - h_lo <= 1e-10:
             break
+        mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # float resolution exhausted
             break
+        h_mid = binary_entropy(mid)
         if h_mid < y:
-            lo = mid
+            lo, h_lo = mid, h_mid
         else:
             hi = mid
-    return mid
+    return lo
 
 
 def serfling_deviation(c_sig: int, c_test: int, eps: float) -> float:
@@ -107,7 +109,11 @@ def hoeffding_exponent_bound(delta: float, n: int) -> float:
     For exponents below the float underflow threshold the returned value is
     0.0; use :func:`hoeffding_exponent_log` for the exact log-space value.
     """
-    log_p = hoeffding_exponent_log(delta, n)
+    return probability_from_log(hoeffding_exponent_log(delta, n))
+
+
+def probability_from_log(log_p: float) -> float:
+    """exp(log_p) clamped to [0, 1]; 0.0 below the float underflow threshold."""
     if log_p < -745.0:  # exp underflows to 0.0 below this
         return 0.0
     return min(1.0, math.exp(log_p))

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LABELS, N_CUT, PASSIVE_BASIS_FACTOR, CountRecord, IntensitySet
+from .channel import LABELS, CountRecord, IntensitySet, outcome_law, sift_keep
 from .decoy import CountTable
-from .mathkit import poisson_weights
 
 __all__ = [
     "SESSION_NAMES",
@@ -162,35 +161,21 @@ def schedule(
 def _outcome_table(models: dict, intensities: IntensitySet) -> np.ndarray:
     """Cumulative outcome probabilities per configuration row, shape (3, N_CONFIGS).
 
-    Entry [k, row] is the probability of outcomes 0..k.  Photon numbers
-    follow min(Poisson(mu), N_CUT), so each class's Poisson tail is folded
-    into N_CUT.  A relay slot records its coincidence only when the two
-    senders' bases match and discards it otherwise; a point-to-point slot
-    records its detection when the passive analyzer branch (X with
-    probability PASSIVE_BASIS_FACTOR) matches the sender's basis.  Rows of
-    links without a model stay zero.
+    Entry [k, row] is the probability of outcomes 0..k under the row's
+    :func:`channel.outcome_law`, kept by the link's sifting
+    (:func:`channel.sift_keep`).  Rows of links without a model stay zero.
     """
-    photons = np.zeros((len(LABELS), N_CUT + 1))
-    for i, label in enumerate(LABELS):
-        pmf, tail = poisson_weights(intensities.mu(label), N_CUT)
-        photons[i] = np.append(pmf[:-1], pmf[-1] + tail)
-    probs = np.zeros((N_CONFIGS, 3))
+    mu = [intensities.mu(label) for label in LABELS]
+    probs = np.zeros((N_CONFIGS, 4))
     if "AB" in models:
-        m = models["AB"]
-        joint = np.einsum("in,jm->ijnm", photons, photons) * m.yields
-        gain = joint.sum(axis=(2, 3)).ravel()
-        for b in (0, 1):
-            err = (joint * m.errors_for_basis("ZX"[b])).sum(axis=(2, 3)).ravel()
-            probs[b * 48 : b * 48 + 16, :2] = np.c_[err, gain - err]
-        probs[16:48, 2] = np.tile(gain, 2)
-    for row, link in ((64, "AC"), (72, "BC")):
+        for row, (ba, bb, ia, ib) in enumerate(np.ndindex(2, 2, 4, 4)):
+            keep = sift_keep("MDI", "ZX"[ba], "ZX"[bb])
+            probs[row] = outcome_law(models["AB"], mu[ia], mu[ib], "ZX"[ba], keep)
+    for start, link in ((64, "AC"), (72, "BC")):
         if link in models:
-            m = models[link]
-            gain = photons @ m.yields
-            for b, keep in ((0, 1.0 - PASSIVE_BASIS_FACTOR), (1, PASSIVE_BASIS_FACTOR)):
-                err = keep * (photons @ (m.yields * m.errors_for_basis("ZX"[b])))
-                probs[row + 4 * b : row + 4 * b + 4] = np.c_[err, keep * gain - err, (1.0 - keep) * gain]
-    return np.cumsum(probs, axis=1).T.copy()
+            for row, (b, i) in enumerate(np.ndindex(2, 4), start):
+                probs[row] = outcome_law(models[link], mu[i], None, "ZX"[b], sift_keep("QKD", "ZX"[b]))
+    return np.cumsum(probs[:, :3], axis=1).T.copy()
 
 
 def run_plan(
@@ -209,9 +194,11 @@ def run_plan(
 
     Photon numbers are marginalised exactly: each slot's outcome is one
     uniform draw against its configuration's outcome law
-    (:func:`_outcome_table`).  The draws come from a child stream of
-    ``seed``'s sequence, independent of the stream :func:`schedule` drew
-    the plan from under the same seed.  Deterministic under ``seed``.
+    (:func:`_outcome_table`); an intensity class beyond the law's tail
+    limit raises :class:`channel.TailBoundError`.  The draws come from a
+    child stream of ``seed``'s sequence, independent of the stream
+    :func:`schedule` drew the plan from under the same seed.  Deterministic
+    under ``seed``.
     """
     links = plan.active_links()
     for link in sorted(links):
@@ -296,7 +283,3 @@ class MessageBus:
         if not queue:
             raise LookupError(f"no pending message {sender!r} -> {receiver!r}")
         return queue.pop(0)
-
-    def replay_log(self):
-        """The full delivery history as (seq, sender, receiver, payload)."""
-        return list(self.log)

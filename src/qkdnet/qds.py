@@ -28,6 +28,7 @@ from .mathkit import (
     hoeffding_exponent_bound,
     hoeffding_exponent_log,
     inv_binary_entropy,
+    probability_from_log,
     serfling_deviation,
 )
 from .netsim import MessageBus
@@ -38,7 +39,6 @@ __all__ = [
     "SignatureBlock",
     "Holding",
     "Verdict",
-    "SymmetriseResult",
     "InsecureChannelError",
     "eve_error_floor",
     "qber_upper",
@@ -48,10 +48,8 @@ __all__ = [
     "n_blocks",
     "extract_blocks",
     "timing_report",
-    "symmetrise",
     "distill_report",
     "run_signing_session",
-    "min_feasible_acquisition",
 ]
 
 #: refuse to materialise block indices above this pool size
@@ -201,8 +199,7 @@ def repudiation_bound(s_auth: float, s_ver: float, l: int) -> float:
     """Repudiation probability bound exp(-(s_ver - s_auth)^2 l / 4)."""
     if s_ver <= s_auth:
         raise ValueError("need s_ver > s_auth")
-    log_p = -((s_ver - s_auth) ** 2) * l / 4.0
-    return 0.0 if log_p < -745.0 else math.exp(log_p)
+    return probability_from_log(-((s_ver - s_auth) ** 2) * l / 4.0)
 
 
 def abort_and_forge(
@@ -276,62 +273,6 @@ class Holding:
     link: str
     positions: np.ndarray  # block-local indices into the link's declaration
     bits: np.ndarray
-
-
-@dataclass(frozen=True)
-class SymmetriseResult:
-    final_holdings: dict  # recipient -> list[Holding]
-    transcripts: list  # (sender, receiver, link, positions, masked_bits)
-
-
-def symmetrise(
-    block_b: SignatureBlock,
-    block_c: SignatureBlock,
-    otp_key: np.ndarray,
-    seed: int = 0,
-) -> SymmetriseResult:
-    """Recipients secretly swap random halves of their received key bits.
-
-    Each recipient keeps a random half of its block positions and forwards
-    the other half as (position, bit) pairs with the bits XOR-masked by
-    disjoint segments of ``otp_key``, so the signer cannot tell which
-    recipient holds which position.  Afterwards each recipient knows
-    exactly one block's worth of positions: half original, half forwarded.
-    """
-    otp = np.asarray(otp_key, dtype=np.int8)
-    h_b, h_c = len(block_b) // 2, len(block_c) // 2
-    if len(otp) < h_b + h_c:
-        raise ValueError(f"one-time-pad of {len(otp)} bits cannot mask {h_b + h_c} bits")
-    rng = np.random.default_rng(seed)
-
-    def split(block, n_forward):
-        perm = rng.permutation(len(block))
-        fwd = np.sort(perm[:n_forward])
-        keep = np.sort(perm[n_forward:])
-        return keep, fwd
-
-    keep_b, fwd_b = split(block_b, h_b)
-    keep_c, fwd_c = split(block_c, h_c)
-    mask_b = otp[:h_b]
-    mask_c = otp[h_b : h_b + h_c]
-    masked_b = np.bitwise_xor(block_b.bit_values[fwd_b].astype(np.int8), mask_b)
-    masked_c = np.bitwise_xor(block_c.bit_values[fwd_c].astype(np.int8), mask_c)
-
-    final = {
-        "B": [
-            Holding(block_b.link, keep_b, block_b.bit_values[keep_b]),
-            Holding(block_c.link, fwd_c, np.bitwise_xor(masked_c, mask_c)),
-        ],
-        "C": [
-            Holding(block_c.link, keep_c, block_c.bit_values[keep_c]),
-            Holding(block_b.link, fwd_b, np.bitwise_xor(masked_b, mask_b)),
-        ],
-    }
-    transcripts = [
-        ("B", "C", block_b.link, fwd_b, masked_b),
-        ("C", "B", block_c.link, fwd_c, masked_c),
-    ]
-    return SymmetriseResult(final_holdings=final, transcripts=transcripts)
 
 
 @dataclass(frozen=True)
@@ -471,24 +412,3 @@ def distill_report(
             "eph_sig_upper": eph_sig_upper,
         },
     )
-
-
-def min_feasible_acquisition(feasible, lo: int, hi: int) -> int | None:
-    """Smallest acquisition size in [lo, hi] accepted by ``feasible``.
-
-    ``feasible`` must be monotone (once an acquisition is large enough it
-    stays feasible).  Returns None when even ``hi`` fails.  Backs the
-    single-signature-per-acquisition baseline against which the
-    multi-signature protocol is compared.
-    """
-    if not feasible(hi):
-        return None
-    if feasible(lo):
-        return lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdnet import channel
 from qkdnet.channel import (
     LABELS,
     X_LABELS,
@@ -15,10 +16,15 @@ from qkdnet.channel import (
     YieldModel,
     expected_gain_and_qber,
     mdi_yield_model,
+    outcome_law,
     qkd_yield_model,
     sample_counts,
+    sift_keep,
 )
+from qkdnet.experiments import expected_table
+from qkdnet.keyrate import synthesize_table
 from qkdnet.mathkit import poisson_pmf
+from qkdnet.netsim import CONFIG_OF, _outcome_table
 
 
 def single_entry_model(y1=0.1):
@@ -176,7 +182,80 @@ class TestExpectedGainAndQber:
         assert qber <= 0.5 + 1e-12
 
 
+class TestOutcomeLaw:
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(["QKD", "MDI"]),
+        st.floats(min_value=0.0, max_value=60.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from(["Z", "X"]),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_rows_are_distributions(self, kind, dist, mu, nu, basis, keep):
+        p = ChannelParams(distance_km=dist)
+        if kind == "QKD":
+            law = outcome_law(qkd_yield_model(p), mu, None, basis, keep)
+        else:
+            law = outcome_law(mdi_yield_model(p, p), mu, nu, basis, keep)
+        assert law.shape == (4,)
+        assert law.min() >= 0.0
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_recorded_entries_carry_gain_and_qber(self, basis):
+        model = mdi_yield_model(ChannelParams(distance_km=10), ChannelParams(distance_km=10))
+        gain, qber = expected_gain_and_qber(model, 0.5, 0.1, basis)
+        err, correct, discarded, none = outcome_law(model, 0.5, 0.1, basis, keep=0.25)
+        assert err + correct == pytest.approx(0.25 * gain, rel=1e-12)
+        assert err == pytest.approx(0.25 * gain * qber, rel=1e-12)
+        assert discarded == pytest.approx(0.75 * gain, rel=1e-12)
+        assert none == pytest.approx(1.0 - gain, rel=1e-12)
+
+    def test_either_bright_class_raises(self):
+        p = ChannelParams(distance_km=10)
+        with pytest.raises(TailBoundError):
+            outcome_law(mdi_yield_model(p, p), 0.1, 5.0)
+
+    def test_sift_keep(self):
+        assert sift_keep("MDI", "Z") == sift_keep("MDI", "X", "X") == 1.0
+        assert sift_keep("MDI", "Z", "X") == 0.0
+        assert sift_keep("QKD", "X") == channel.PASSIVE_BASIS_FACTOR
+        assert sift_keep("QKD", "Z") == 1.0 - channel.PASSIVE_BASIS_FACTOR
+        with pytest.raises(ValueError):
+            sift_keep("QKD", "Y")
+
+    def test_passive_factor_reaches_every_count_table(self, monkeypatch):
+        # an asymmetric passive analyzer: Z and X acceptance must agree across
+        # the expected table, the sampled table and the simulator's law
+        monkeypatch.setattr(channel, "PASSIVE_BASIS_FACTOR", 0.3)
+        model = qkd_yield_model(ChannelParams(distance_km=5.0))
+        intensities = IntensitySet()
+        n_pulses = 10**9
+        expected = expected_table(model, intensities, n_pulses, "QKD", "AC")
+        sampled = synthesize_table(model, intensities, n_pulses, "QKD", "AC", seed=3)
+        cumulative = _outcome_table({"AC": model}, intensities)
+        for (key, basis), rec in expected.entries.items():
+            (label,) = key
+            gain, _ = expected_gain_and_qber(model, intensities.mu(label), basis=basis)
+            accept = (0.7 if basis == "Z" else 0.3) * gain
+            assert rec.detected == round(rec.sent * accept), (key, basis)
+            drawn = sampled.entries[(key, basis)]
+            sigma = math.sqrt(drawn.sent * accept * (1 - accept))
+            assert abs(drawn.detected - drawn.sent * accept) < 5 * sigma, (key, basis)
+            # session AC: sender A's basis bit and intensity index
+            slot = 1 << 6 | (basis == "X") << 5 | LABELS.index(label) << 2
+            assert cumulative[1, CONFIG_OF[slot]] == pytest.approx(accept, rel=1e-12)
+
+
 class TestSampleCounts:
+    def test_one_multinomial_over_the_law(self):
+        model = qkd_yield_model(ChannelParams(distance_km=10))
+        law = outcome_law(model, 0.5, basis="Z", keep=0.5)
+        err, correct, _, _ = np.random.default_rng(11).multinomial(10**7, law)
+        rec = sample_counts(model, 0.5, n_pulses=10**7, seed=11, basis="Z", gain_factor=0.5)
+        assert rec == CountRecord(10**7, int(err + correct), int(err))
+
     def test_zero_pulses(self):
         model = qkd_yield_model(ChannelParams(distance_km=10))
         assert sample_counts(model, 0.5, n_pulses=0, seed=1) == CountRecord(0, 0, 0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from qkdnet.mathkit import (
     inv_binary_entropy,
     poisson_pmf,
     poisson_weights,
+    probability_from_log,
     serfling_deviation,
     solve_bounded_lp,
 )
@@ -68,6 +70,29 @@ class TestInvBinaryEntropy:
         p = inv_binary_entropy(y)
         assert 0.0 <= p <= 0.5
         assert binary_entropy(p) == pytest.approx(y, abs=1e-8)
+
+    @settings(max_examples=300)
+    @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    def test_errs_low_in_exact_arithmetic(self, y):
+        # the attacker floor inverts the entropy, so the result must never
+        # overshoot: h(p) <= y holds for the exact entropy of the returned p
+        p = inv_binary_entropy(y)
+        with mpmath.workdps(50):
+            q = mpmath.mpf(p)
+            h = 0 if p == 0.0 else -(q * mpmath.log(q, 2) + (1 - q) * mpmath.log(1 - q, 2))
+            assert h <= mpmath.mpf(y)
+
+
+class TestProbabilityFromLog:
+    def test_clamps(self):
+        assert probability_from_log(-745.0001) == 0.0
+        assert probability_from_log(-700.0) == math.exp(-700.0)
+        assert probability_from_log(-0.5) == math.exp(-0.5)
+        assert probability_from_log(0.5) == 1.0
+
+    def test_hoeffding_bound_reads_it(self):
+        for delta, n in ((0.01, 10**4), (0.1, 10**6), (0.0, 5)):
+            assert hoeffding_exponent_bound(delta, n) == probability_from_log(-2.0 * delta * delta * n)
 
 
 class TestSerflingDeviation:

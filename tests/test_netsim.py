@@ -6,12 +6,13 @@ import pytest
 from qkdnet.channel import (
     LABELS,
     N_CUT,
-    PASSIVE_BASIS_FACTOR,
     ChannelParams,
     IntensitySet,
+    TailBoundError,
     expected_gain_and_qber,
     mdi_yield_model,
     qkd_yield_model,
+    sift_keep,
 )
 from qkdnet.mathkit import poisson_pmf
 from qkdnet.netsim import (
@@ -31,10 +32,10 @@ def _within_five_sigma(count, n, p):
 def assert_entries_match_model(result, models, intensities, min_sent=2000):
     """Each entry's detections and errors against its exact expected rates."""
     for link, table in result.tables.items():
-        keep = 1.0 if link == "AB" else PASSIVE_BASIS_FACTOR
         for (key, basis), rec in table.entries.items():
             if rec.sent < min_sent:
                 continue
+            keep = sift_keep(models[link].kind, basis)
             mus = [intensities.mu(label) for label in key]
             gain, qber = expected_gain_and_qber(models[link], *mus, basis=basis)
             assert _within_five_sigma(rec.detected, rec.sent, keep * gain), (link, key, basis)
@@ -204,7 +205,7 @@ class TestRunPlan:
                                              (2, "BC", plan.basis_b, plan.intensity_b)):
             for b in (0, 1):
                 # a Z slot is discarded on the X branch, an X slot on the Z branch
-                discard = PASSIVE_BASIS_FACTOR if b == 0 else 1 - PASSIVE_BASIS_FACTOR
+                discard = 1 - sift_keep("QKD", "ZX"[b])
                 for i in range(4):
                     n = np.count_nonzero((plan.session == code) & (basis == b) & (intensity == i))
                     p = discard * expected_gain_and_qber(models[link], mu[i])[0]
@@ -265,19 +266,27 @@ class TestOutcomeTable:
             else:
                 link, basis, i = ("AC", ba, ia) if session == 1 else ("BC", bb, ib)
                 gain, qber = expected_gain_and_qber(models[link], mu[i], basis="ZX"[basis])
-                keep = PASSIVE_BASIS_FACTOR if basis == 1 else 1 - PASSIVE_BASIS_FACTOR
+                keep = sift_keep("QKD", "ZX"[basis])
                 want = (keep * gain * qber, keep * gain * (1 - qber), (1 - keep) * gain)
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-12, err_msg=str(key))
 
     def test_photon_tail_folds_into_cutoff(self):
         # photon numbers follow min(Poisson(mu), N_CUT): the whole Poisson tail
-        # sits on N_CUT, also for a class too bright for expected_gain_and_qber
+        # (about 6e-11 at mu = 1, inside TAIL_LIMIT) sits on N_CUT
         model = default_models()["AC"]
-        pmf = [poisson_pmf(8.0, n) for n in range(N_CUT)]
+        pmf = [poisson_pmf(1.0, n) for n in range(N_CUT)]
         law = np.append(pmf, 1.0 - sum(pmf))
-        cumulative = _outcome_table({"AC": model}, IntensitySet(s=8.0))
+        truncated = np.append(pmf, poisson_pmf(1.0, N_CUT)) @ model.yields
+        cumulative = _outcome_table({"AC": model}, IntensitySet(s=1.0))
         # session AC, sender A in Z with the signal class: all detections
-        assert cumulative[-1, CONFIG_OF[1 << 6]] == pytest.approx(law @ model.yields, abs=1e-12)
+        assert cumulative[-1, CONFIG_OF[1 << 6]] == pytest.approx(law @ model.yields, abs=1e-13)
+        assert law @ model.yields - truncated > 1e-11
+
+    def test_run_plan_rejects_class_beyond_tail_limit(self):
+        intensities = IntensitySet(s=8.0)
+        plan = schedule(1000, intensities=intensities, seed=20)
+        with pytest.raises(TailBoundError):
+            run_plan(plan, default_models(), seed=20)
 
 
 class TestMessageBus:
@@ -319,6 +328,6 @@ class TestMessageBus:
 
         # re-execute the logged deliveries through the same handler logic
         replay_states = {"a": 0, "b": 0}
-        for _, sender, receiver, payload in live_bus.replay_log():
+        for _, sender, receiver, payload in live_bus.log:
             replay_states[receiver] += payload
         assert replay_states == live_states

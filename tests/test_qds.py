@@ -1,26 +1,25 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from qkdnet.experiments import min_feasible_acquisition
 from qkdnet.netsim import MessageBus
 from qkdnet.qds import (
     Holding,
     InsecureChannelError,
     QdsParams,
-    SignatureBlock,
     abort_and_forge,
     distill_report,
     eve_error_floor,
     extract_blocks,
-    min_feasible_acquisition,
     n_blocks,
     qber_upper,
     repudiation_bound,
     run_signing_session,
     signature_length,
-    symmetrise,
     thresholds,
     timing_report,
 )
@@ -115,6 +114,11 @@ class TestSignatureLength:
         assert repudiation_bound(s_auth, s_ver, l_sig) <= P_REP
         assert repudiation_bound(s_auth, s_ver, l_sig - 1) > P_REP
 
+    def test_repudiation_bound_underflow_clamp(self):
+        assert repudiation_bound(0.0, 0.1, 100) == math.exp(-(0.1**2) * 100 / 4.0)
+        assert repudiation_bound(0.0, 1.0, 2_981) == math.exp(-2_981 / 4.0)
+        assert repudiation_bound(0.0, 1.0, 2_984) == 0.0  # exponent below -745
+
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
             signature_length(0.02, 0.02, P_REP)
@@ -196,61 +200,6 @@ class TestTimingReport:
     def test_zero_signatures_rejected(self):
         with pytest.raises(ValueError):
             timing_report(10.0, 0.5, 0)
-
-
-def make_block(link, bits, start=0):
-    bits = np.asarray(bits, dtype=np.int8)
-    return SignatureBlock(
-        link=link, bit_values=bits, origin_indices=np.arange(start, start + len(bits))
-    )
-
-
-class TestSymmetrise:
-    def test_zero_length_blocks(self):
-        result = symmetrise(
-            make_block("AB", []), make_block("AC", []), np.zeros(0, dtype=np.int8), seed=1
-        )
-        for holdings in result.final_holdings.values():
-            assert sum(len(h.positions) for h in holdings) == 0
-
-    def test_mask_round_trip_and_counting(self):
-        rng = np.random.default_rng(3)
-        c_sig = 400
-        block_b = make_block("AB", rng.integers(0, 2, c_sig))
-        block_c = make_block("AC", rng.integers(0, 2, c_sig))
-        otp = rng.integers(0, 2, c_sig, dtype=np.int8)
-        result = symmetrise(block_b, block_c, otp, seed=7)
-
-        # transcripts are masked: they differ from the plaintext bits
-        for sender, _, link, positions, masked in result.transcripts:
-            src = block_b if link == "AB" else block_c
-            assert not np.array_equal(masked, src.bit_values[positions])
-
-        # each recipient ends with exactly c_sig positions: half kept, half
-        # forwarded; forwarded bits decode to the peer's originals
-        for name, peer_block, own_block in (("B", block_c, block_b), ("C", block_b, block_c)):
-            holdings = result.final_holdings[name]
-            assert sum(len(h.positions) for h in holdings) == c_sig
-            for h in holdings:
-                src = own_block if h.link == own_block.link else peer_block
-                assert np.array_equal(h.bits, src.bit_values[h.positions])
-
-    def test_insufficient_key_material(self):
-        block = make_block("AB", np.ones(100))
-        with pytest.raises(ValueError):
-            symmetrise(block, block, np.zeros(99, dtype=np.int8), seed=1)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(4)
-        block_b = make_block("AB", rng.integers(0, 2, 100))
-        block_c = make_block("AC", rng.integers(0, 2, 100))
-        otp = rng.integers(0, 2, 100, dtype=np.int8)
-        r1 = symmetrise(block_b, block_c, otp, seed=2)
-        r2 = symmetrise(block_b, block_c, otp, seed=2)
-        for name in ("B", "C"):
-            for h1, h2 in zip(r1.final_holdings[name], r2.final_holdings[name]):
-                assert np.array_equal(h1.positions, h2.positions)
-                assert np.array_equal(h1.bits, h2.bits)
 
 
 class TestSignAndVerify:

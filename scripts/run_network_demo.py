@@ -68,7 +68,7 @@ def main():
             params=QdsParams(c_sig=c_sig, c_test=c_test, eps_h=eps, p_rep_budget=0.01,
                              p_fail_total=0.1),
             total_time_s=args.slots / 1e9 / (500 / 502), duty_fraction=500 / 502,
-            epsilon_inherited=bounds.epsilon_spent + 2 * eps,
+            epsilon_inherited=block_bounds.epsilon_spent,
         )
     except InsecureChannelError as exc:
         print(f"no positive QDS rate at this acquisition size: {exc}")

@@ -84,6 +84,8 @@ class IntensitySet:
 
     The signal class ``s`` is the only one prepared in the Z basis; ``u``,
     ``v`` and ``w`` are prepared in X, drawn with weights ``x_weights``.
+    A signal class (hence any class) whose Poisson tail beyond ``N_CUT``
+    exceeds ``TAIL_LIMIT`` raises :class:`TailBoundError`.
     """
 
     s: float = 0.5
@@ -100,6 +102,7 @@ class IntensitySet:
             raise ValueError("z_basis_prob must be in (0, 1)")
         if len(self.x_weights) != 3 or min(self.x_weights) < 0 or sum(self.x_weights) <= 0:
             raise ValueError("x_weights must be three non-negative weights")
+        _photon_law(self.s)
 
     def mu(self, label: str) -> float:
         try:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from .channel import LABELS, ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from .decoy import CountTable, TableFormatError, estimate_bounds
 from .keyrate import SecurityParams, rate_sweep, secure_key_length, sweep_to_csv
 from .netsim import run_plan, schedule
@@ -105,14 +105,9 @@ def cmd_simulate(args) -> int:
         ab = links["AB"]
         side_a = _build(ChannelParams, ab.get("side_a", {}), "links.AB.side_a")
         side_b = _build(ChannelParams, ab.get("side_b", {}), "links.AB.side_b")
+        shape = ("hom_visibility", "bell_success", "x_multiphoton_floor")
         try:
-            models["AB"] = mdi_yield_model(
-                side_a,
-                side_b,
-                hom_visibility=ab.get("hom_visibility", 1.0),
-                bell_success=ab.get("bell_success", 0.5),
-                x_multiphoton_floor=ab.get("x_multiphoton_floor", 0.25),
-            )
+            models["AB"] = mdi_yield_model(side_a, side_b, **{k: ab[k] for k in shape if k in ab})
         except ValueError as exc:
             raise ConfigError(f"links.AB: {exc}") from None
     for link in ("AC", "BC"):
@@ -322,13 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_key = sub.add_parser("keyrate", help="decoy bounds and key length from a counts file")
     p_key.add_argument("--counts", required=True, help="count table (.json or .csv)")
     p_key.add_argument("--mode", choices=("QKD", "MDI"), default=None)
-    p_key.add_argument("--s", type=float, default=0.5)
-    p_key.add_argument("--u", type=float, default=0.1)
-    p_key.add_argument("--v", type=float, default=0.02)
-    p_key.add_argument("--w", type=float, default=0.0)
-    p_key.add_argument("--eps-sec", type=float, default=1e-10)
-    p_key.add_argument("--eps-cor", type=float, default=1e-15)
-    p_key.add_argument("--f-ec", type=float, default=1.16)
+    for label in LABELS:
+        p_key.add_argument(f"--{label}", type=float, default=getattr(IntensitySet, label))
+    for name in ("eps_sec", "eps_cor", "f_ec"):
+        flag = "--" + name.replace("_", "-")
+        p_key.add_argument(flag, type=float, default=getattr(SecurityParams, name))
     p_key.add_argument("--elapsed-s", type=float, default=0.0)
     p_key.add_argument("--format", choices=("csv", "json"), default="csv")
     p_key.add_argument("--out", default=None, help="output directory (also prints to stdout)")

@@ -90,7 +90,7 @@ def _block_signable(bounds, n_z, e_test, c_sig, c_test, eps_h, p_rep, p_fail) ->
             params=params,
             total_time_s=1.0,
             duty_fraction=1.0,
-            epsilon_inherited=bounds.epsilon_spent + 2.0 * eps_h,
+            epsilon_inherited=block.epsilon_spent,
         )
     except InsecureChannelError:
         return False
@@ -104,9 +104,9 @@ def multisig_comparison(
     n_pulses_total: int,
     test_fraction: float = 0.1,
     eps_decoy: float = 1e-11,
-    eps_h: float = 2e-11,
-    p_rep: float = 0.5e-10,
-    p_fail: float = 1e-10,
+    eps_h: float = QdsParams.eps_h,
+    p_rep: float = QdsParams.p_rep_budget,
+    p_fail: float = QdsParams.p_fail_total,
 ) -> MultisigComparison:
     """Signatures from one acquisition: multi-block protocol vs baseline.
 

@@ -33,7 +33,7 @@ __all__ = [
 SESSION_NAMES = ("MDI_AB", "QKD_AC", "QKD_BC")
 LINKS = ("AB", "AC", "BC")  # the link each session code runs
 
-#: slots drawn per vectorised step of schedule and run_plan
+#: slots handled per vectorised step of schedule and run_plan
 DEFAULT_CHUNK = 1 << 20
 
 # Slot configurations: rows 0-63 are the relay link's (basis a, basis b,
@@ -51,12 +51,6 @@ TABLE_ROWS = {
     **{64 + 8 * k + 4 * b + i: (link, (LABELS[i],), "ZX"[b])
        for k, link in enumerate(("AC", "BC")) for b in (0, 1) for i in range(4)},
 }
-# A slot's cell is 4 * row + outcome, with outcomes 0 recorded error,
-# 1 recorded correct, 2 discarded detection and 3 no detection.  POOL_OF
-# gives the index in LINKS of the link whose Z pool a cell feeds, -1 for none.
-POOL_OF = np.full((N_CONFIGS, 4), -1, dtype=np.int8)
-POOL_OF[0:16, :2], POOL_OF[64:68, :2], POOL_OF[72:76, :2] = 0, 1, 2
-POOL_OF = POOL_OF.ravel()
 
 
 @dataclass
@@ -159,23 +153,23 @@ def schedule(
 
 
 def _outcome_table(models: dict, intensities: IntensitySet) -> np.ndarray:
-    """Cumulative outcome probabilities per configuration row, shape (3, N_CONFIGS).
+    """Outcome law of each configuration row, shape (N_CONFIGS, 4).
 
-    Entry [k, row] is the probability of outcomes 0..k under the row's
-    :func:`channel.outcome_law`, kept by the link's sifting
-    (:func:`channel.sift_keep`).  Rows of links without a model stay zero.
+    Row r is configuration r's :func:`channel.outcome_law`, kept by the
+    link's sifting (:func:`channel.sift_keep`).  Rows of links without a
+    model stay zero.
     """
     mu = [intensities.mu(label) for label in LABELS]
-    probs = np.zeros((N_CONFIGS, 4))
+    law = np.zeros((N_CONFIGS, 4))
     if "AB" in models:
         for row, (ba, bb, ia, ib) in enumerate(np.ndindex(2, 2, 4, 4)):
             keep = sift_keep("MDI", "ZX"[ba], "ZX"[bb])
-            probs[row] = outcome_law(models["AB"], mu[ia], mu[ib], "ZX"[ba], keep)
+            law[row] = outcome_law(models["AB"], mu[ia], mu[ib], "ZX"[ba], keep)
     for start, link in ((64, "AC"), (72, "BC")):
         if link in models:
             for row, (b, i) in enumerate(np.ndindex(2, 4), start):
-                probs[row] = outcome_law(models[link], mu[i], None, "ZX"[b], sift_keep("QKD", "ZX"[b]))
-    return np.cumsum(probs[:, :3], axis=1).T.copy()
+                law[row] = outcome_law(models[link], mu[i], None, "ZX"[b], sift_keep("QKD", "ZX"[b]))
+    return law
 
 
 def run_plan(
@@ -189,14 +183,18 @@ def run_plan(
     basis) entry only when the two senders' bases match; mismatched-basis
     coincidences land in the diagnostics tally.  Point-to-point slots record
     a detection when the passive analyzer branch matches the sender's basis.
-    Z-basis signal detections append (bit, error-flag) pairs to the link's
-    undisclosed pool.
+    Z-basis signal detections form the link's undisclosed pool of (bit,
+    error-flag) pairs.
 
-    Photon numbers are marginalised exactly: each slot's outcome is one
-    uniform draw against its configuration's outcome law
-    (:func:`_outcome_table`); an intensity class beyond the law's tail
-    limit raises :class:`channel.TailBoundError`.  The draws come from a
-    child stream of ``seed``'s sequence, independent of the stream
+    The plan enters only through how many slots fall in each configuration
+    row (:data:`CONFIG_OF`).  Slots of one row are i.i.d. draws of its
+    outcome law (:func:`_outcome_table`, photon numbers marginalised
+    exactly), so one multinomial per row gives every outcome tally; an
+    intensity class beyond the law's tail limit raises
+    :class:`channel.TailBoundError`.  A pool's bits are uniform and its
+    error flags sit at uniformly random positions, which is the law of
+    per-slot draws given the row's tallies.  The draws come from a child
+    stream of ``seed``'s sequence, independent of the stream
     :func:`schedule` drew the plan from under the same seed.  Deterministic
     under ``seed``.
     """
@@ -208,10 +206,8 @@ def run_plan(
         if models[link].kind != want:
             raise ValueError(f"link {link} needs a {want} model, got {models[link].kind}")
 
-    cumulative = _outcome_table({link: models[link] for link in links}, plan.intensities)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    hist = np.zeros((N_CONFIGS, 4), dtype=np.int64)
-    pools = {link: ([np.zeros(0, np.int8)], [np.zeros(0, bool)]) for link in LINKS}
+    law = _outcome_table({link: models[link] for link in links}, plan.intensities)
+    slots_per_key = np.zeros(CONFIG_OF.size, dtype=np.int64)
     columns = (plan.session, plan.basis_a, plan.basis_b, plan.intensity_a, plan.intensity_b)
     for start in range(0, plan.slots, DEFAULT_CHUNK):
         sl = slice(start, min(plan.slots, start + DEFAULT_CHUNK))
@@ -221,21 +217,12 @@ def run_plan(
             if code.max() >= limit:
                 raise ValueError(f"plan codes outside [0, {limit}) in slots {start}..{sl.stop - 1}")
             key |= code << shift
-        row = CONFIG_OF[key]
-        u = rng.random(row.size)
-        cell = row * 4
-        for edges in cumulative:
-            cell += u >= edges[row]
-        hist += np.bincount(cell, minlength=4 * N_CONFIGS).reshape(N_CONFIGS, 4)
-        # Prepared bits: the first sender's bit is uniform; the second sender's
-        # preparation realises the error flag through the flip rule.
-        pool_of = POOL_OF[cell]
-        for k, link in enumerate(LINKS):
-            hit = np.flatnonzero(pool_of == k)
-            pools[link][0].append(rng.integers(0, 2, size=hit.size, dtype=np.int8))
-            pools[link][1].append(cell[hit] % 4 == 0)
+        slots_per_key += np.bincount(key, minlength=CONFIG_OF.size)
+    sent = np.zeros(N_CONFIGS, dtype=np.int64)
+    np.add.at(sent, CONFIG_OF, slots_per_key)
 
-    sent = hist.sum(axis=1)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    hist = rng.multinomial(sent, law)
     records = np.c_[sent, hist[:, 0] + hist[:, 1], hist[:, 0]]
     diag = {
         "basis_mismatch_slots": int(hist[16:48].sum()),
@@ -247,7 +234,15 @@ def run_plan(
     for row, (link, label, basis) in TABLE_ROWS.items():
         if sent[row]:
             tables[link].add(label, basis, CountRecord(*records[row].tolist()))
-    z_pools = {link: ZPool(np.concatenate(bits), np.concatenate(errs)) for link, (bits, errs) in pools.items()}
+    # A link's pool is its Z-basis signal row's recorded detections.  The
+    # first sender's bit is uniform; the second sender's preparation
+    # realises the error flag through the flip rule.
+    z_pools = {}
+    for link, row in zip(LINKS, (0, 64, 72)):
+        errors, correct = hist[row, :2].tolist()
+        size = errors + correct
+        bits = rng.integers(0, 2, size=size, dtype=np.int8)
+        z_pools[link] = ZPool(bits, rng.permutation(size) < errors)
     return RunResult(tables=tables, z_pools=z_pools, diagnostics=diag)
 
 

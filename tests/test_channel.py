@@ -234,7 +234,7 @@ class TestOutcomeLaw:
         n_pulses = 10**9
         expected = expected_table(model, intensities, n_pulses, "QKD", "AC")
         sampled = synthesize_table(model, intensities, n_pulses, "QKD", "AC", seed=3)
-        cumulative = _outcome_table({"AC": model}, intensities)
+        law = _outcome_table({"AC": model}, intensities)
         for (key, basis), rec in expected.entries.items():
             (label,) = key
             gain, _ = expected_gain_and_qber(model, intensities.mu(label), basis=basis)
@@ -245,7 +245,7 @@ class TestOutcomeLaw:
             assert abs(drawn.detected - drawn.sent * accept) < 5 * sigma, (key, basis)
             # session AC: sender A's basis bit and intensity index
             slot = 1 << 6 | (basis == "X") << 5 | LABELS.index(label) << 2
-            assert cumulative[1, CONFIG_OF[slot]] == pytest.approx(accept, rel=1e-12)
+            assert law[CONFIG_OF[slot], :2].sum() == pytest.approx(accept, rel=1e-12)
 
 
 class TestSampleCounts:

@@ -75,6 +75,14 @@ class TestSimulate:
         assert rc == 2
         assert "z_prob" in capsys.readouterr().err
 
+    def test_class_beyond_tail_limit_is_config_error(self, tmp_path, capsys):
+        cfg = dict(SIM_CONFIG, intensities=dict(SIM_CONFIG["intensities"], s=8.0))
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert "intensities" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o/counts_*"))
+
     def test_z_prob_comes_from_intensities(self, tmp_path):
         biased = dict(SIM_CONFIG["intensities"], z_basis_prob=0.65)
         implicit = {k: v for k, v in SIM_CONFIG.items() if k != "z_prob"}

@@ -130,14 +130,14 @@ def cmd_simulate(args) -> int:
         link: {"size": int(len(pool)), "errors": int(pool.error_flags.sum())}
         for link, pool in result.z_pools.items()
     }
-    _manifest(
-        out_dir,
-        "simulate",
-        config,
-        {"outputs": outputs, "z_pools": pools, "diagnostics": result.diagnostics},
-    )
+    extra = {"outputs": outputs, "z_pools": pools, "diagnostics": result.diagnostics}
+    _manifest(out_dir, "simulate", config, extra)
     print(f"simulated {slots} slots -> {out_dir}")
     return 0
+
+
+#: SecurityParams fields that ``keyrate`` takes as flags
+SECURITY_FLAGS = ("eps_sec", "eps_cor", "f_ec")
 
 
 def _read_table(path: str) -> CountTable:
@@ -148,10 +148,10 @@ def _read_table(path: str) -> CountTable:
 
 
 def cmd_keyrate(args) -> int:
+    intensities = _build(IntensitySet, {l: getattr(args, l) for l in LABELS}, "keyrate intensities")
+    security = _build(SecurityParams, {k: getattr(args, k) for k in SECURITY_FLAGS}, "keyrate security")
     table = _read_table(args.counts)
     mode = args.mode or ("MDI" if table.is_pair else "QKD")
-    intensities = IntensitySet(s=args.s, u=args.u, v=args.v, w=args.w)
-    security = SecurityParams(eps_sec=args.eps_sec, eps_cor=args.eps_cor, f_ec=args.f_ec)
     bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
     z_rec = table.z_entry()
     qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
@@ -236,15 +236,8 @@ def cmd_qds(args) -> int:
         config = _load_json(args.config)
         config = config.get("qds", config)
 
-    params = _build(
-        QdsParams,
-        {
-            k: config[k]
-            for k in ("c_sig", "c_test", "eps_h", "p_rep_budget", "p_fail_total")
-            if k in config
-        },
-        "qds",
-    )
+    fields = ("c_sig", "c_test", "eps_h", "p_rep_budget", "p_fail_total")
+    params = _build(QdsParams, {k: config[k] for k in fields if k in config}, "qds")
     try:
         report = distill_report(
             s1_sig_lower=int(config["s1_sig_lower"]),
@@ -267,24 +260,14 @@ def cmd_qds(args) -> int:
             _manifest(out_dir, "qds", config, {"outputs": ["qds_report.json"]})
         return 0
 
-    rows = [
-        ("p_e", report.p_e),
-        ("e_sig_upper", report.e_sig_upper),
-        ("s_auth", report.s_auth),
-        ("s_ver", report.s_ver),
-        ("l_sig", report.l_sig),
-        ("p_rep", report.p_rep),
-        ("p_hab", report.p_hab),
-        ("p_for", report.p_for),
-        ("n_signatures", report.n_signatures),
-        ("avg_time_per_signature_s", report.avg_time_per_signature_s),
-    ]
+    rows = ("p_e", "e_sig_upper", "s_auth", "s_ver", "l_sig", "p_rep", "p_hab", "p_for",
+            "n_signatures", "avg_time_per_signature_s")
     header = f"{'quantity':<26}{'computed':>14}"
     if reference:
         header += f"{'reference':>14}"
     print(header)
-    for name, value in rows:
-        line = f"{name:<26}{value:>14.6g}"
+    for name in rows:
+        line = f"{name:<26}{getattr(report, name):>14.6g}"
         if reference:
             ref = reference.get(name)
             line += f"{ref:>14.6g}" if ref is not None else f"{'-':>14}"
@@ -319,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_key.add_argument("--mode", choices=("QKD", "MDI"), default=None)
     for label in LABELS:
         p_key.add_argument(f"--{label}", type=float, default=getattr(IntensitySet, label))
-    for name in ("eps_sec", "eps_cor", "f_ec"):
+    for name in SECURITY_FLAGS:
         flag = "--" + name.replace("_", "-")
         p_key.add_argument(flag, type=float, default=getattr(SecurityParams, name))
     p_key.add_argument("--elapsed-s", type=float, default=0.0)

@@ -19,7 +19,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -105,15 +105,7 @@ class CountTable:
         rows = []
         for (key, basis), rec in sorted(self.entries.items()):
             intensity = key[0] if len(key) == 1 else list(key)
-            rows.append(
-                {
-                    "intensity": intensity,
-                    "basis": basis,
-                    "sent": rec.sent,
-                    "detected": rec.detected,
-                    "errors": rec.errors,
-                }
-            )
+            rows.append({"intensity": intensity, "basis": basis, **asdict(rec)})
         return json.dumps({"link": self.link, "entries": rows}, sort_keys=True)
 
     @classmethod

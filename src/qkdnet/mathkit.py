@@ -2,7 +2,8 @@
 
 Binary entropy and its inverse, the Serfling and Hoeffding concentration
 terms, Poisson photon-number statistics, and a small linear-program wrapper
-over the unit box.  Everything here is a pure function of its inputs.
+over the unit box that drives scipy's bundled HiGHS binding directly.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -10,7 +11,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+
+try:  # the binding scipy ships from 1.15 on
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:
+    from scipy import __version__ as scipy_version
+
+    raise ImportError(f"qkdnet needs scipy >= 1.15 for its HiGHS binding, found {scipy_version}") from exc
 
 __all__ = [
     "binary_entropy",
@@ -89,7 +96,9 @@ def serfling_deviation(c_sig: int, c_test: int, eps: float) -> float:
         raise ValueError("c_sig and c_test must be >= 1")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0, 1], got {eps!r}")
-    num = (c_sig + 1.0) * (c_sig + c_test) * math.log(1.0 / eps)
+    # -ln(eps) only where 1/eps overflows (subnormal eps): other values keep their bits
+    log_inv_eps = math.log(1.0 / eps) if 1.0 / eps < math.inf else -math.log(eps)
+    num = (c_sig + 1.0) * (c_sig + c_test) * log_inv_eps
     den = 2.0 * c_test * float(c_sig) ** 2
     return math.sqrt(num / den)
 
@@ -136,6 +145,56 @@ def poisson_weights(mu: float, n_cut: int) -> tuple[np.ndarray, float]:
     return pmf, max(0.0, 1.0 - pmf.sum())
 
 
+def _highs_options(presolve: bool):
+    # exactly what scipy.optimize.linprog(method="highs") passes for these settings
+    options = _highs.HighsOptions()
+    options.presolve = "on" if presolve else "off"
+    options.primal_feasibility_tolerance = 1e-10
+    options.dual_feasibility_tolerance = 1e-10
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+_HIGHS_OPTIONS = {presolve: _highs_options(presolve) for presolve in (True, False)}
+_STATUS = _highs.HighsModelStatus
+
+
+def linprog(c, a_ub, b_ub, presolve: bool = True):
+    """``(model status, objective)`` of min ``c @ x`` s.t. ``a_ub @ x <= b_ub`` over the unit box.
+
+    The objective means something only at ``kOptimal``.  Each call builds a
+    fresh solver, so no basis carries over and no value depends on call order.
+    """
+    c, a, b = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
+    a = a.reshape(0, c.size) if a.size == 0 else a
+    if c.ndim != 1 or a.ndim != 2 or a.shape[1] != c.size or b.shape != (a.shape[0],):
+        raise ValueError(f"LP shapes do not match: c {c.shape}, a_ub {a.shape}, b_ub {b.shape}")
+    if not all(np.isfinite(v).all() for v in (c, a, b)):
+        raise ValueError("LP data must be finite")
+    n, m = c.size, b.size
+    # Column-wise nonzeros, as scipy's CSC conversion hands them to HiGHS;
+    # Python lists cross the binding faster than numpy arrays.
+    nonzero = a.T != 0.0
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), [0.0] * n, [1.0] * n
+    lp.row_lower_, lp.row_upper_ = [-math.inf] * m, b.tolist()
+    matrix = lp.a_matrix_
+    matrix.format_, matrix.num_col_, matrix.num_row_ = _highs.MatrixFormat.kColwise, n, m
+    matrix.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
+    matrix.index_ = np.nonzero(nonzero)[1].tolist()
+    matrix.value_ = a.T[nonzero].tolist()
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS[presolve])
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return _STATUS.kModelError, math.nan
+    highs.run()
+    return highs.getModelStatus(), highs.getInfo().objective_function_value
+
+
 class LpInfeasibleError(ValueError):
     """The constraint set admits no feasible point."""
 
@@ -154,17 +213,13 @@ def solve_bounded_lp(objective, a_ub, b_ub, sense: str = "min") -> float:
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     sign = 1.0 if sense == "min" else -1.0
-    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs", options=options)
-    if res.status == 2:
+    status, value = linprog(sign * c, a_ub, b_ub)
+    if status == _STATUS.kInfeasible:
         # Presolve can misjudge constraint windows thinner than its own
         # tolerances; only a full solve may declare infeasibility.
-        res = linprog(
-            sign * c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs",
-            options={**options, "presolve": False},
-        )
-    if res.status == 2:
+        status, value = linprog(sign * c, a_ub, b_ub, presolve=False)
+    if status == _STATUS.kInfeasible:
         raise LpInfeasibleError("constraints admit no feasible point")
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    return float(sign * res.fun)
+    if status != _STATUS.kOptimal:
+        raise RuntimeError(f"LP solver failed: HiGHS model status {status.name}")
+    return float(sign * value)

@@ -135,6 +135,24 @@ class TestKeyrate:
         assert rc == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--s", "8", "Poisson tail"),  # a signal class beyond the photon-number cutoff
+            ("--s", "0.05", "s > u > v > w"),
+            ("--f-ec", "0.5", "f_ec"),
+        ],
+    )
+    def test_invalid_parameter_is_config_error(self, tmp_path, capsys, flag, value, message):
+        counts = self.make_counts(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["keyrate", "--counts", str(counts), flag, value, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
 
 class TestSweep:
     def test_config_sweep_csv(self, tmp_path, capsys):

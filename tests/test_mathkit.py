@@ -1,14 +1,25 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog as scipy_linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 from scipy.stats import entropy as scipy_entropy
 from scipy.stats import poisson as scipy_poisson
 
+from qkdnet import decoy, mathkit
+from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from qkdnet.decoy import estimate_bounds
+from qkdnet.keyrate import synthesize_table
 from qkdnet.mathkit import (
     LpInfeasibleError,
     binary_entropy,
@@ -21,6 +32,16 @@ from qkdnet.mathkit import (
     serfling_deviation,
     solve_bounded_lp,
 )
+
+
+def _exact_entropy(p: float):
+    """h(p) at 50 digits; log1p keeps the (1 - p) term, which ``1 - q``
+    would round away for p below 1e-50."""
+    with mpmath.workdps(50):
+        if p in (0.0, 1.0):
+            return mpmath.mpf(0)
+        q = mpmath.mpf(p)
+        return -(q * mpmath.log(q) + (1 - q) * mpmath.log1p(-q)) / mpmath.log(2)
 
 
 class TestBinaryEntropy:
@@ -46,6 +67,14 @@ class TestBinaryEntropy:
             binary_entropy(-0.1)
         with pytest.raises(ValueError):
             binary_entropy(1.1)
+
+    @settings(max_examples=300)
+    @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    def test_matches_closed_form_at_50_digits(self, p):
+        # a few ulps relative; subnormal p may lose up to a few subnormal ulps
+        exact = _exact_entropy(p)
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(binary_entropy(p)) - exact) <= 1e-15 * exact + 1e-322
 
 
 class TestInvBinaryEntropy:
@@ -77,10 +106,7 @@ class TestInvBinaryEntropy:
         # the attacker floor inverts the entropy, so the result must never
         # overshoot: h(p) <= y holds for the exact entropy of the returned p
         p = inv_binary_entropy(y)
-        with mpmath.workdps(50):
-            q = mpmath.mpf(p)
-            h = 0 if p == 0.0 else -(q * mpmath.log(q, 2) + (1 - q) * mpmath.log(1 - q, 2))
-            assert h <= mpmath.mpf(y)
+        assert _exact_entropy(p) <= mpmath.mpf(y)
 
 
 class TestProbabilityFromLog:
@@ -127,6 +153,33 @@ class TestSerflingDeviation:
         base = serfling_deviation(c_sig, c_test, eps)
         assert serfling_deviation(c_sig, c_test * 2, eps) <= base
         assert serfling_deviation(c_sig, c_test, min(0.999, eps * 2)) <= base
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=10**15),
+        st.integers(min_value=1, max_value=10**15),
+        st.floats(min_value=5e-324, max_value=1.0),
+    )
+    def test_matches_closed_form_at_50_digits(self, c_sig, c_test, eps):
+        value = serfling_deviation(c_sig, c_test, eps)
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(
+                (c_sig + 1)
+                * mpmath.mpf(c_sig + c_test)
+                * mpmath.log(1 / mpmath.mpf(eps))
+                / (2 * c_test * mpmath.mpf(c_sig) ** 2)
+            )
+            log_term = mpmath.log(1 / mpmath.mpf(eps))
+            if log_term == 0:
+                assert value == 0.0
+                return
+            # 1/eps is rounded before its log, which costs relative accuracy
+            # as eps -> 1; elsewhere the error is a few ulps
+            assert abs(mpmath.mpf(value) - exact) <= 1e-15 * (1 + 1 / log_term) * exact
+
+    def test_finite_for_subnormal_eps(self):
+        # 1/eps overflows to inf below 2**-1024; the logarithm does not
+        assert serfling_deviation(1, 1, 5e-324) == pytest.approx(38.586009690595924, rel=1e-15)
 
 
 class TestHoeffdingBound:
@@ -268,3 +321,150 @@ class TestSolveBoundedLp:
         if oracle is None:
             return
         assert solve_bounded_lp(c, a_ub, b_ub, sense) == pytest.approx(oracle, rel=1e-6, abs=1e-8)
+
+
+def _scipy_bounded_lp(c, a_ub, b_ub, sense):
+    """``solve_bounded_lp`` spelt with the public ``scipy.optimize.linprog``:
+    the same HiGHS options and the same presolve-off retry on infeasibility."""
+    sign = 1.0 if sense == "min" else -1.0
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = scipy_linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs", options=options)
+    if res.status == 2:
+        res = scipy_linprog(
+            sign * c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs",
+            options={**options, "presolve": False},
+        )
+    if not res.success:
+        raise RuntimeError(res.message)
+    return float(sign * res.fun)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (ValueError, RuntimeError):
+        return "raises"
+
+
+class TestHighsShim:
+    """``mathkit.linprog`` drives HiGHS directly and must give exactly what
+    ``scipy.optimize.linprog(method="highs")`` gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_public_linprog(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        c = rng.uniform(-1, 1, n)
+        m = data.draw(st.integers(0, 6))
+        # sparse rows exercise the column-wise nonzero packing
+        a_ub = rng.uniform(-1, 1, (m, n)) * (rng.random((m, n)) < 0.7)
+        # right-hand sides below zero make some rows infeasible on the box
+        b_ub = rng.uniform(-0.5, 2.0, m)
+        width = data.draw(st.sampled_from([None, 0.0, 1e-13, 1e-10, 1e-7]))
+        if width is not None:
+            # a thin window lo <= w @ x <= lo + width around a point of the box
+            w = rng.uniform(-1, 1, n)
+            lo = float(w @ rng.random(n)) - width / 2
+            a_ub = np.vstack([a_ub, w, -w])
+            b_ub = np.concatenate([b_ub, [lo + width, -lo]])
+        sense = data.draw(st.sampled_from(["min", "max"]))
+        assert _outcome(solve_bounded_lp, c, a_ub, b_ub, sense) == _outcome(
+            _scipy_bounded_lp, c, a_ub, b_ub, sense
+        )
+
+    @pytest.mark.parametrize("mode, km", [("QKD", 15), ("MDI", 10), ("MDI", 25)])
+    def test_decoy_lps_equal_public_linprog(self, monkeypatch, mode, km):
+        # the LPs estimate_bounds really solves: 13 (QKD) or 91 (MDI) columns
+        solved = []
+
+        def compared(c, a_ub, b_ub, sense):
+            solved.append((solve_bounded_lp(c, a_ub, b_ub, sense), _scipy_bounded_lp(c, a_ub, b_ub, sense)))
+            return solved[-1][0]
+
+        monkeypatch.setattr(decoy, "solve_bounded_lp", compared)
+        side = ChannelParams(distance_km=km)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        intensities = IntensitySet(s=0.5, u=0.2, v=0.05, w=0.0)
+        for seed in range(3):
+            table = synthesize_table(model, intensities, 10**13, mode, "AC" if mode == "QKD" else "AB", seed)
+            estimate_bounds(table, intensities, 1e-6, mode)
+        assert len(solved) == 6
+        assert all(value == oracle for value, oracle in solved)
+
+    def test_feasibility_tolerance_is_1e_10(self):
+        # x + 0.3 y <= 0.5 against x + 0.3 y >= 0.5 + gap: a gap of 1e-9 is
+        # infeasible at the 1e-10 tolerance (HiGHS's default 1e-7 accepts it)
+        rows = [[1.0, 0.3], [-1.0, -0.3]]
+        with pytest.raises(LpInfeasibleError):
+            solve_bounded_lp([1.0, 1.0], rows, [0.5, -(0.5 + 1e-9)], "min")
+        assert solve_bounded_lp([1.0, 1.0], rows, [0.5, -(0.5 + 1e-11)], "min") == pytest.approx(0.5, abs=1e-10)
+
+    def test_value_does_not_depend_on_call_order(self):
+        rng = np.random.default_rng(7)
+        lp_a = (rng.uniform(-1, 1, 30), rng.uniform(-1, 1, (20, 30)), rng.uniform(0.0, 2.0, 20), "min")
+        lp_b = (rng.uniform(-1, 1, 12), rng.uniform(-1, 1, (8, 12)), rng.uniform(0.0, 2.0, 8), "max")
+        first = solve_bounded_lp(*lp_a)
+        solve_bounded_lp(*lp_b)
+        assert solve_bounded_lp(*lp_a) == first
+
+    def test_retries_with_presolve_off(self, monkeypatch):
+        calls = []
+        real = mathkit.linprog
+
+        def presolve_says_infeasible(c, a_ub, b_ub, presolve=True):
+            calls.append(presolve)
+            if presolve:
+                return HighsModelStatus.kInfeasible, math.nan
+            return real(c, a_ub, b_ub, presolve=False)
+
+        monkeypatch.setattr(mathkit, "linprog", presolve_says_infeasible)
+        value = solve_bounded_lp([1.0], [[1.0]], [0.3], "max")
+        assert calls == [True, False]
+        assert value == -real([-1.0], [[1.0]], [0.3], presolve=False)[1]
+        assert value == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "status, error, calls",
+        [("kInfeasible", LpInfeasibleError, [True, False]), ("kModelError", RuntimeError, [True])],
+    )
+    def test_failures_raise(self, monkeypatch, status, error, calls):
+        seen = []
+
+        def failing(c, a_ub, b_ub, presolve=True):
+            seen.append(presolve)
+            return getattr(HighsModelStatus, status), math.nan
+
+        monkeypatch.setattr(mathkit, "linprog", failing)
+        with pytest.raises(error):
+            solve_bounded_lp([1.0], [[1.0]], [0.3], "min")
+        assert seen == calls
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["c", "a_ub", "b_ub"])
+    def test_rejects_non_finite_data(self, bad, where):
+        lp = {"c": np.array([1.0, 1.0]), "a_ub": np.array([[1.0, 0.5]]), "b_ub": np.array([0.8])}
+        lp[where].flat[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_bounded_lp(lp["c"], lp["a_ub"], lp["b_ub"], "min")
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shapes"):
+            solve_bounded_lp([1.0, 1.0], np.ones((2, 2)), [1.0, 1.0, 1.0], "min")
+        with pytest.raises(ValueError, match="shapes"):
+            solve_bounded_lp([1.0, 1.0], np.ones((2, 3)), [1.0, 1.0], "min")
+
+    def test_no_rows(self):
+        assert solve_bounded_lp([1.0, -2.0], np.empty((0, 2)), [], "min") == -2.0
+        assert solve_bounded_lp([1.0, -2.0], [], [], "max") == 1.0
+
+    def test_missing_binding_names_scipy_version(self):
+        # block the binding before scipy loads it; mathkit must fail loudly
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "try:\n    import qkdnet.mathkit\nexcept ImportError as exc:\n    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert f"scipy >= 1.15 for its HiGHS binding, found {scipy.__version__}" in out.stdout

@@ -9,15 +9,26 @@ Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import os
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
+import scipy
 
-try:  # the binding scipy ships from 1.15 on
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:
-    from scipy import __version__ as scipy_version
-
-    raise ImportError(f"qkdnet needs scipy >= 1.15 for its HiGHS binding, found {scipy_version}") from exc
+# scipy's HiGHS binding (shipped from 1.15 on), loaded from its file: the usual
+# import runs the whole scipy.optimize package init, most of qkdnet's start-up.
+# It is registered under its full name, so `import scipy.optimize` reuses it.
+_HIGHS = "scipy.optimize._highspy._core"
+if _HIGHS not in sys.modules:
+    _spec = PathFinder.find_spec(_HIGHS, [os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")])
+    if _spec is not None:
+        sys.modules[_HIGHS] = module_from_spec(_spec)
+        _spec.loader.exec_module(sys.modules[_HIGHS])
+_highs = sys.modules.get(_HIGHS)
+if _highs is None:
+    raise ImportError(f"qkdnet needs scipy >= 1.15 for its HiGHS binding, found {scipy.__version__}")
 
 __all__ = [
     "binary_entropy",

@@ -192,7 +192,9 @@ def signature_length(s_auth: float, s_ver: float, p_rep_budget: float) -> int:
         raise ValueError("need s_ver > s_auth (zero threshold gap)")
     if not 0.0 < p_rep_budget <= 1.0:
         raise ValueError("p_rep_budget must be in (0, 1]")
-    return int(math.ceil(4.0 * math.log(1.0 / p_rep_budget) / (s_ver - s_auth) ** 2))
+    # -ln(p) only where 1/p overflows (subnormal p): other budgets keep their bits
+    log_inv_p = math.log(1.0 / p_rep_budget) if 1.0 / p_rep_budget < math.inf else -math.log(p_rep_budget)
+    return int(math.ceil(4.0 * log_inv_p / (s_ver - s_auth) ** 2))
 
 
 def repudiation_bound(s_auth: float, s_ver: float, l: int) -> float:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qkdnet import keyrate
-from qkdnet.cli import main
+from qkdnet.cli import load_preset, main
 from qkdnet.decoy import InconsistentCountsError
 
 SIM_CONFIG = {
@@ -245,6 +245,13 @@ class TestQds:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["outcome"] == "no positive QDS rate"
+
+    def test_subnormal_repudiation_budget_is_not_a_crash(self, tmp_path, capsys):
+        cfg = {"qds": {**load_preset("paper-mdi")["qds"], "p_rep_budget": 5e-324}}
+        rc = main(["qds", "--config", write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == 2 and "error:" in err)
+        assert "Traceback" not in err
 
     def test_missing_field_is_config_error(self, tmp_path, capsys):
         cfg = {"qds": {"c_sig": 100, "c_test": 100}}

@@ -468,3 +468,48 @@ class TestHighsShim:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert f"scipy >= 1.15 for its HiGHS binding, found {scipy.__version__}" in out.stdout
+
+
+def _python(code, *paths):
+    """Stdout of ``code`` run in a fresh interpreter with ``paths`` and ``src`` on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [*map(str, paths), str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+class TestBindingLoad:
+    """``mathkit`` loads the HiGHS binding from its file, without ``scipy.optimize``."""
+
+    def test_scipy_optimize_is_never_imported(self):
+        # import, one LP and the LP-free qds entry point: the binding is all of scipy used
+        code = (
+            "import sys\n"
+            "from qkdnet import cli, mathkit\n"
+            "mathkit.solve_bounded_lp([1.0, -1.0], [[1.0, 1.0]], [1.5], 'min')\n"
+            "assert cli.main(['qds', '--preset', 'paper-mdi']) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        assert _python(code).splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("first, second", [("scipy.optimize", "qkdnet"), ("qkdnet", "scipy.optimize")])
+    def test_binding_loads_once_in_either_import_order(self, first, second):
+        code = (
+            f"import {first}\nimport {second}\n"
+            "import sys\n"
+            "import numpy as np\n"
+            "from qkdnet import mathkit\n"
+            "from test_mathkit import _scipy_bounded_lp\n"
+            "rng = np.random.default_rng(3)\n"
+            "lp = (rng.uniform(-1, 1, 8), rng.uniform(-1, 1, (6, 8)), rng.uniform(0.5, 2.0, 6), 'max')\n"
+            "print(mathkit._highs is sys.modules['scipy.optimize._highspy._core'])\n"
+            "print(mathkit.solve_bounded_lp(*lp) == _scipy_bounded_lp(*lp))\n"
+        )
+        assert _python(code, Path(__file__).parent).split() == ["True", "True"]
+
+    def test_scipy_without_binding_names_its_version(self, tmp_path):
+        # a scipy older than 1.15 has no optimize/_highspy to load from
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "1.14.0"\n')
+        code = "try:\n    import qkdnet.mathkit\nexcept ImportError as exc:\n    print(exc)\n"
+        assert _python(code, tmp_path).splitlines() == ["qkdnet needs scipy >= 1.15 for its HiGHS binding, found 1.14.0"]

@@ -108,6 +108,11 @@ class TestSignatureLength:
     def test_trivial_budget_one(self):
         assert signature_length(0.01, 0.02, 1.0) == 0
 
+    @pytest.mark.parametrize("budget", [5e-324, 1e-310])
+    def test_subnormal_budget_is_finite(self, budget):
+        # 1/budget overflows to inf here; the length must still be ceil(4 (-ln p) / gap^2)
+        assert signature_length(0.0, 0.5, budget) == math.ceil(4.0 * -math.log(budget) / 0.25)
+
     def test_round_trip_with_repudiation_bound(self):
         s_auth, s_ver = thresholds(0.0085, 0.0286)
         l_sig = signature_length(s_auth, s_ver, P_REP)

@@ -122,17 +122,29 @@ def schedule(
     rng = np.random.default_rng(seed)
     # One uniform per slot picks the session and one per sender its
     # intensity: below z_prob the signal class, above it u, v or w by x_probs.
+    # The class is the number of edges <= u, u = (h + r) / 2^16: h is 16
+    # random bits, and r = rng.random() is drawn only where h equals an
+    # edge's top 16 bits, so each edge counts with its exact probability
+    # (an edge at 1.0, top 65536, never counts; one at 0.0 always does).
     session_edges = np.cumsum(w / w.sum())[:2]
     sender_edges = z_prob + (1.0 - z_prob) * np.cumsum([0.0, *intensities.x_probs()[:2]])
     session, basis_a, basis_b, intensity_a, intensity_b = (np.empty(slots, np.int8) for _ in range(5))
     draws = ((session, session_edges), (intensity_a, sender_edges), (intensity_b, sender_edges))
     for start in range(0, slots, DEFAULT_CHUNK):
         sl = slice(start, min(slots, start + DEFAULT_CHUNK))
-        for out, edges in draws:
-            u = rng.random(sl.stop - sl.start)
-            out[sl] = u >= edges[0]
-            for edge in edges[1:]:
-                out[sl] += u >= edge
+        n = sl.stop - sl.start
+        # one little-endian 64-bit word carries four draws on any host
+        bits = rng.bit_generator.random_raw(-(-3 * n // 4)).astype("<u8", copy=False).view("<u2")
+        for (out, edges), h in zip(draws, bits[: 3 * n].reshape(3, n)):
+            top, frac = np.divmod(edges * 65536.0, 1.0)  # exact: the scaling is a power of two
+            cls, tie = out[sl], np.zeros(n, bool)
+            cls[:] = 0
+            for t in top.astype(int).tolist():
+                cls += h > t
+                tie |= h == t
+            tied = np.flatnonzero(tie)
+            r = rng.random((tied.size, 1))
+            cls[tied] += ((h[tied, None] == top) & (r >= frac)).sum(axis=1, dtype=np.int8)
         basis_a[sl] = intensity_a[sl] > 0  # 1 = X
         basis_b[sl] = intensity_b[sl] > 0
         # Vacuum switch: the party not sending in a point-to-point session.
@@ -198,15 +210,6 @@ def run_plan(
     :func:`schedule` drew the plan from under the same seed.  Deterministic
     under ``seed``.
     """
-    links = plan.active_links()
-    for link in sorted(links):
-        if link not in models:
-            raise KeyError(f"plan schedules link {link} but no model was given")
-        want = "MDI" if link == "AB" else "QKD"
-        if models[link].kind != want:
-            raise ValueError(f"link {link} needs a {want} model, got {models[link].kind}")
-
-    law = _outcome_table({link: models[link] for link in links}, plan.intensities)
     slots_per_key = np.zeros(CONFIG_OF.size, dtype=np.int64)
     columns = (plan.session, plan.basis_a, plan.basis_b, plan.intensity_a, plan.intensity_b)
     for start in range(0, plan.slots, DEFAULT_CHUNK):
@@ -220,7 +223,16 @@ def run_plan(
         slots_per_key += np.bincount(key, minlength=CONFIG_OF.size)
     sent = np.zeros(N_CONFIGS, dtype=np.int64)
     np.add.at(sent, CONFIG_OF, slots_per_key)
+    per_session = np.add.reduceat(sent, [0, 64, 72]).tolist()
+    links = [link for link, count in zip(LINKS, per_session) if count]
+    for link in links:
+        if link not in models:
+            raise KeyError(f"plan schedules link {link} but no model was given")
+        want = "MDI" if link == "AB" else "QKD"
+        if models[link].kind != want:
+            raise ValueError(f"link {link} needs a {want} model, got {models[link].kind}")
 
+    law = _outcome_table({link: models[link] for link in links}, plan.intensities)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     hist = rng.multinomial(sent, law)
     records = np.c_[sent, hist[:, 0] + hist[:, 1], hist[:, 0]]
@@ -228,7 +240,7 @@ def run_plan(
         "basis_mismatch_slots": int(hist[16:48].sum()),
         "cross_branch_discarded": int(hist[:64, 2].sum()),
         "branch_mismatch_discarded": int(hist[64:, 2].sum()),
-        "slots_per_session": dict(zip(SESSION_NAMES, np.add.reduceat(sent, [0, 64, 72]).tolist())),
+        "slots_per_session": dict(zip(SESSION_NAMES, per_session)),
     }
     tables = {link: CountTable(link=link) for link in LINKS}
     for row, (link, label, basis) in TABLE_ROWS.items():
@@ -242,7 +254,9 @@ def run_plan(
         errors, correct = hist[row, :2].tolist()
         size = errors + correct
         bits = rng.integers(0, 2, size=size, dtype=np.int8)
-        z_pools[link] = ZPool(bits, rng.permutation(size) < errors)
+        flags = np.zeros(size, bool)
+        flags[rng.choice(size, errors, replace=False, shuffle=False)] = True
+        z_pools[link] = ZPool(bits, flags)
     return RunResult(tables=tables, z_pools=z_pools, diagnostics=diag)
 
 

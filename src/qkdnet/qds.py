@@ -248,7 +248,8 @@ def extract_blocks(
             f"pool of {len(pool)} is too large to materialise; use n_blocks()"
         )
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(pool))
+    perm = np.arange(len(pool), dtype=np.int32)  # MAX_MATERIALISED_POOL < 2^31
+    rng.shuffle(perm)
     test_idx = np.sort(perm[:c_test])
     blocks = []
     for i in range(count):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from qkdnet.channel import (
 from qkdnet.mathkit import poisson_pmf
 from qkdnet.netsim import (
     CONFIG_OF,
+    DEFAULT_CHUNK,
     MessageBus,
     UnknownPartyError,
     _outcome_table,
@@ -82,7 +85,9 @@ class TestSchedule:
         plan = schedule(10_000, weights=(0, 1, 0), seed=5)
         assert np.all(plan.intensity_b == 3)
 
-    @pytest.mark.parametrize("x_weights", [(0.6, 0.25, 0.15), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0)])
+    @pytest.mark.parametrize(
+        "x_weights", [(0.6, 0.25, 0.15), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.5, 0.0, 0.5)]
+    )
     def test_intensity_class_fractions_within_five_sigma(self, x_weights):
         n = 10**6
         intensities = IntensitySet(s=0.8, u=0.5, v=0.15, z_basis_prob=0.65, x_weights=x_weights)
@@ -112,6 +117,140 @@ class TestSchedule:
     def test_z_prob_disagreeing_with_intensities_rejected(self):
         with pytest.raises(ValueError, match="differs from intensities.z_basis_prob"):
             schedule(100, z_prob=0.7, intensities=IntensitySet(z_basis_prob=0.8), seed=1)
+
+
+NETWORK_INTENSITIES = IntensitySet(
+    s=0.8, u=0.5, v=0.15, z_basis_prob=0.65, x_weights=(0.6, 0.25, 0.15)
+)
+
+
+def session_edges(weights):
+    w = np.asarray(weights, dtype=float)
+    return np.cumsum(w / w.sum())[:2]
+
+
+def sender_edges(intensities):
+    z = intensities.z_basis_prob
+    return z + (1.0 - z) * np.cumsum([0.0, *intensities.x_probs()[:2]])
+
+
+def class_probs(edges):
+    return np.diff([0.0, *np.clip(edges, 0.0, 1.0), 1.0])
+
+
+def scripted_schedule(monkeypatch, h, ties, weights, intensities):
+    """``schedule`` over one chunk with its random draws scripted.
+
+    ``h`` holds the 16-bit draws of the session, sender a and sender b
+    (shape (3, n)); ``ties`` the uniforms handed out, in order, whenever
+    ``schedule`` asks for them.
+    """
+    h = np.asarray(h, dtype="<u2")
+    n = h.shape[1]
+    words = np.zeros(-(-3 * n // 4) * 4, dtype="<u2")
+    words[: 3 * n] = h.ravel()
+    ties = iter(ties)
+    rng = SimpleNamespace(
+        bit_generator=SimpleNamespace(random_raw=lambda size: words.view("<u8")[:size].copy()),
+        random=lambda shape: np.array([next(ties) for _ in range(math.prod(shape))]).reshape(shape),
+    )
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    plan = schedule(n, weights=weights, intensities=intensities, seed=0)
+    assert next(ties, None) is None, "schedule left scripted tie uniforms unread"
+    return plan
+
+
+def tie_cases(edges):
+    """(h, r) pairs around each edge's top 16 bits; r is None off a tie.
+
+    At a tie r takes 0, the floats just below, at and just above the
+    edge's fraction edge * 2^16 - top, and the largest float below 1.
+    """
+    edges = [e for e in edges if e < 1.0]
+    tops = {math.floor(e * 65536) for e in edges}
+    cases = []
+    for e in edges:
+        top = math.floor(e * 65536)
+        frac = e * 65536 - top  # exact: the scaling is a power of two
+        for r in (0.0, np.nextafter(frac, 0.0), frac, np.nextafter(frac, 1.0), np.nextafter(1.0, 0.0)):
+            cases.append((top, float(r)))
+        cases += [(h, None) for h in (top - 1, top + 1) if 0 <= h < 65536 and h not in tops]
+    return cases
+
+
+def exact_class(h, r, edges):
+    """Number of edges <= u = (h + r) / 2^16, in exact arithmetic."""
+    u = (Fraction(h) + Fraction(r or 0.0)) / 65536
+    return sum(u >= Fraction(float(e)) for e in edges)
+
+
+class TestScheduleDraw:
+    @pytest.mark.parametrize("weights", [(500, 1, 1), (0, 0, 1), (1, 1, 0), (3, 0, 1)])
+    def test_session_ties_resolve_exactly(self, monkeypatch, weights):
+        edges = session_edges(weights)
+        cases = tie_cases(edges)
+        h = np.zeros((3, len(cases)), dtype=np.uint16)
+        h[0] = [hh for hh, _ in cases]
+        h[1:] = 65535  # above every sender edge's top bits: no sender ties
+        ties = [r for _, r in cases if r is not None]
+        plan = scripted_schedule(monkeypatch, h, ties, weights, NETWORK_INTENSITIES)
+        assert plan.session.tolist() == [exact_class(hh, r, edges) for hh, r in cases]
+
+    @pytest.mark.parametrize("x_weights", [(0.6, 0.25, 0.15), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (1, 1, 1)])
+    @pytest.mark.parametrize("z_prob", [0.65, 1 / 3])
+    def test_sender_ties_resolve_exactly(self, monkeypatch, x_weights, z_prob):
+        intensities = IntensitySet(s=0.8, u=0.5, v=0.15, z_basis_prob=z_prob, x_weights=x_weights)
+        edges = sender_edges(intensities)
+        cases = tie_cases(edges)
+        h = np.zeros((3, len(cases)), dtype=np.uint16)
+        h[1] = h[2] = [hh for hh, _ in cases]
+        ties = [r for _, r in cases if r is not None]
+        plan = scripted_schedule(monkeypatch, h, ties * 2, (1, 0, 0), intensities)
+        want = [exact_class(hh, r, edges) for hh, r in cases]
+        assert plan.intensity_a.tolist() == plan.intensity_b.tolist() == want
+
+    def test_boundary_edges(self):
+        # an edge at 0.0 always counts and one at 1.0 never does; zero-weight
+        # intensity classes are in test_intensity_class_fractions_within_five_sigma
+        assert np.all(schedule(100_000, weights=(0, 0, 1), seed=23).session == 2)
+        certain_z = IntensitySet(s=0.8, u=0.5, v=0.15)
+        object.__setattr__(certain_z, "z_basis_prob", 1.0)  # schedule accepts what IntensitySet refuses
+        plan = schedule(100_000, weights=(1, 0, 0), intensities=certain_z, seed=23)
+        assert np.all(plan.intensity_a == 0) and np.all(plan.intensity_b == 0)
+
+    def test_joint_law_within_five_sigma(self):
+        # the (session, class a, class b) cells, vacuum pin included
+        n, weights = 10**6, (2, 1, 1)
+        plan = schedule(n, weights=weights, intensities=NETWORK_INTENSITIES, seed=25)
+        p_session = class_probs(session_edges(weights))
+        p_class = class_probs(sender_edges(NETWORK_INTENSITIES))
+        pinned = np.eye(4)[3]
+        law = np.stack([
+            np.outer(p_class, p_class),
+            np.outer(p_class, pinned),
+            np.outer(pinned, p_class),
+        ]) * p_session[:, None, None]
+        cells = np.bincount(
+            (plan.session * 16 + plan.intensity_a * 4 + plan.intensity_b).astype(int), minlength=48
+        )
+        for count, p in zip(cells, law.ravel()):
+            assert _within_five_sigma(count, n, p)
+
+    @pytest.mark.parametrize("tail", [1, 2, 3, 100_003])
+    def test_plan_beyond_whole_chunks(self, tail):
+        weights = (2, 1, 1)
+        plan = schedule(DEFAULT_CHUNK + tail, weights=weights, intensities=NETWORK_INTENSITIES, seed=26)
+        head = schedule(DEFAULT_CHUNK, weights=weights, intensities=NETWORK_INTENSITIES, seed=26)
+        fields = ("session", "basis_a", "basis_b", "intensity_a", "intensity_b")
+        for field in fields:
+            column = getattr(plan, field)
+            assert column.shape == (DEFAULT_CHUNK + tail,)
+            assert np.array_equal(column[:DEFAULT_CHUNK], getattr(head, field))
+        rest = plan.session[DEFAULT_CHUNK:]
+        assert set(rest.tolist()) <= {0, 1, 2}
+        assert set(plan.intensity_a[DEFAULT_CHUNK:].tolist()) <= {0, 1, 2, 3}
+        for k, p in enumerate(class_probs(session_edges(weights))):
+            assert _within_five_sigma(np.count_nonzero(rest == k), tail, p)
 
 
 class TestRunPlan:

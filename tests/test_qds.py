@@ -189,6 +189,18 @@ class TestBlocks:
         with pytest.raises(ValueError):
             extract_blocks(np.zeros(100, dtype=np.int8), 80, 30, seed=1)
 
+    def test_indices_follow_the_seeds_permutation(self):
+        n, c_test, c_sig = 1_193_839, 500_000, 300_000
+        pool = np.random.default_rng(1).integers(0, 2, size=n, dtype=np.int8)
+        (test_idx, test_bits), blocks = extract_blocks(pool, c_test, c_sig, seed=5)
+        perm = np.random.default_rng(5).permutation(n)
+        assert np.array_equal(test_idx, np.sort(perm[:c_test]))
+        assert np.array_equal(test_bits, pool[np.sort(perm[:c_test])])
+        assert len(blocks) == 2
+        for i, block in enumerate(blocks):
+            want = np.sort(perm[c_test + i * c_sig : c_test + (i + 1) * c_sig])
+            assert np.array_equal(block.origin_indices, want)
+
 
 class TestTimingReport:
     def test_relay_average(self):

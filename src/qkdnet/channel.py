@@ -9,6 +9,7 @@ per-photon-number yields.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,12 +262,14 @@ def mdi_yield_model(
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _photon_law(mu: float) -> np.ndarray:
-    """Law of min(Poisson(mu), N_CUT); a tail beyond ``TAIL_LIMIT`` raises TailBoundError."""
+    """Law of min(Poisson(mu), N_CUT), cached read-only; a tail beyond TAIL_LIMIT raises TailBoundError."""
     pmf, tail = poisson_weights(mu, N_CUT)
     if tail > TAIL_LIMIT:
         raise TailBoundError(f"Poisson tail {tail:.2e} beyond N_CUT={N_CUT} for mu={mu}")
     pmf[-1] += tail
+    pmf.flags.writeable = False
     return pmf
 
 

@@ -19,13 +19,14 @@ import io
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import N_CUT, X_LABELS, CountRecord, IntensitySet
 from .mathkit import (
     LpInfeasibleError,
+    LpRows,
     poisson_pmf,
     poisson_weights,
     serfling_deviation,
@@ -51,24 +52,6 @@ class TableFormatError(ValueError):
     """A serialized count table violates the schema."""
 
 
-def _label_key(label) -> tuple:
-    """Normalise an intensity label to a hashable key."""
-    if isinstance(label, str):
-        return (label,)
-    return tuple(label)
-
-
-def _check_entry(label_key: tuple, basis: str):
-    if basis not in ("Z", "X"):
-        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    if basis == "Z":
-        if any(l != "s" for l in label_key):
-            raise ValueError(f"Z-basis entries carry only the signal class, got {label_key}")
-    else:
-        if any(l not in X_LABELS for l in label_key):
-            raise ValueError(f"X-basis entries carry only u/v/w, got {label_key}")
-
-
 @dataclass
 class CountTable:
     """Per-link tallies keyed by (intensity label(s), basis).
@@ -85,13 +68,21 @@ class CountTable:
             raise ValueError(f"link must be AB, AC or BC, got {self.link!r}")
 
     def add(self, label, basis: str, record: CountRecord):
-        key = _label_key(label)
-        _check_entry(key, basis)
+        key = (label,) if isinstance(label, str) else tuple(label)
+        if basis not in ("Z", "X"):
+            raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+        allowed = ("s",) if basis == "Z" else X_LABELS
+        if any(l not in allowed for l in key):
+            raise ValueError(f"{basis}-basis entries carry only {'/'.join(allowed)}, got {key}")
+        if len(key) != 1 + self.is_pair:
+            raise ValueError(f"label {key} has the wrong arity for link {self.link}")
+        if (key, basis) in self.entries:
+            raise ValueError(f"duplicate entry for {key} in basis {basis}")
         self.entries[(key, basis)] = record
 
     @property
     def is_pair(self) -> bool:
-        return any(len(key) == 2 for key, _ in self.entries)
+        return self.link == "AB"
 
     def z_entry(self) -> CountRecord:
         for (key, basis), rec in self.entries.items():
@@ -105,7 +96,8 @@ class CountTable:
         rows = []
         for (key, basis), rec in sorted(self.entries.items()):
             intensity = key[0] if len(key) == 1 else list(key)
-            rows.append({"intensity": intensity, "basis": basis, **asdict(rec)})
+            rows.append({"intensity": intensity, "basis": basis,
+                         "sent": rec.sent, "detected": rec.detected, "errors": rec.errors})
         return json.dumps({"link": self.link, "entries": rows}, sort_keys=True)
 
     @classmethod
@@ -181,10 +173,51 @@ def widen_counts(record: CountRecord, eps: float, numerator: str = "detected") -
         raise ValueError("cannot widen a record with zero sent pulses")
     if not 0.0 < eps <= 2.0:
         raise ValueError(f"eps must be in (0, 2], got {eps!r}")
+    if numerator not in ("detected", "errors"):
+        raise ValueError(f"numerator must be 'detected' or 'errors', got {numerator!r}")
     count = getattr(record, numerator)
     p_hat = count / record.sent
     delta = math.sqrt(math.log(2.0 / eps) / (2.0 * record.sent))
     return max(0.0, p_hat - delta), min(1.0, p_hat + delta)
+
+
+@functools.lru_cache(maxsize=16)
+def _decoy_lp(senders: int, x_mus: tuple) -> tuple:
+    """Every part of both decoy LPs fixed by ``senders`` and the X-class
+    intensities ``x_mus``, built once per intensity set; arrays are read-only
+    and per-key entries follow ``itertools.product(X_LABELS, repeat=senders)``."""
+    pmf = {label: poisson_weights(mu, N_CUT)[0] for label, mu in zip(X_LABELS, x_mus)}
+    x_keys = list(itertools.product(X_LABELS, repeat=senders))
+    # One variable per photon-number tuple, row-major; relay rows keep only
+    # the simplex n + m <= N_CUT and count the rest as tail mass.
+    mask = np.indices((N_CUT + 1,) * senders).sum(axis=0) <= N_CUT
+    coords = np.argwhere(mask)
+    index = np.zeros(mask.shape, dtype=int)
+    index[mask] = np.arange(len(coords))
+    weights, tails = [], []
+    for key in x_keys:
+        w = np.where(mask, functools.reduce(np.multiply.outer, [pmf[l] for l in key]), 0.0)
+        weights.append(w[mask])
+        tails.append(max(0.0, 1.0 - w.sum()))
+    weights, tails = np.array(weights), np.array(tails)
+    # Rate rows shared by both LPs, per key: -W_k x <= -max(0, lo_k - tail_k), W_k x <= hi_k.
+    rate_rows = np.stack([-weights, weights], axis=1).reshape(-1, len(coords))
+
+    # Threshold detection never clicks less when more photons arrive, so the
+    # true yields are monotone in each photon-number index; the rows
+    # y(n) - y(n + e_axis) <= 0 tighten the yield LP considerably in the
+    # low-count regime.  Error gains carry no such guarantee.
+    step = coords[:, None, :] + np.eye(senders, dtype=int)
+    var, axis = np.nonzero(step.sum(axis=2) <= N_CUT)
+    monotone = np.zeros((len(var), len(coords)))
+    monotone[np.arange(len(var)), var] = 1.0
+    monotone[np.arange(len(var)), index[tuple(step[var, axis].T)]] = -1.0
+
+    objective = np.zeros(len(coords))
+    objective[index[(1,) * senders]] = 1.0
+    tails.flags.writeable = objective.flags.writeable = False
+    p1_x = tuple(math.prod(pmf[l][1] for l in key) for key in x_keys)
+    return tails, p1_x, objective, LpRows(rate_rows), LpRows(np.vstack([rate_rows, monotone])), len(var)
 
 
 def estimate_bounds(
@@ -224,45 +257,16 @@ def estimate_bounds(
     # diagnostics); the Serfling share is capped at its own domain.
     eps_serf = min(1.0, eps_each)
 
-    # One variable per photon-number tuple, row-major; relay rows keep only
-    # the simplex n + m <= N_CUT and count the rest as tail mass.
-    mask = np.indices((N_CUT + 1,) * senders).sum(axis=0) <= N_CUT
-    coords = np.argwhere(mask)
-    index = np.zeros(mask.shape, dtype=int)
-    index[mask] = np.arange(len(coords))
-    pmf = {label: poisson_weights(intensities.mu(label), N_CUT)[0] for label in X_LABELS}
-    weights, tails = [], []
-    for key in x_keys:
-        w = np.where(mask, functools.reduce(np.multiply.outer, [pmf[l] for l in key]), 0.0)
-        weights.append(w[mask])
-        tails.append(max(0.0, 1.0 - w.sum()))
-    weights, tails = np.array(weights), np.array(tails)
-    # Rate rows shared by both LPs, per key: -W_k x <= -max(0, lo_k - tail_k), W_k x <= hi_k.
-    rate_rows = np.stack([-weights, weights], axis=1).reshape(-1, len(coords))
+    x_mus = tuple(intensities.mu(label) for label in X_LABELS)
+    tails, p1_x, objective, rate_rows, yield_rows, n_monotone = _decoy_lp(senders, x_mus)
 
     def rate_rhs(numerator):
         lo, hi = np.array([widen_counts(x_records[k], eps_each, numerator) for k in x_keys]).T
         return np.stack([-np.maximum(0.0, lo - tails), hi], axis=1).ravel()
 
-    # Threshold detection never clicks less when more photons arrive, so the
-    # true yields are monotone in each photon-number index; the rows
-    # y(n) - y(n + e_axis) <= 0 tighten the yield LP considerably in the
-    # low-count regime.  Error gains carry no such guarantee.
-    step = coords[:, None, :] + np.eye(senders, dtype=int)
-    var, axis = np.nonzero(step.sum(axis=2) <= N_CUT)
-    monotone = np.zeros((len(var), len(coords)))
-    monotone[np.arange(len(var)), var] = 1.0
-    monotone[np.arange(len(var)), index[tuple(step[var, axis].T)]] = -1.0
-
-    objective = np.zeros(len(coords))
-    objective[index[(1,) * senders]] = 1.0
+    yield_rhs = np.concatenate([rate_rhs("detected"), np.zeros(n_monotone)])
     try:
-        y1 = solve_bounded_lp(
-            objective,
-            np.vstack([rate_rows, monotone]),
-            np.concatenate([rate_rhs("detected"), np.zeros(len(var))]),
-            "min",
-        )
+        y1 = solve_bounded_lp(objective, yield_rows, yield_rhs, "min")
         z1 = solve_bounded_lp(objective, rate_rows, rate_rhs("errors"), "max")
     except LpInfeasibleError as exc:
         raise InconsistentCountsError(
@@ -273,11 +277,10 @@ def estimate_bounds(
     z1_upper = min(1.0, max(0.0, z1))
 
     p1_z = poisson_pmf(intensities.mu("s"), 1) ** senders
-    p1_x = {key: math.prod(pmf[l][1] for l in key) for key in x_keys}
 
     s1_lower = int(math.floor(z_record.sent * p1_z * y1_lower))
     s1_lower = min(s1_lower, z_record.detected)
-    n_x1 = int(math.floor(sum(x_records[k].sent * p1_x[k] for k in x_keys) * y1_lower))
+    n_x1 = int(math.floor(sum(x_records[k].sent * p1 for k, p1 in zip(x_keys, p1_x)) * y1_lower))
 
     if y1_lower <= 0.0 or s1_lower < 1 or n_x1 < 1:
         eph_upper = 0.5

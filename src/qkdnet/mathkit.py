@@ -40,6 +40,7 @@ __all__ = [
     "poisson_pmf",
     "poisson_weights",
     "LpInfeasibleError",
+    "LpRows",
     "solve_bounded_lp",
     "check_probability",
 ]
@@ -173,11 +174,28 @@ _HIGHS_OPTIONS = {presolve: _highs_options(presolve) for presolve in (True, Fals
 _STATUS = _highs.HighsModelStatus
 
 
+class LpRows:
+    """Constraint rows built once for many solves: a read-only copy of ``a`` and
+    its column-wise nonzeros in scipy's CSC order, as tuples (faster across the
+    binding than arrays).  Array-like, so it goes wherever ``a_ub`` does."""
+
+    def __init__(self, a):
+        self.a = np.array(a, dtype=float)
+        self.a.flags.writeable = False
+        nonzero = self.a.T != 0.0
+        start = (0, *np.cumsum(nonzero.sum(axis=1)).tolist())
+        self.colwise = start, tuple(np.nonzero(nonzero)[1].tolist()), tuple(self.a.T[nonzero].tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.a, dtype=dtype, copy=copy)
+
+
 def linprog(c, a_ub, b_ub, presolve: bool = True):
     """``(model status, objective)`` of min ``c @ x`` s.t. ``a_ub @ x <= b_ub`` over the unit box.
 
     The objective means something only at ``kOptimal``.  Each call builds a
     fresh solver, so no basis carries over and no value depends on call order.
+    An :class:`LpRows` ``a_ub`` spares rebuilding the column-wise form.
     """
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     a = a.reshape(0, c.size) if a.size == 0 else a
@@ -186,18 +204,14 @@ def linprog(c, a_ub, b_ub, presolve: bool = True):
     if not all(np.isfinite(v).all() for v in (c, a, b)):
         raise ValueError("LP data must be finite")
     n, m = c.size, b.size
-    # Column-wise nonzeros, as scipy's CSC conversion hands them to HiGHS;
-    # Python lists cross the binding faster than numpy arrays.
-    nonzero = a.T != 0.0
     lp = _highs.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), [0.0] * n, [1.0] * n
     lp.row_lower_, lp.row_upper_ = [-math.inf] * m, b.tolist()
     matrix = lp.a_matrix_
     matrix.format_, matrix.num_col_, matrix.num_row_ = _highs.MatrixFormat.kColwise, n, m
-    matrix.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
-    matrix.index_ = np.nonzero(nonzero)[1].tolist()
-    matrix.value_ = a.T[nonzero].tolist()
+    rows = a_ub if isinstance(a_ub, LpRows) else LpRows(a)
+    matrix.start_, matrix.index_, matrix.value_ = rows.colwise
     highs = _highs._Highs()
     highs.passOptions(_HIGHS_OPTIONS[presolve])
     if highs.passModel(lp) == _highs.HighsStatus.kError:

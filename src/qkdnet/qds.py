@@ -277,6 +277,11 @@ class Holding:
     positions: np.ndarray  # block-local indices into the link's declaration
     bits: np.ndarray
 
+    def __post_init__(self):
+        positions, bits = np.asarray(self.positions), np.asarray(self.bits)
+        if positions.ndim != 1 or bits.shape != positions.shape or (positions < 0).any():
+            raise ValueError(f"need 1-D positions >= 0 and bits to match, got {positions.shape}, {bits.shape}")
+
 
 @dataclass(frozen=True)
 class Verdict:

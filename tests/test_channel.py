@@ -182,6 +182,27 @@ class TestExpectedGainAndQber:
         assert qber <= 0.5 + 1e-12
 
 
+class TestPhotonLaw:
+    """``_photon_law`` is cached per intensity: its arrays are shared, so they
+    are read-only, and a refused intensity is refused on every call."""
+
+    def test_cached_law_is_read_only(self):
+        law = channel._photon_law(0.5)
+        assert channel._photon_law(0.5) is law
+        with pytest.raises(ValueError, match="read-only"):
+            law[1] = 5.0
+        assert law[1] == poisson_pmf(0.5, 1)
+
+    def test_tail_beyond_limit_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(TailBoundError, match="mu=8.0"):
+                channel._photon_law(8.0)
+        model = qkd_yield_model(ChannelParams(distance_km=10))
+        for _ in range(2):
+            with pytest.raises(TailBoundError):
+                expected_gain_and_qber(model, 8.0)
+
+
 class TestOutcomeLaw:
     @settings(max_examples=60)
     @given(

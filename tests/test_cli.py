@@ -136,6 +136,21 @@ class TestKeyrate:
         assert "row 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("AC,s,Z,100,10,0\nAC,u,X,50,5,0\nAC,u,X,50,7,1\n", "row 4: duplicate"),
+            ("AC,s,Z,100,10,0\nAC,u:v,X,50,5,0\n", "row 3: label ('u', 'v') has the wrong arity"),
+        ],
+    )
+    def test_duplicate_or_wrong_arity_row_is_format_error(self, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("link,intensity,basis,sent,detected,errors\n" + rows)
+        rc = main(["keyrate", "--counts", str(bad)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--s", "8", "Poisson tail"),  # a signal class beyond the photon-number cutoff

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
 
 from qkdnet import decoy, mathkit
@@ -20,6 +23,7 @@ from qkdnet.decoy import (
     widen_counts,
 )
 from qkdnet.keyrate import synthesize_table
+from qkdnet.mathkit import solve_bounded_lp
 
 X_SINGLE = ("u", "v", "w")
 
@@ -75,6 +79,11 @@ class TestWidenCounts:
         with pytest.raises(ValueError):
             widen_counts(CountRecord(0, 0, 0), 0.5)
 
+    @pytest.mark.parametrize("numerator", ["sent", "DETECTED", "error"])
+    def test_other_numerators_rejected(self, numerator):
+        with pytest.raises(ValueError, match="numerator"):
+            widen_counts(CountRecord(10**6, 10**5, 10**4), 0.5, numerator=numerator)
+
 
 class TestCountTable:
     def test_z_basis_accepts_signal_only(self):
@@ -104,6 +113,54 @@ class TestCountTable:
         text = "link,intensity,basis,sent,detected,errors\nAC,s,Z,100,10,0\nAC,u,X,50,oops,0\n"
         with pytest.raises(TableFormatError, match="row 3"):
             CountTable.from_csv(text)
+
+    def test_duplicate_entry_rejected(self):
+        table = CountTable(link="AC")
+        table.add("u", "X", CountRecord(100, 10, 1))
+        with pytest.raises(ValueError, match="duplicate"):
+            table.add("u", "X", CountRecord(100, 20, 2))
+        assert table.entries[(("u",), "X")] == CountRecord(100, 10, 1)
+
+    @pytest.mark.parametrize(
+        "link, label, basis",
+        [("AC", ("u", "v"), "X"), ("BC", ("s", "s"), "Z"), ("AB", "u", "X"), ("AB", ("s",), "Z")],
+    )
+    def test_label_arity_must_fit_link(self, link, label, basis):
+        table = CountTable(link=link)
+        with pytest.raises(ValueError, match="arity"):
+            table.add(label, basis, CountRecord(100, 10, 1))
+        assert table.entries == {}
+        assert table.is_pair == (link == "AB")
+
+    def test_csv_duplicate_row_is_format_error(self):
+        text = (
+            "link,intensity,basis,sent,detected,errors\n"
+            "AC,s,Z,100,10,0\nAC,u,X,50,5,0\nAC,u,X,50,7,1\n"
+        )
+        with pytest.raises(TableFormatError, match="row 4.*duplicate"):
+            CountTable.from_csv(text)
+
+    def test_json_pair_label_on_point_to_point_link_is_format_error(self):
+        doc = {"link": "AC", "entries": [
+            {"intensity": ["u", "v"], "basis": "X", "sent": 100, "detected": 10, "errors": 1},
+        ]}
+        with pytest.raises(TableFormatError, match="arity"):
+            CountTable.from_json(json.dumps(doc))
+
+    def test_json_bytes_unchanged(self):
+        # serialised by the asdict-based writer this one replaced
+        side = ChannelParams(distance_km=15)
+        table = synthesize_table(qkd_yield_model(side), IntensitySet(), 10**10, "QKD", "AC", seed=3)
+        assert table.to_json() == (
+            '{"entries": [{"basis": "Z", "detected": 204122824, "errors": 1025542, "intensity": "s", '
+            '"sent": 8000000000}, {"basis": "X", "detected": 3473249, "errors": 17816, "intensity": "u", '
+            '"sent": 666666667}, {"basis": "X", "detected": 697808, "errors": 3782, "intensity": "v", '
+            '"sent": 666666667}, {"basis": "X", "detected": 705, "errors": 370, "intensity": "w", '
+            '"sent": 666666667}], "link": "AC"}'
+        )
+        relay = synthesize_table(mdi_yield_model(side, side), IntensitySet(), 10**12, "MDI", "AB", seed=3)
+        digest = hashlib.sha256(relay.to_json().encode()).hexdigest()
+        assert digest == "fa2c16e4733a1ad22d772a47d7839abeb09bf1c77f7ec3056665be7b298b4fee"
 
     def test_record_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -231,6 +288,45 @@ class TestLpContract:
         table = synthesize_table(model, intensities, 10**13, mode, link, seed=1)
         estimate_bounds(table, intensities, 1e-6, mode)
         assert calls == {"solve": 2, "linprog": 2}
+
+
+class TestLpCache:
+    """The intensity-fixed parts of the decoy LPs are built once per intensity
+    set and shared, so none of them may be written through or go stale."""
+
+    def test_cached_arrays_are_read_only(self):
+        for senders in (1, 2):
+            tails, p1_x, objective, rate_rows, yield_rows, _ = decoy._decoy_lp(senders, (0.2, 0.05, 0.0))
+            arrays = [tails, objective]
+            for rows in (rate_rows, yield_rows):
+                arrays += [rows.a, np.asarray(rows)]
+                with pytest.raises(TypeError):
+                    rows.colwise[2][0] = 5.0
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 5.0
+            with pytest.raises(TypeError):
+                p1_x[0] = 5.0
+
+    @pytest.mark.parametrize("mode, link", [("QKD", "AC"), ("MDI", "AB")])
+    def test_rows_follow_every_x_intensity(self, monkeypatch, mode, link):
+        seen = []
+
+        def recorded(c, a_ub, b_ub, sense):
+            seen.append(np.array(a_ub))
+            return solve_bounded_lp(c, a_ub, b_ub, sense)
+
+        monkeypatch.setattr(decoy, "solve_bounded_lp", recorded)
+        side = ChannelParams(distance_km=10)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        for u in (0.2, 0.3, 0.2):  # the last set repeats the first, from the cache
+            intensities = IntensitySet(s=0.5, u=u, v=0.05, w=0.0)
+            table = synthesize_table(model, intensities, 10**12, mode, link, seed=2)
+            estimate_bounds(table, intensities, 1e-6, mode)
+        assert len(seen) == 6
+        first, second, again = seen[0:2], seen[2:4], seen[4:6]
+        assert not any(np.array_equal(a, b) for a, b in zip(first, second))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 class TestRestrictToBlock:

@@ -392,6 +392,49 @@ class TestHighsShim:
         assert len(solved) == 6
         assert all(value == oracle for value, oracle in solved)
 
+    @pytest.mark.parametrize("mode, kms", [("QKD", (5, 15, 30)), ("MDI", (2, 10, 25))])
+    def test_cached_decoy_lps_equal_fresh_build(self, monkeypatch, mode, kms):
+        # estimate_bounds reuses one build per intensity set; each LP it solves
+        # must be the one a fresh, uncached build gives, and solve to the oracle
+        solved = {}
+
+        def recorded(c, a_ub, b_ub, sense):
+            value = solve_bounded_lp(c, a_ub, b_ub, sense)
+            assert value == _scipy_bounded_lp(c, a_ub, b_ub, sense)
+            solved[build].append((np.array(c), np.array(a_ub), np.array(b_ub), sense, value))
+            return value
+
+        monkeypatch.setattr(decoy, "solve_bounded_lp", recorded)
+        intensities = IntensitySet(s=0.5, u=0.2, v=0.05, w=0.0)
+        link = "AC" if mode == "QKD" else "AB"
+        tables = []
+        for km in kms:
+            side = ChannelParams(distance_km=km)
+            model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+            tables.append(synthesize_table(model, intensities, 10**12, mode, link, km))
+        for build in ("cached", "fresh"):
+            solved[build] = []
+            if build == "fresh":
+                monkeypatch.setattr(decoy, "_decoy_lp", decoy._decoy_lp.__wrapped__)
+            for table in tables:
+                estimate_bounds(table, intensities, 1e-6, mode)
+        assert len(solved["cached"]) == len(solved["fresh"]) == 2 * len(kms)
+        for cached, fresh in zip(solved["cached"], solved["fresh"]):
+            assert all(np.array_equal(x, y) for x, y in zip(cached[:3], fresh[:3]))
+            assert cached[3:] == fresh[3:]
+
+    def test_lp_rows_are_a_read_only_copy(self):
+        a = np.array([[1.0, 0.0], [0.0, -2.0], [3.0, 4.0]])
+        rows = mathkit.LpRows(a)
+        a[0, 0] = 9.0
+        assert np.array_equal(np.asarray(rows), [[1.0, 0.0], [0.0, -2.0], [3.0, 4.0]])
+        assert rows.colwise == ((0, 2, 4), (0, 2, 1, 2), (1.0, 3.0, -2.0, 4.0))
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(rows)[0, 0] = 9.0
+        value = solve_bounded_lp([1.0, 1.0], rows, [0.5, 1.0, 4.0], "max")
+        assert value == solve_bounded_lp([1.0, 1.0], rows.a.copy(), [0.5, 1.0, 4.0], "max")
+        assert value == pytest.approx(1.125, rel=1e-9)
+
     def test_feasibility_tolerance_is_1e_10(self):
         # x + 0.3 y <= 0.5 against x + 0.3 y >= 0.5 + gap: a gap of 1e-9 is
         # infeasible at the 1e-10 tolerance (HiGHS's default 1e-7 accepts it)

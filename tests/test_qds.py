@@ -284,6 +284,19 @@ class TestSignAndVerify:
         assert not verdicts["direct"].accepted
         assert "fewer than" in verdicts["direct"].reason
 
+    @pytest.mark.parametrize(
+        "positions, bits",
+        [
+            (np.arange(10), np.array([1])),  # one held bit against ten positions
+            (np.arange(3), np.zeros(4, dtype=np.int8)),
+            (np.array([-1, 0]), np.array([0, 1], dtype=np.int8)),  # would check the last declared bit
+            (np.arange(4).reshape(2, 2), np.zeros((2, 2), dtype=np.int8)),
+        ],
+    )
+    def test_holding_arrays_validated(self, positions, bits):
+        with pytest.raises(ValueError, match="1-D positions"):
+            Holding("AB", positions, bits)
+
     def test_message_bit_must_be_binary(self):
         with pytest.raises(ValueError, match="message_bit"):
             self.session(self.keys["AB"], self.keys["AB"], message_bit=2)

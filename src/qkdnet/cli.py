@@ -151,7 +151,7 @@ def cmd_keyrate(args) -> int:
     intensities = _build(IntensitySet, {l: getattr(args, l) for l in LABELS}, "keyrate intensities")
     security = _build(SecurityParams, {k: getattr(args, k) for k in SECURITY_FLAGS}, "keyrate security")
     table = _read_table(args.counts)
-    mode = args.mode or ("MDI" if table.is_pair else "QKD")
+    mode = "MDI" if table.is_pair else "QKD"
     bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
     z_rec = table.z_entry()
     qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_key = sub.add_parser("keyrate", help="decoy bounds and key length from a counts file")
     p_key.add_argument("--counts", required=True, help="count table (.json or .csv)")
-    p_key.add_argument("--mode", choices=("QKD", "MDI"), default=None)
     for label in LABELS:
         p_key.add_argument(f"--{label}", type=float, default=getattr(IntensitySet, label))
     for name in SECURITY_FLAGS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 
@@ -157,21 +158,18 @@ def poisson_weights(mu: float, n_cut: int) -> tuple[np.ndarray, float]:
     return pmf, max(0.0, 1.0 - pmf.sum())
 
 
-def _highs_options(presolve: bool):
-    # exactly what scipy.optimize.linprog(method="highs") passes for these settings
-    options = _highs.HighsOptions()
-    options.presolve = "on" if presolve else "off"
-    options.primal_feasibility_tolerance = 1e-10
-    options.dual_feasibility_tolerance = 1e-10
-    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = False
-    options.log_to_console = False
-    return options
-
-
-_HIGHS_OPTIONS = {presolve: _highs_options(presolve) for presolve in (True, False)}
+# exactly what scipy.optimize.linprog(method="highs") passes for these settings
+_OPTIONS = _highs.HighsOptions()
+_OPTIONS.presolve = "off"
+_OPTIONS.primal_feasibility_tolerance = 1e-10
+_OPTIONS.dual_feasibility_tolerance = 1e-10
+_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
 _STATUS = _highs.HighsModelStatus
+# One solver per thread: a shared one could take another thread's model between passModel and run.
+_THREAD = threading.local()
 
 
 class LpRows:
@@ -190,12 +188,12 @@ class LpRows:
         return np.array(self.a, dtype=dtype, copy=copy)
 
 
-def linprog(c, a_ub, b_ub, presolve: bool = True):
+def linprog(c, a_ub, b_ub):
     """``(model status, objective)`` of min ``c @ x`` s.t. ``a_ub @ x <= b_ub`` over the unit box.
 
-    The objective means something only at ``kOptimal``.  Each call builds a
-    fresh solver, so no basis carries over and no value depends on call order.
-    An :class:`LpRows` ``a_ub`` spares rebuilding the column-wise form.
+    The objective means something only at ``kOptimal``.  One presolve-off solve on the
+    thread's solver, whose ``passModel`` drops the last model and basis: no value depends
+    on call order.  An :class:`LpRows` ``a_ub`` spares rebuilding the column-wise form.
     """
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     a = a.reshape(0, c.size) if a.size == 0 else a
@@ -212,8 +210,10 @@ def linprog(c, a_ub, b_ub, presolve: bool = True):
     matrix.format_, matrix.num_col_, matrix.num_row_ = _highs.MatrixFormat.kColwise, n, m
     rows = a_ub if isinstance(a_ub, LpRows) else LpRows(a)
     matrix.start_, matrix.index_, matrix.value_ = rows.colwise
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS[presolve])
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _highs._Highs()
+        highs.passOptions(_OPTIONS)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         return _STATUS.kModelError, math.nan
     highs.run()
@@ -239,10 +239,6 @@ def solve_bounded_lp(objective, a_ub, b_ub, sense: str = "min") -> float:
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     sign = 1.0 if sense == "min" else -1.0
     status, value = linprog(sign * c, a_ub, b_ub)
-    if status == _STATUS.kInfeasible:
-        # Presolve can misjudge constraint windows thinner than its own
-        # tolerances; only a full solve may declare infeasibility.
-        status, value = linprog(sign * c, a_ub, b_ub, presolve=False)
     if status == _STATUS.kInfeasible:
         raise LpInfeasibleError("constraints admit no feasible point")
     if status != _STATUS.kOptimal:

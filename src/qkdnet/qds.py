@@ -279,8 +279,12 @@ class Holding:
 
     def __post_init__(self):
         positions, bits = np.asarray(self.positions), np.asarray(self.bits)
-        if positions.ndim != 1 or bits.shape != positions.shape or (positions < 0).any():
-            raise ValueError(f"need 1-D positions >= 0 and bits to match, got {positions.shape}, {bits.shape}")
+        # min and max, not elementwise masks: a holding can be a whole block of bits
+        if (positions.ndim != 1 or bits.shape != positions.shape or positions.dtype.kind not in "iu"
+                or bits.dtype.kind not in "biu" or (positions.size and positions.min() < 0)
+                or (bits.size and not 0 <= bits.min() <= bits.max() <= 1)):
+            raise ValueError(f"need 1-D positions >= 0 and 0/1 bits to match, all integer (bits may be bool), "
+                             f"got {positions.dtype} {positions.shape}, {bits.dtype} {bits.shape}")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from qkdnet import keyrate
+from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model
 from qkdnet.cli import load_preset, main
 from qkdnet.decoy import InconsistentCountsError
+from qkdnet.keyrate import synthesize_table
 
 SIM_CONFIG = {
     "slots": 50_000,
@@ -167,6 +169,20 @@ class TestKeyrate:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
         assert not out.exists()
+
+
+    def test_mode_follows_the_link(self, tmp_path, capsys):
+        # the link fixes the mode (AB is MDI, AC and BC are QKD); there is no flag to contradict it
+        side = ChannelParams(distance_km=2)
+        table = synthesize_table(mdi_yield_model(side, side), IntensitySet(), 10**12, "MDI", "AB", 1)
+        counts = tmp_path / "counts_AB.json"
+        counts.write_text(table.to_json(), encoding="utf-8")
+        with pytest.raises(SystemExit) as exited:
+            main(["keyrate", "--counts", str(counts), "--mode", "QKD"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --mode QKD" in capsys.readouterr().err
+        assert main(["keyrate", "--counts", str(counts)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == ["AB", "MDI"]
 
 
 class TestSweep:

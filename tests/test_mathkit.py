@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -325,18 +326,33 @@ class TestSolveBoundedLp:
 
 def _scipy_bounded_lp(c, a_ub, b_ub, sense):
     """``solve_bounded_lp`` spelt with the public ``scipy.optimize.linprog``:
-    the same HiGHS options and the same presolve-off retry on infeasibility."""
+    the same HiGHS options, presolve off."""
     sign = 1.0 if sense == "min" else -1.0
-    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10, "presolve": False}
     res = scipy_linprog(sign * c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs", options=options)
-    if res.status == 2:
-        res = scipy_linprog(
-            sign * c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs",
-            options={**options, "presolve": False},
-        )
     if not res.success:
         raise RuntimeError(res.message)
     return float(sign * res.fun)
+
+
+def _decoy_lps(mode, kms):
+    """``(c, a_ub, b_ub, sense)`` of each LP ``estimate_bounds`` solves on one
+    10^12-pulse table per distance."""
+    lps = []
+
+    def recorded(c, a_ub, b_ub, sense):
+        lps.append((np.array(c), a_ub, np.array(b_ub), sense))
+        return solve_bounded_lp(c, a_ub, b_ub, sense)
+
+    intensities = IntensitySet(s=0.5, u=0.2, v=0.05, w=0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoy, "solve_bounded_lp", recorded)
+        for km in kms:
+            side = ChannelParams(distance_km=km)
+            model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+            table = synthesize_table(model, intensities, 10**12, mode, "AC" if mode == "QKD" else "AB", km)
+            estimate_bounds(table, intensities, 1e-6, mode)
+    return lps
 
 
 def _outcome(solve, *args):
@@ -450,32 +466,72 @@ class TestHighsShim:
         first = solve_bounded_lp(*lp_a)
         solve_bounded_lp(*lp_b)
         assert solve_bounded_lp(*lp_a) == first
+        # the decoy LPs, solved one after another on the same solver
+        lps = [lp_a, lp_b, *_decoy_lps("QKD", (5, 15, 30)), *_decoy_lps("MDI", (2, 10, 25))]
+        values = [solve_bounded_lp(*lp) for lp in lps]
+        for i in rng.permutation(len(lps)):
+            assert solve_bounded_lp(*lps[i]) == values[i]
 
-    def test_retries_with_presolve_off(self, monkeypatch):
-        calls = []
-        real = mathkit.linprog
+    def test_one_solver_per_thread(self, monkeypatch):
+        built = []
+        real = mathkit._highs._Highs
 
-        def presolve_says_infeasible(c, a_ub, b_ub, presolve=True):
-            calls.append(presolve)
-            if presolve:
-                return HighsModelStatus.kInfeasible, math.nan
-            return real(c, a_ub, b_ub, presolve=False)
+        def counting():
+            built.append(threading.get_ident())
+            return real()
 
-        monkeypatch.setattr(mathkit, "linprog", presolve_says_infeasible)
-        value = solve_bounded_lp([1.0], [[1.0]], [0.3], "max")
-        assert calls == [True, False]
-        assert value == -real([-1.0], [[1.0]], [0.3], presolve=False)[1]
-        assert value == pytest.approx(0.3, rel=1e-12)
+        monkeypatch.setattr(mathkit._highs, "_Highs", counting)
+        values = []
+        thread = threading.Thread(
+            target=lambda: values.extend(solve_bounded_lp([1.0, -1.0], [[1.0, 1.0]], [1.5], "max") for _ in range(200))
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert values == [1.0] * 200
+        assert built == [thread.ident]
+
+    def test_infeasible_solve_leaves_no_state(self):
+        c, a_ub, b_ub, sense = _decoy_lps("MDI", (10,))[0]
+        with pytest.raises(LpInfeasibleError):
+            solve_bounded_lp([1.0], [[-1.0]], [-2.0], "min")
+        assert solve_bounded_lp(c, a_ub, b_ub, sense) == _scipy_bounded_lp(c, a_ub, b_ub, sense)
+
+    def test_threads_do_not_share_a_solver(self):
+        lps = [_decoy_lps("QKD", (15,))[0], _decoy_lps("MDI", (10,))[0]]
+        expected = [solve_bounded_lp(*lp) for lp in lps]
+        results = [[], []]
+
+        def solve(i):
+            for _ in range(100):
+                try:
+                    results[i].append(solve_bounded_lp(*lps[i]))
+                except (ValueError, RuntimeError) as exc:
+                    results[i].append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected[0]] * 100, [expected[1]] * 100]
 
     @pytest.mark.parametrize(
         "status, error, calls",
-        [("kInfeasible", LpInfeasibleError, [True, False]), ("kModelError", RuntimeError, [True])],
+        [("kInfeasible", LpInfeasibleError, [[1.0]]), ("kModelError", RuntimeError, [[1.0]])],
     )
     def test_failures_raise(self, monkeypatch, status, error, calls):
+        # one linprog call for either status: no retry
         seen = []
 
-        def failing(c, a_ub, b_ub, presolve=True):
-            seen.append(presolve)
+        def failing(c, a_ub, b_ub):
+            seen.append(c.tolist())
             return getattr(HighsModelStatus, status), math.nan
 
         monkeypatch.setattr(mathkit, "linprog", failing)

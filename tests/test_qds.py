@@ -297,6 +297,24 @@ class TestSignAndVerify:
         with pytest.raises(ValueError, match="1-D positions"):
             Holding("AB", positions, bits)
 
+    @pytest.mark.parametrize(
+        "positions, bits",
+        [
+            (np.array([0.0, 1.0]), np.array([0, 1], dtype=np.int8)),  # float positions failed later in _check
+            (np.arange(2), np.array([0.3, 7.0])),
+            (np.arange(2), np.array([0.0, 1.0])),
+            (np.arange(2), np.array([0, 2], dtype=np.int8)),
+            (np.arange(2), np.array([-1, 1])),
+        ],
+    )
+    def test_holding_dtypes_validated(self, positions, bits):
+        with pytest.raises(ValueError, match="0/1 bits to match, all integer"):
+            Holding("AB", positions, bits)
+
+    def test_holding_takes_unsigned_positions_and_bool_bits(self):
+        holding = Holding("AB", np.arange(3, dtype=np.uint32), np.array([True, False, True]))
+        assert len(holding.positions) == 3
+
     def test_message_bit_must_be_binary(self):
         with pytest.raises(ValueError, match="message_bit"):
             self.session(self.keys["AB"], self.keys["AB"], message_bit=2)

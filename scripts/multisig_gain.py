@@ -3,36 +3,22 @@
 
 Compares the multiple-signatures-per-acquisition protocol against the
 one-signature-per-acquisition baseline on the same synthetic pool and equal
-per-signature failure budgets.
+per-signature failure budgets, over the relay link of the ``desk`` preset.
 """
 
 import argparse
 
-from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model
+from qkdnet.cli import load_network, load_preset
 from qkdnet.experiments import multisig_comparison
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pulses", type=float, default=5e8, help="total acquisition budget")
-    parser.add_argument("--efficiency", type=float, default=0.95)
-    parser.add_argument("--misalignment", type=float, default=0.002)
-    parser.add_argument("--eps-decoy", type=float, default=1e-11)
     args = parser.parse_args()
 
-    side = ChannelParams(
-        distance_km=0.0,
-        detector_efficiency=args.efficiency,
-        dark_count_prob=1e-7,
-        misalignment=args.misalignment,
-    )
-    model = mdi_yield_model(side, side, bell_success=1.0, x_multiphoton_floor=0.02)
-    intensities = IntensitySet(
-        s=0.8, u=0.5, v=0.15, w=0.0, z_basis_prob=0.65, x_weights=(0.6, 0.25, 0.15)
-    )
-    result = multisig_comparison(
-        model, intensities, "MDI", int(args.pulses), eps_decoy=args.eps_decoy
-    )
+    intensities, models = load_network(load_preset("desk")["simulate"])
+    result = multisig_comparison(models["AB"], intensities, "MDI", int(args.pulses))
     print(f"multi-block signatures:    {result.n_multi} (block size {result.c_sig_multi})")
     print(f"baseline signatures:       {result.n_baseline} "
           f"(min acquisition {result.min_acquisition_pulses} pulses)")

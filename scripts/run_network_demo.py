@@ -6,7 +6,7 @@ import argparse
 
 import numpy as np
 
-from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import estimate_bounds, restrict_to_block
 from qkdnet.keyrate import SecurityParams, secure_key_length
 from qkdnet.netsim import MessageBus, run_plan, schedule
@@ -21,24 +21,17 @@ from qkdnet.qds import (
 
 
 def main():
+    config = load_preset("desk")["simulate"]
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--slots", type=int, default=10**7)
-    parser.add_argument("--seed", type=int, default=505)
+    parser.add_argument("--slots", type=int, default=config["slots"])
+    parser.add_argument("--seed", type=int, default=config["seed"])
     args = parser.parse_args()
 
-    side = ChannelParams(
-        distance_km=0.0, detector_efficiency=0.95, dark_count_prob=1e-7, misalignment=0.002
-    )
-    intensities = IntensitySet(
-        s=0.8, u=0.5, v=0.15, w=0.0, z_basis_prob=0.65, x_weights=(0.6, 0.25, 0.15)
-    )
-    models = {
-        "AB": mdi_yield_model(side, side, bell_success=1.0, x_multiphoton_floor=0.02),
-        "AC": qkd_yield_model(side),
-        "BC": qkd_yield_model(side),
-    }
+    intensities, models = load_network(config)
+    weights = config["weights"]
+    duty = weights[0] / sum(weights)  # the relay session's share of the slots
 
-    plan = schedule(args.slots, (500, 1, 1), 0.65, intensities, args.seed)
+    plan = schedule(args.slots, weights, intensities=intensities, seed=args.seed)
     result = run_plan(plan, models, seed=args.seed)
     for link, table in sorted(result.tables.items()):
         detected = sum(r.detected for r in table.entries.values())
@@ -67,7 +60,7 @@ def main():
             block_bounds.s1_lower, block_bounds.eph_upper, e_test, pool_size=n_z,
             params=QdsParams(c_sig=c_sig, c_test=c_test, eps_h=eps, p_rep_budget=0.01,
                              p_fail_total=0.1),
-            total_time_s=args.slots / 1e9 / (500 / 502), duty_fraction=500 / 502,
+            total_time_s=args.slots / 1e9 / duty, duty_fraction=duty,
             epsilon_inherited=block_bounds.epsilon_spent,
         )
     except InsecureChannelError as exc:

@@ -97,6 +97,7 @@ class IntensitySet:
     x_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self):
+        object.__setattr__(self, "x_weights", tuple(self.x_weights))  # hashable, from any sequence
         if not self.s > self.u > self.v > self.w >= 0:
             raise ValueError("intensities must satisfy s > u > v > w >= 0")
         if not 0.0 < self.z_basis_prob < 1.0:

@@ -24,7 +24,7 @@ from .keyrate import SecurityParams, rate_sweep, secure_key_length, sweep_to_csv
 from .netsim import run_plan, schedule
 from .qds import InsecureChannelError, QdsParams, distill_report
 
-__all__ = ["main"]
+__all__ = ["load_network", "main"]
 
 
 class ConfigError(ValueError):
@@ -33,8 +33,7 @@ class ConfigError(ValueError):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -59,29 +58,64 @@ def _build(cls, doc: dict, path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _intensities(doc: dict, path: str) -> IntensitySet:
-    doc = dict(doc)
-    if "x_weights" in doc:
-        doc["x_weights"] = tuple(doc["x_weights"])
-    return _build(IntensitySet, doc, path)
-
-
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 
 
 def _manifest(out_dir: Path, command: str, config: dict, extra: dict):
-    doc = {"command": command, "config": config}
-    doc.update(extra)
+    doc = {"command": command, "config": config, **extra}
     _write(out_dir / "manifest.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _save(out: str | None, command: str, config: dict, name: str, text: str):
+    """Write one output and its manifest into directory ``out``, when one is given."""
+    if out:
+        _write(Path(out) / name, text)
+        _manifest(Path(out), command, config, {"outputs": [name]})
 
 
 # ---------------------------------------------------------------------------
 
 
+#: the channel keys and the yield-model keys each link of a ``simulate`` config may carry
+LINK_KEYS = {"AB": (("side_a", "side_b"), ("hom_visibility", "bell_success", "x_multiphoton_floor")),
+             "AC": (("channel",), ()), "BC": (("channel",), ())}
+
+
+def load_network(config: dict) -> tuple[IntensitySet, dict]:
+    """The intensity set and per-link yield models of a ``simulate`` config.
+
+    Refuses any link or link key it does not know, naming its key path, so
+    a misspelt key cannot silently fall back to its default.
+    """
+    intensities = _build(IntensitySet, config.get("intensities", {}), "intensities")
+    # the Z-basis probability has one source, intensities.z_basis_prob
+    if "z_prob" in config and config["z_prob"] != intensities.z_basis_prob:
+        raise ConfigError(f"z_prob: {config['z_prob']!r} differs from intensities.z_basis_prob "
+                          f"{intensities.z_basis_prob!r}; set only intensities.z_basis_prob")
+
+    models = {}
+    for link, doc in config.get("links", {}).items():
+        if link not in LINK_KEYS:
+            raise ConfigError(f"links.{link}: unknown link; expected one of {', '.join(LINK_KEYS)}")
+        channels, shape = LINK_KEYS[link]
+        unknown = sorted(set(doc) - {*channels, *shape})
+        if unknown:
+            raise ConfigError(f"links.{link}.{unknown[0]}: unknown key; "
+                              f"expected one of {', '.join(channels + shape)}")
+        sides = [_build(ChannelParams, doc.get(k, {}), f"links.{link}.{k}") for k in channels]
+        build = mdi_yield_model if link == "AB" else qkd_yield_model
+        try:
+            models[link] = build(*sides, **{k: doc[k] for k in shape if k in doc})
+        except ValueError as exc:
+            raise ConfigError(f"links.{link}: {exc}") from None
+    return intensities, models
+
+
 def cmd_simulate(args) -> int:
     config = _load_json(args.config)
+    config = config.get("simulate", config)
     if args.seed is not None:
         config["seed"] = args.seed
     out_dir = Path(args.out)
@@ -91,29 +125,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("slots: must be >= 0")
     weights = tuple(config.get("weights", (500, 1, 1)))
     seed = int(config.get("seed", 0))
-    intensities = _intensities(config.get("intensities", {}), "intensities")
-    # the Z-basis probability has one source, intensities.z_basis_prob
-    if "z_prob" in config and config["z_prob"] != intensities.z_basis_prob:
-        raise ConfigError(
-            f"z_prob: {config['z_prob']!r} differs from intensities.z_basis_prob "
-            f"{intensities.z_basis_prob!r}; set only intensities.z_basis_prob"
-        )
-
-    links = config.get("links", {})
-    models = {}
-    if "AB" in links:
-        ab = links["AB"]
-        side_a = _build(ChannelParams, ab.get("side_a", {}), "links.AB.side_a")
-        side_b = _build(ChannelParams, ab.get("side_b", {}), "links.AB.side_b")
-        shape = ("hom_visibility", "bell_success", "x_multiphoton_floor")
-        try:
-            models["AB"] = mdi_yield_model(side_a, side_b, **{k: ab[k] for k in shape if k in ab})
-        except ValueError as exc:
-            raise ConfigError(f"links.AB: {exc}") from None
-    for link in ("AC", "BC"):
-        if link in links:
-            params = _build(ChannelParams, links[link].get("channel", {}), f"links.{link}.channel")
-            models[link] = qkd_yield_model(params)
+    intensities, models = load_network(config)
 
     plan = schedule(slots, weights, intensities.z_basis_prob, intensities, seed)
     missing = sorted(plan.active_links() - set(models))
@@ -179,10 +191,7 @@ def cmd_keyrate(args) -> int:
         ]
         text = "\n".join(lines) + "\n"
         name = "keyrate.csv"
-    if args.out:
-        out_dir = Path(args.out)
-        _write(out_dir / name, text)
-        _manifest(out_dir, "keyrate", {"counts": args.counts, "mode": mode}, {"outputs": [name]})
+    _save(args.out, "keyrate", {"counts": args.counts, "mode": mode}, name, text)
     sys.stdout.write(text)
     return 0
 
@@ -197,7 +206,7 @@ def cmd_sweep(args) -> int:
         config["seed"] = args.seed
 
     channel = _build(ChannelParams, config.get("channel", {}), "sweep.channel")
-    intensities = _intensities(config.get("intensities", {}), "sweep.intensities")
+    intensities = _build(IntensitySet, config.get("intensities", {}), "sweep.intensities")
     security = _build(SecurityParams, config.get("security", {}), "sweep.security")
     mode = config.get("mode", "QKD")
     points = rate_sweep(
@@ -218,10 +227,7 @@ def cmd_sweep(args) -> int:
     else:
         text = sweep_to_csv(points)
         name = f"sweep_{mode.lower()}.csv"
-    if args.out:
-        out_dir = Path(args.out)
-        _write(out_dir / name, text)
-        _manifest(out_dir, "sweep", config, {"outputs": [name]})
+    _save(args.out, "sweep", config, name, text)
     sys.stdout.write(text)
     return 0
 
@@ -252,12 +258,9 @@ def cmd_qds(args) -> int:
     except KeyError as exc:
         raise ConfigError(f"qds: missing field {exc.args[0]!r}") from None
     except InsecureChannelError as exc:
-        outcome = {"outcome": "no positive QDS rate", "detail": str(exc)}
-        print(json.dumps(outcome, sort_keys=True))
-        if args.out:
-            out_dir = Path(args.out)
-            _write(out_dir / "qds_report.json", json.dumps(outcome, sort_keys=True) + "\n")
-            _manifest(out_dir, "qds", config, {"outputs": ["qds_report.json"]})
+        outcome = json.dumps({"outcome": "no positive QDS rate", "detail": str(exc)}, sort_keys=True)
+        print(outcome)
+        _save(args.out, "qds", config, "qds_report.json", outcome + "\n")
         return 0
 
     rows = ("p_e", "e_sig_upper", "s_auth", "s_ver", "l_sig", "p_rep", "p_hab", "p_for",
@@ -274,10 +277,7 @@ def cmd_qds(args) -> int:
         print(line)
     print(f"secure: {report.secure}")
 
-    if args.out:
-        out_dir = Path(args.out)
-        _write(out_dir / "qds_report.json", report.to_json() + "\n")
-        _manifest(out_dir, "qds", config, {"outputs": ["qds_report.json"]})
+    _save(args.out, "qds", config, "qds_report.json", report.to_json() + "\n")
     return 0
 
 

@@ -59,6 +59,10 @@ def min_feasible_acquisition(feasible, lo: int, hi: int) -> int | None:
     return hi
 
 
+#: share of each pool spent on the test sample, by both protocols
+TEST_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class MultisigComparison:
     n_multi: int
@@ -68,7 +72,7 @@ class MultisigComparison:
     ratio: float
 
 
-def _block_signable(bounds, n_z, e_test, c_sig, c_test, eps_h, p_rep, p_fail) -> bool:
+def _block_signable(bounds, n_z, e_test, c_sig, c_test) -> bool:
     """Whether a c_sig-bit block drawn from an n_z-bit pool signs securely.
 
     Runs the per-block chain on pool-level decoy bounds and test QBER; a
@@ -77,10 +81,8 @@ def _block_signable(bounds, n_z, e_test, c_sig, c_test, eps_h, p_rep, p_fail) ->
     """
     if c_sig < 1 or c_test < 1 or c_sig + c_test > n_z:
         return False
-    block = restrict_to_block(bounds, c_sig, n_z, eps_h)
-    params = QdsParams(
-        c_sig=c_sig, c_test=c_test, eps_h=eps_h, p_rep_budget=p_rep, p_fail_total=p_fail
-    )
+    params = QdsParams(c_sig=c_sig, c_test=c_test)
+    block = restrict_to_block(bounds, c_sig, n_z, params.eps_h)
     try:
         report = distill_report(
             block.s1_lower,
@@ -102,19 +104,15 @@ def multisig_comparison(
     intensities: IntensitySet,
     mode: str,
     n_pulses_total: int,
-    test_fraction: float = 0.1,
     eps_decoy: float = 1e-11,
-    eps_h: float = QdsParams.eps_h,
-    p_rep: float = QdsParams.p_rep_budget,
-    p_fail: float = QdsParams.p_fail_total,
 ) -> MultisigComparison:
     """Signatures from one acquisition: multi-block protocol vs baseline.
 
-    Both protocols get identical per-signature budgets; the multi-block
-    side conservatively charges its shared decoy and test estimates in full
-    against every signature.  The baseline's acquisition size is the
-    smallest one whose own single block is signable, found by bisection
-    (expected-value tables keep feasibility monotone).
+    Both protocols get the ``QdsParams`` default budgets per signature; the
+    multi-block side conservatively charges its shared decoy and test
+    estimates in full against every signature.  The baseline's acquisition
+    size is the smallest one whose own single block is signable, found by
+    bisection (expected-value tables keep feasibility monotone).
     """
     link = "AB" if mode == "MDI" else "AC"
 
@@ -126,10 +124,10 @@ def multisig_comparison(
         return estimate_bounds(table, intensities, eps_decoy, mode), z_rec.detected, e_test
 
     bounds, n_z, e_test = pool_stats(n_pulses_total)
-    c_test = int(n_z * test_fraction)
+    c_test = int(n_z * TEST_FRACTION)
 
     def block_signable(c_sig: int) -> bool:
-        return _block_signable(bounds, n_z, e_test, c_sig, c_test, eps_h, p_rep, p_fail)
+        return _block_signable(bounds, n_z, e_test, c_sig, c_test)
 
     c_sig_min = min_feasible_acquisition(block_signable, 1, n_z - c_test)
     if c_sig_min is None:
@@ -139,10 +137,8 @@ def multisig_comparison(
     def acquisition_signable(n_pulses: int) -> bool:
         # the baseline spends its whole pool, less the test sample, on one block
         sub_bounds, sub_z, sub_e_test = pool_stats(n_pulses)
-        sub_test = int(sub_z * test_fraction)
-        return _block_signable(
-            sub_bounds, sub_z, sub_e_test, sub_z - sub_test, sub_test, eps_h, p_rep, p_fail
-        )
+        sub_test = int(sub_z * TEST_FRACTION)
+        return _block_signable(sub_bounds, sub_z, sub_e_test, sub_z - sub_test, sub_test)
 
     b_min = min_feasible_acquisition(acquisition_signable, 1000, n_pulses_total)
     n_baseline = n_pulses_total // b_min if b_min else 0

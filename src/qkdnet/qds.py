@@ -285,6 +285,8 @@ class Holding:
                 or (bits.size and not 0 <= bits.min() <= bits.max() <= 1)):
             raise ValueError(f"need 1-D positions >= 0 and 0/1 bits to match, all integer (bits may be bool), "
                              f"got {positions.dtype} {positions.shape}, {bits.dtype} {bits.shape}")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "bits", bits)
 
 
 @dataclass(frozen=True)

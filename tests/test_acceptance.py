@@ -17,7 +17,7 @@ from qkdnet.channel import (
     qkd_yield_model,
     sample_counts,
 )
-from qkdnet.cli import load_preset
+from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import CountTable, estimate_bounds, restrict_to_block
 from qkdnet.experiments import multisig_comparison
 from qkdnet.keyrate import SecurityParams, rate_sweep, secure_key_length
@@ -243,24 +243,14 @@ DESK_SEED = 505
 DESK_EPS = 1e-4
 
 
-def _desk_network():
-    side = ChannelParams(
-        distance_km=0.0, detector_efficiency=0.95, dark_count_prob=1e-7, misalignment=0.002
-    )
-    intensities = IntensitySet(
-        s=0.8, u=0.5, v=0.15, w=0.0, z_basis_prob=0.65, x_weights=(0.6, 0.25, 0.15)
-    )
-    models = {
-        "AB": mdi_yield_model(side, side, bell_success=1.0, x_multiphoton_floor=0.02),
-        "AC": qkd_yield_model(side),
-        "BC": qkd_yield_model(side),
-    }
-    return intensities, models
+DESK = load_preset("desk")["simulate"]
 
 
 def test_criterion_09_end_to_end_protocol_run():
-    intensities, models = _desk_network()
-    plan = schedule(10**7, (500, 1, 1), 0.65, intensities, DESK_SEED)
+    intensities, models = load_network(DESK)
+    slots, weights = DESK["slots"], DESK["weights"]
+    duty = weights[0] / sum(weights)
+    plan = schedule(slots, weights, intensities=intensities, seed=DESK_SEED)
     result = run_plan(plan, models, seed=DESK_SEED)
 
     for link in ("AB", "AC", "BC"):
@@ -272,7 +262,7 @@ def test_criterion_09_end_to_end_protocol_run():
     z_rec = table.z_entry()
     key = secure_key_length(
         bounds, z_rec.detected, z_rec.errors / z_rec.detected,
-        SecurityParams(eps_sec=DESK_EPS, eps_cor=1e-6), elapsed_s=10**7 / 1e9,
+        SecurityParams(eps_sec=DESK_EPS, eps_cor=1e-6), elapsed_s=slots / 1e9,
     )
     assert key.secure_bits > 0
 
@@ -290,7 +280,7 @@ def test_criterion_09_end_to_end_protocol_run():
     report = distill_report(
         block_bounds.s1_lower, block_bounds.eph_upper, e_test,
         pool_size=n_z, params=params,
-        total_time_s=10**7 / 1e9 / (500 / 502), duty_fraction=500 / 502,
+        total_time_s=slots / 1e9 / duty, duty_fraction=duty,
         epsilon_inherited=bounds.epsilon_spent + 2 * DESK_EPS,
     )
     assert report.secure
@@ -334,11 +324,8 @@ def test_criterion_09_end_to_end_protocol_run():
 
 
 def test_criterion_10_multisignature_improvement():
-    intensities, models = _desk_network()
-    comparison = multisig_comparison(
-        models["AB"], intensities, "MDI", n_pulses_total=5 * 10**8,
-        test_fraction=0.1, eps_decoy=1e-11, eps_h=EPS_H, p_rep=P_REP, p_fail=1e-10,
-    )
+    intensities, models = load_network(DESK)
+    comparison = multisig_comparison(models["AB"], intensities, "MDI", n_pulses_total=5 * 10**8)
     assert comparison.n_baseline > 0
     assert comparison.ratio >= 2.0
     # the expected-value chain is deterministic, so its outcome is pinned exactly

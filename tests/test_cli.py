@@ -1,4 +1,7 @@
+import hashlib
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,8 @@ SIM_CONFIG = {
         "BC": {"channel": {"distance_km": 2}},
     },
 }
+
+PRESETS = Path(str(resources.files("qkdnet") / "presets"))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -97,6 +102,47 @@ class TestSimulate:
                      "--out", str(out2)]) == 0
         for name in ("counts_AB.json", "counts_AC.json", "counts_BC.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "link, key, path",
+        [
+            ("CA", None, "links.CA"),
+            ("AB", "bell_sucess", "links.AB.bell_sucess"),
+            ("AC", "chanel", "links.AC.chanel"),
+        ],
+        ids=("unknown-link", "unknown-relay-key", "unknown-point-to-point-key"),
+    )
+    def test_unknown_link_or_key_is_config_error(self, tmp_path, capsys, link, key, path):
+        # a misspelt key used to run on the default it meant to override
+        cfg = json.loads(json.dumps(SIM_CONFIG))
+        if key is None:
+            cfg["links"][link] = {"channel": {"distance_km": 2}}
+        else:
+            cfg["links"][link][key] = 1.0
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"{path}: unknown" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_desk_preset_reproduces_the_hand_built_network(self, tmp_path):
+        # digests of the tables the desk network gave when each caller built it by hand
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(PRESETS / "desk.json"), "--out", str(out)]) == 0
+        digests = {
+            "AB": "ceeec2d4605c31b01a420371cec6000986cea3726da28a2061acc32872e54d69",
+            "AC": "cc4883bfac4328ced399d722a5bd8013411866fcb84dee1345c4df8b5860ae69",
+            "BC": "80f34bb3b0f37ae1f63dcc43295b76e2ff04c63b37656b11eb07f90062a6b890",
+        }
+        for link, digest in digests.items():
+            assert hashlib.sha256((out / f"counts_{link}.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("path", sorted(PRESETS.glob("*.json")), ids=lambda p: p.stem)
+def test_preset_is_labelled_and_has_one_section(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["label"] == path.stem
+    assert len({"simulate", "sweep", "qds"} & set(doc)) == 1
 
 
 class TestKeyrate:

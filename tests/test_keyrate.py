@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import DecoyBounds, estimate_bounds
 from qkdnet.experiments import expected_table
 from qkdnet.keyrate import (
@@ -148,9 +149,7 @@ class TestEntryBudgets:
     def test_expected_and_sampled_tables_split_alike(self, mode, n_pulses):
         side = ChannelParams(distance_km=5.0)
         model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
-        intensities = IntensitySet(
-            s=0.8, u=0.5, v=0.15, w=0.0, z_basis_prob=0.65, x_weights=(0.6, 0.25, 0.15)
-        )
+        intensities, _ = load_network(load_preset("desk")["simulate"])
         link = "AC" if mode == "QKD" else "AB"
         sampled = synthesize_table(model, intensities, n_pulses, mode, link, seed=3)
         expected = expected_table(model, intensities, n_pulses, mode, link)

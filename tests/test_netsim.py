@@ -17,6 +17,7 @@ from qkdnet.channel import (
     qkd_yield_model,
     sift_keep,
 )
+from qkdnet.cli import load_network, load_preset
 from qkdnet.mathkit import poisson_pmf
 from qkdnet.netsim import (
     CONFIG_OF,
@@ -119,9 +120,7 @@ class TestSchedule:
             schedule(100, z_prob=0.7, intensities=IntensitySet(z_basis_prob=0.8), seed=1)
 
 
-NETWORK_INTENSITIES = IntensitySet(
-    s=0.8, u=0.5, v=0.15, z_basis_prob=0.65, x_weights=(0.6, 0.25, 0.15)
-)
+NETWORK_INTENSITIES, _ = load_network(load_preset("desk")["simulate"])
 
 
 def session_edges(weights):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qkdnet import qds
 from qkdnet.experiments import min_feasible_acquisition
 from qkdnet.netsim import MessageBus
 from qkdnet.qds import (
@@ -314,6 +315,11 @@ class TestSignAndVerify:
     def test_holding_takes_unsigned_positions_and_bool_bits(self):
         holding = Holding("AB", np.arange(3, dtype=np.uint32), np.array([True, False, True]))
         assert len(holding.positions) == 3
+
+    def test_holding_from_lists_stores_arrays(self):
+        # the fields were validated as arrays but stored as the lists given
+        verdict = qds._check({"AB": np.array([0, 1])}, [Holding("AB", [0, 1], [0, 1])], 0.1, 1)
+        assert verdict.accepted and (verdict.mismatches, verdict.checked) == (0, 2)
 
     def test_message_bit_must_be_binary(self):
         with pytest.raises(ValueError, match="message_bit"):

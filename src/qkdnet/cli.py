@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -31,13 +32,30 @@ class ConfigError(ValueError):
     """A configuration document failed validation; the message names the key."""
 
 
-def _load_json(path: str) -> dict:
+def _load_config(path: str, name: str) -> dict:
+    """Section ``name`` of config file ``path``, or the whole file when it has none."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    section = doc.get(name, doc) if isinstance(doc, dict) else doc
+    if not isinstance(section, dict):
+        where = name if section is not doc else "the config root"
+        raise ConfigError(f"{path}: {where} must be a JSON object, got {type(section).__name__}")
+    return section
+
+
+def _integer(config: dict, key: str, default: int) -> int:
+    """``config[key]`` as an integer; an integral float such as 1e7 counts as one."""
+    value = config.get(key, default)
+    try:
+        if value == int(value) and not isinstance(value, bool):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
 def load_preset(name: str) -> dict:
@@ -95,10 +113,15 @@ def load_network(config: dict) -> tuple[IntensitySet, dict]:
         raise ConfigError(f"z_prob: {config['z_prob']!r} differs from intensities.z_basis_prob "
                           f"{intensities.z_basis_prob!r}; set only intensities.z_basis_prob")
 
+    links = config.get("links", {})
+    if not isinstance(links, dict):
+        raise ConfigError(f"links: expected an object of link settings, got {type(links).__name__}")
     models = {}
-    for link, doc in config.get("links", {}).items():
+    for link, doc in links.items():
         if link not in LINK_KEYS:
             raise ConfigError(f"links.{link}: unknown link; expected one of {', '.join(LINK_KEYS)}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"links.{link}: expected an object of link keys, got {type(doc).__name__}")
         channels, shape = LINK_KEYS[link]
         unknown = sorted(set(doc) - {*channels, *shape})
         if unknown:
@@ -114,20 +137,22 @@ def load_network(config: dict) -> tuple[IntensitySet, dict]:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_json(args.config)
-    config = config.get("simulate", config)
+    config = _load_config(args.config, "simulate")
     if args.seed is not None:
         config["seed"] = args.seed
     out_dir = Path(args.out)
 
-    slots = int(config.get("slots", 0))
+    slots = _integer(config, "slots", 0)
     if slots < 0:
         raise ConfigError("slots: must be >= 0")
-    weights = tuple(config.get("weights", (500, 1, 1)))
-    seed = int(config.get("seed", 0))
+    weights = config.get("weights", [500, 1, 1])
+    numbers = isinstance(weights, list) and all(type(x) in (int, float) for x in weights)
+    if not (numbers and len(weights) == 3 and min(weights) >= 0 and 0 < sum(weights) < math.inf):
+        raise ConfigError(f"weights: expected three non-negative numbers with a positive sum, got {weights!r}")
+    seed = _integer(config, "seed", 0)
     intensities, models = load_network(config)
 
-    plan = schedule(slots, weights, intensities.z_basis_prob, intensities, seed)
+    plan = schedule(slots, tuple(weights), intensities.z_basis_prob, intensities, seed)
     missing = sorted(plan.active_links() - set(models))
     if missing:
         raise ConfigError(f"links: plan schedules {missing} but no channel was configured")
@@ -200,8 +225,7 @@ def cmd_sweep(args) -> int:
     if args.preset:
         config = load_preset(args.preset)["sweep"]
     else:
-        config = _load_json(args.config)
-        config = config.get("sweep", config)
+        config = _load_config(args.config, "sweep")
     if args.seed is not None:
         config["seed"] = args.seed
 
@@ -239,8 +263,7 @@ def cmd_qds(args) -> int:
         config = preset["qds"]
         reference = preset.get("reference", {})
     else:
-        config = _load_json(args.config)
-        config = config.get("qds", config)
+        config = _load_config(args.config, "qds")
 
     fields = ("c_sig", "c_test", "eps_h", "p_rep_budget", "p_fail_total")
     params = _build(QdsParams, {k: config[k] for k in fields if k in config}, "qds")

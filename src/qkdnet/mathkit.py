@@ -217,7 +217,7 @@ def linprog(c, a_ub, b_ub):
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         return _STATUS.kModelError, math.nan
     highs.run()
-    return highs.getModelStatus(), highs.getInfo().objective_function_value
+    return highs.getModelStatus(), highs.getObjectiveValue()  # getInfo() would copy all of info
 
 
 class LpInfeasibleError(ValueError):

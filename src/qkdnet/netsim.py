@@ -35,6 +35,7 @@ LINKS = ("AB", "AC", "BC")  # the link each session code runs
 
 #: slots handled per vectorised step of schedule and run_plan
 DEFAULT_CHUNK = 1 << 20
+_BLOCK = 1 << 16  # slots per cache-sized pass of schedule's comparisons; no draw depends on it
 
 # Slot configurations: rows 0-63 are the relay link's (basis a, basis b,
 # intensity a, intensity b), rows 64-71 and 72-79 the AC and BC links'
@@ -130,6 +131,7 @@ def schedule(
     sender_edges = z_prob + (1.0 - z_prob) * np.cumsum([0.0, *intensities.x_probs()[:2]])
     session, basis_a, basis_b, intensity_a, intensity_b = (np.empty(slots, np.int8) for _ in range(5))
     draws = ((session, session_edges), (intensity_a, sender_edges), (intensity_b, sender_edges))
+    hit, tie = np.empty(_BLOCK, bool), np.empty(_BLOCK, bool)
     for start in range(0, slots, DEFAULT_CHUNK):
         sl = slice(start, min(slots, start + DEFAULT_CHUNK))
         n = sl.stop - sl.start
@@ -137,19 +139,24 @@ def schedule(
         bits = rng.bit_generator.random_raw(-(-3 * n // 4)).astype("<u8", copy=False).view("<u2")
         for (out, edges), h in zip(draws, bits[: 3 * n].reshape(3, n)):
             top, frac = np.divmod(edges * 65536.0, 1.0)  # exact: the scaling is a power of two
-            cls, tie = out[sl], np.zeros(n, bool)
-            cls[:] = 0
-            for t in top.astype(int).tolist():
-                cls += h > t
-                tie |= h == t
-            tied = np.flatnonzero(tie)
+            first, *rest = top.astype(int).tolist()
+            cls, ties = out[sl], []
+            for b in range(0, n, _BLOCK):
+                hb, cb = h[b : b + _BLOCK], cls[b : b + _BLOCK]
+                np.greater(hb, first, out=cb.view(bool))
+                np.equal(hb, first, out=tie[: hb.size])
+                for t in rest:
+                    cb += np.greater(hb, t, out=hit[: hb.size]).view(np.int8)
+                    tie[: hb.size] |= np.equal(hb, t, out=hit[: hb.size])
+                ties.append(b + np.flatnonzero(tie[: hb.size]))
+            tied = np.concatenate(ties)  # in slot order: one tie uniform per tie, as one pass would
             r = rng.random((tied.size, 1))
             cls[tied] += ((h[tied, None] == top) & (r >= frac)).sum(axis=1, dtype=np.int8)
-        basis_a[sl] = intensity_a[sl] > 0  # 1 = X
-        basis_b[sl] = intensity_b[sl] > 0
+        np.greater(intensity_a[sl], 0, out=basis_a[sl].view(bool))  # 1 = X
+        np.greater(intensity_b[sl], 0, out=basis_b[sl].view(bool))
         # Vacuum switch: the party not sending in a point-to-point session.
-        intensity_b[sl][session[sl] == 1] = 3
-        intensity_a[sl][session[sl] == 2] = 3
+        np.copyto(intensity_b[sl], 3, where=session[sl] == 1)
+        np.copyto(intensity_a[sl], 3, where=session[sl] == 2)
     return SessionPlan(
         slots=slots,
         weights=tuple(float(x) for x in w),
@@ -210,17 +217,25 @@ def run_plan(
     :func:`schedule` drew the plan from under the same seed.  Deterministic
     under ``seed``.
     """
-    slots_per_key = np.zeros(CONFIG_OF.size, dtype=np.int64)
+    pairs = np.zeros(1 << 16, dtype=np.int64)
     columns = (plan.session, plan.basis_a, plan.basis_b, plan.intensity_a, plan.intensity_b)
     for start in range(0, plan.slots, DEFAULT_CHUNK):
         sl = slice(start, min(plan.slots, start + DEFAULT_CHUNK))
-        key = np.zeros(sl.stop - sl.start, dtype=np.uint8)
+        n = sl.stop - sl.start
+        m = n - n % 8  # slots keyed eight to a uint64 word; the tail one byte at a time
+        key = np.zeros(n + n % 2, dtype=np.uint8)
+        key[n:] = 255  # an odd chunk's pad byte, the key of no configuration
         for column, shift, limit in zip(columns, (6, 5, 4, 2, 0), (3, 2, 2, 4, 4)):
-            code = column[sl].view(np.uint8)
+            code = np.ascontiguousarray(column[sl]).view(np.uint8)
             if code.max() >= limit:
                 raise ValueError(f"plan codes outside [0, {limit}) in slots {start}..{sl.stop - 1}")
-            key |= code << shift
-        slots_per_key += np.bincount(key, minlength=CONFIG_OF.size)
+            # every code is below its limit, so code << shift stays inside its own byte
+            words = key[:m].view(np.uint64)
+            words |= code[:m].view(np.uint64) << shift
+            key[m:n] |= code[m:] << shift
+        pairs += np.bincount(key.view(np.uint16), minlength=1 << 16)
+    by_byte = pairs.reshape(256, 256)  # each key byte counts once, on either byte order
+    slots_per_key = (by_byte.sum(0) + by_byte.sum(1))[: CONFIG_OF.size]
     sent = np.zeros(N_CONFIGS, dtype=np.int64)
     np.add.at(sent, CONFIG_OF, slots_per_key)
     per_session = np.add.reduceat(sent, [0, 64, 72]).tolist()

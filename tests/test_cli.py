@@ -125,6 +125,35 @@ class TestSimulate:
         assert f"{path}: unknown" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            ({"links": {"AC": 5}}, "links.AC"),
+            ({"links": []}, "links"),
+            ({"weights": 5}, "weights"),
+            ({"slots": "many"}, "slots"),
+            ({"seed": 1.5}, "seed"),
+        ],
+        ids=("link-not-an-object", "links-not-an-object", "weights-not-a-list", "slots-not-a-number",
+             "seed-not-an-integer"),
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, change, path):
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", write_config(tmp_path, dict(SIM_CONFIG, **change)), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "qds"])
+    @pytest.mark.parametrize("doc, where", [([1, 2], "the config root"), ({"simulate": 5, "sweep": [], "qds": 0}, None)],
+                             ids=("root-is-a-list", "section-not-an-object"))
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys, command, doc, where):
+        # every command reads its config through one loader
+        cfg = write_config(tmp_path, doc)
+        out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+        assert main([command, "--config", cfg, *out]) == 2
+        assert f"{cfg}: {where or command} must be a JSON object" in capsys.readouterr().err
+
     def test_desk_preset_reproduces_the_hand_built_network(self, tmp_path):
         # digests of the tables the desk network gave when each caller built it by hand
         out = tmp_path / "out"

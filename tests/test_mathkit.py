@@ -472,6 +472,15 @@ class TestHighsShim:
         for i in rng.permutation(len(lps)):
             assert solve_bounded_lp(*lps[i]) == values[i]
 
+    def test_objective_is_the_info_objective(self):
+        # linprog reads getObjectiveValue(), which returns the field getInfo() copies out whole
+        lps = [*_decoy_lps("QKD", (5, 15, 30)), *_decoy_lps("MDI", (2, 10, 25))]
+        assert len(lps) == 12
+        for c, a_ub, b_ub, sense in lps:
+            status, value = mathkit.linprog(c if sense == "min" else -c, a_ub, b_ub)
+            assert status == HighsModelStatus.kOptimal
+            assert value == mathkit._THREAD.highs.getInfo().objective_function_value
+
     def test_one_solver_per_thread(self, monkeypatch):
         built = []
         real = mathkit._highs._Highs

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -18,10 +19,13 @@ from qkdnet.channel import (
     sift_keep,
 )
 from qkdnet.cli import load_network, load_preset
+from qkdnet import netsim
 from qkdnet.mathkit import poisson_pmf
 from qkdnet.netsim import (
     CONFIG_OF,
     DEFAULT_CHUNK,
+    N_CONFIGS,
+    TABLE_ROWS,
     MessageBus,
     UnknownPartyError,
     _outcome_table,
@@ -252,6 +256,66 @@ class TestScheduleDraw:
             assert _within_five_sigma(np.count_nonzero(rest == k), tail, p)
 
 
+FIELDS = ("session", "basis_a", "basis_b", "intensity_a", "intensity_b")
+#: sha256 of the five plan arrays, in FIELDS order, for seeds 1-3 on the desk intensities
+PLAN_DIGESTS = {
+    (7, (500, 1, 1)): (
+        "5630d4b7a499587fc6899662f1a7f797c8ebaf2f0bc419b891606b5b1bc5192c",
+        "94913d2fc2ba7c30f7b6f543e999e1244cb37f2427b4cd40a2daf3a873aa327b",
+        "00a9fc05d6c3671fe051088231632d0fbb6b1809a63af5a482b0a89485de6060",
+    ),
+    (7, (1, 1, 1)): (
+        "f26e58d5b5c347c9c6e4e5ac142a666341f0bdf82de4baacfaab6cdb4f780a65",
+        "6edcbcf6a4c2ecb9f5b426c619669788adf912c78cd4de29b75c2203cee7aede",
+        "ba1badb2a9a4c02aca8828ae873b0b9f86e8599415165541642214700afab06c",
+    ),
+    (65_537, (500, 1, 1)): (
+        "9e973a3ca342ad90fe2f1cef1b2b585af78d36db755d3682bd399a540147ad57",
+        "3010f33ec257b775cd9f9b56c27ba44bb747982c7e2d65cdc90164f03003f4f4",
+        "c00d24f3af42f1bfa355e87d36bd6223b524419684b39d24ed6e5533689fcfcb",
+    ),
+    (65_537, (1, 1, 1)): (
+        "b3829afe58c64ab4e2b0747147717b07e81b5bc661df207121b814407e81c706",
+        "acb3435b2a8e0e64bcfeb60f120c995f0ae0c6f0e849bfca7eff44c633edce33",
+        "e33d92fb0d559d8d01264351647a1f36c25998834c1f76d1332ad544b3caef7d",
+    ),
+    (DEFAULT_CHUNK + 12_345, (500, 1, 1)): (
+        "e15a2f27579905f34fd3f6329f29ae6f661247e3fc6a5796e6c89420f6afd507",
+        "1c32e1ad71d7915422b961be88eb077978ad6b0208a410d147748296ca83ba92",
+        "8926bf0c693f9a524bc7602e61d17579c39f645fcc88f46f3be5b5e36f5567cb",
+    ),
+    (DEFAULT_CHUNK + 12_345, (1, 1, 1)): (
+        "91f927439543d474c3de23fbf09b893eac45585b255b3d60e460fdbe8e37e1b4",
+        "447d143d61eb889afa0504d60a9350cad4dbecdac8a4bac40830532987486790",
+        "fb9e4f6ee01fb12fea5ba8841784e8ba906c5c35fa88a422067de34c1374a3e8",
+    ),
+}
+
+
+class TestPlanDigests:
+    @pytest.mark.parametrize("slots, weights", list(PLAN_DIGESTS))
+    def test_plan_arrays_are_pinned(self, slots, weights):
+        for seed, digest in enumerate(PLAN_DIGESTS[slots, weights], start=1):
+            plan = schedule(slots, weights, intensities=NETWORK_INTENSITIES, seed=seed)
+            sha = hashlib.sha256(b"".join(getattr(plan, field).tobytes() for field in FIELDS))
+            assert sha.hexdigest() == digest, (slots, weights, seed)
+
+    @pytest.mark.parametrize("block", [1000, 4099])
+    def test_plan_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        slots, weights = DEFAULT_CHUNK + 12_345, (1, 1, 1)
+        want = schedule(slots, weights, intensities=NETWORK_INTENSITIES, seed=3)
+        monkeypatch.setattr(netsim, "_BLOCK", block)
+        plan = schedule(slots, weights, intensities=NETWORK_INTENSITIES, seed=3)
+        for field in FIELDS:
+            assert np.array_equal(getattr(plan, field), getattr(want, field)), field
+
+
+def naive_sent(plan):
+    """Slots per configuration row, each slot's key built on its own in int64."""
+    key = sum(getattr(plan, field).astype(np.int64) << shift for field, shift in zip(FIELDS, (6, 5, 4, 2, 0)))
+    return np.bincount(CONFIG_OF[key], minlength=N_CONFIGS)
+
+
 class TestRunPlan:
     def test_pure_ac_plan_leaves_other_links_empty(self):
         plan = schedule(20_000, weights=(0, 1, 0), seed=6)
@@ -277,6 +341,28 @@ class TestRunPlan:
     def test_out_of_range_plan_codes_rejected(self, field, code):
         plan = schedule(1000, weights=(1, 0, 0), seed=19)
         getattr(plan, field)[500] = code
+        with pytest.raises(ValueError, match="plan codes outside"):
+            run_plan(plan, default_models(), seed=19)
+
+    @pytest.mark.parametrize("slots", [7, 8 * 1_250 + 5, DEFAULT_CHUNK + 3])
+    def test_sent_counts_every_slot_once(self, slots):
+        # keys are packed eight slots to a word and counted in pairs: plans
+        # whose length is no multiple of 8 leave a bytewise tail and an odd byte
+        plan = schedule(slots, weights=(1, 1, 1), intensities=NETWORK_INTENSITIES, seed=27)
+        result = run_plan(plan, default_models(), seed=27)
+        sent = naive_sent(plan)
+        entries = {row: result.tables[link].entries.get((label, basis)) for row, (link, label, basis) in TABLE_ROWS.items()}
+        assert {row: rec.sent for row, rec in entries.items() if rec} == {row: sent[row] for row in TABLE_ROWS if sent[row]}
+        per_session = [sent[:64].sum(), sent[64:72].sum(), sent[72:].sum()]
+        assert list(result.diagnostics["slots_per_session"].values()) == per_session
+        assert sum(per_session) == slots
+
+    @pytest.mark.parametrize("field, code", [("session", 3), ("basis_b", -1), ("intensity_a", 4)])
+    @pytest.mark.parametrize("slot", [8 * 3 + 2, 8 * 1_250 + 3, DEFAULT_CHUNK + 1],
+                             ids=("mid-word", "tail", "next-chunk-tail"))
+    def test_out_of_range_code_rejected_in_word_or_tail(self, field, code, slot):
+        plan = schedule(8 * 1_250 + 5 if slot < DEFAULT_CHUNK else DEFAULT_CHUNK + 3, weights=(1, 0, 0), seed=19)
+        getattr(plan, field)[slot] = code
         with pytest.raises(ValueError, match="plan codes outside"):
             run_plan(plan, default_models(), seed=19)
 

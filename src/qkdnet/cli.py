@@ -232,17 +232,27 @@ def cmd_sweep(args) -> int:
     channel = _build(ChannelParams, config.get("channel", {}), "sweep.channel")
     intensities = _build(IntensitySet, config.get("intensities", {}), "sweep.intensities")
     security = _build(SecurityParams, config.get("security", {}), "sweep.security")
-    mode = config.get("mode", "QKD")
+    mode, distances, duty = config.get("mode", "QKD"), config.get("distances", []), config.get("duty", 1.0)
+    if mode not in ("QKD", "MDI"):
+        raise ConfigError(f"mode: expected 'QKD' or 'MDI', got {mode!r}")
+    if not (isinstance(distances, list) and distances and all(type(x) in (int, float) for x in distances)):
+        raise ConfigError(f"distances: expected a non-empty list of numbers, got {distances!r}")
+    if not (type(duty) in (int, float) and 0 < duty <= 1):
+        raise ConfigError(f"duty: expected a number in (0, 1], got {duty!r}")
+    shape = LINK_KEYS["AB"][1]
+    mdi_model = config.get("mdi_model", {})
+    if not (isinstance(mdi_model, dict) and set(mdi_model) <= set(shape)):
+        raise ConfigError(f"mdi_model: expected an object with keys among {', '.join(shape)}, got {mdi_model!r}")
     points = rate_sweep(
         channel,
         intensities,
-        config.get("distances", []),
+        distances,
         mode,
         security,
-        duty=config.get("duty", 1.0),
-        seed=int(config.get("seed", 0)),
-        n_pulses=int(config.get("n_pulses", 10**12)),
-        mdi_model_kwargs=config.get("mdi_model"),
+        duty=duty,
+        seed=_integer(config, "seed", 0),
+        n_pulses=_integer(config, "n_pulses", 10**12),
+        mdi_model_kwargs=mdi_model,
     )
     if args.format == "json":
         rows = [dataclasses.asdict(p) for p in points]

@@ -132,6 +132,7 @@ def schedule(
     session, basis_a, basis_b, intensity_a, intensity_b = (np.empty(slots, np.int8) for _ in range(5))
     draws = ((session, session_edges), (intensity_a, sender_edges), (intensity_b, sender_edges))
     hit, tie = np.empty(_BLOCK, bool), np.empty(_BLOCK, bool)
+    pin = np.empty(min(slots, DEFAULT_CHUNK), np.int8)
     for start in range(0, slots, DEFAULT_CHUNK):
         sl = slice(start, min(slots, start + DEFAULT_CHUNK))
         n = sl.stop - sl.start
@@ -155,8 +156,12 @@ def schedule(
         np.greater(intensity_a[sl], 0, out=basis_a[sl].view(bool))  # 1 = X
         np.greater(intensity_b[sl], 0, out=basis_b[sl].view(bool))
         # Vacuum switch: the party not sending in a point-to-point session.
-        np.copyto(intensity_b[sl], 3, where=session[sl] == 1)
-        np.copyto(intensity_a[sl], 3, where=session[sl] == 2)
+        # Classes are below 4, so OR with 3 sets the vacuum class, without
+        # the branches a masked copy takes on a dense random mask.
+        for out, k in ((intensity_b, 1), (intensity_a, 2)):
+            np.equal(session[sl], k, out=pin[:n].view(bool))
+            np.multiply(pin[:n], 3, out=pin[:n])
+            np.bitwise_or(out[sl], pin[:n], out=out[sl])
     return SessionPlan(
         slots=slots,
         weights=tuple(float(x) for x in w),

@@ -16,6 +16,7 @@ bounds on honest abort and forging.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -52,8 +53,9 @@ __all__ = [
     "run_signing_session",
 ]
 
-#: refuse to materialise block indices above this pool size
+#: refuse to materialise block indices above this pool size; below 2^31, so int32 indices
 MAX_MATERIALISED_POOL = 200_000_000
+_BLOCK = 1 << 16  # positions per pass when extract_blocks reads its index sets
 
 #: gap fractions of the authentication and verification thresholds
 THIRDS = (1.0 / 3.0, 2.0 / 3.0)
@@ -223,6 +225,10 @@ def abort_and_forge(
 
 def n_blocks(pool_len: int, c_test: int, c_sig: int) -> int:
     """Disjoint signature blocks a pool supports after the test sample."""
+    if c_sig < 1:
+        raise ValueError(f"c_sig must be >= 1, got {c_sig}")
+    if c_test < 0:
+        raise ValueError(f"c_test must be >= 0, got {c_test}")
     if pool_len < c_test + c_sig:
         raise ValueError(
             f"pool of {pool_len} cannot supply a {c_test}-bit test set and one {c_sig}-bit block"
@@ -230,16 +236,80 @@ def n_blocks(pool_len: int, c_test: int, c_sig: int) -> int:
     return (pool_len - c_test) // c_sig
 
 
+def _labelling(n: int, sizes: list, rng: np.random.Generator) -> np.ndarray:
+    """Exchangeable labelling of ``n`` positions with exactly ``sizes[k]`` labelled k.
+
+    Each position is marked i.i.d. with the number of edges at or below 16
+    random bits; the edges round the target proportions, and any marking
+    probabilities keep the marks exchangeable.  The counts are then fixed:
+    each over-full label releases a uniform subset of its positions, and the
+    released positions, shuffled, are dealt to the under-full labels.
+    """
+    edges = [(c * 65536 + n // 2) // n for c in itertools.accumulate(sizes[:-1])]
+    h = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n]
+    labels, hit = np.zeros(n, np.uint8), np.empty(n, bool)
+    at_or_above = [n]  # positions marked k or higher
+    for edge in edges:
+        labels += np.greater_equal(h, edge, out=hit).view(np.uint8)
+        at_or_above.append(np.count_nonzero(hit))
+    del h, hit  # the draws are spent: free them before listing positions
+    counts = np.subtract(at_or_above, [*at_or_above[1:], 0])
+    released = [
+        np.flatnonzero(labels == k)[rng.choice(c, c - size, replace=False, shuffle=False)]
+        for k, (c, size) in enumerate(zip(counts, sizes))
+        if c > size
+    ]
+    if released:
+        released = np.concatenate(released)
+        rng.shuffle(released)
+        short = np.maximum(np.subtract(sizes, counts), 0)
+        labels[released] = np.repeat(np.arange(len(sizes), dtype=np.uint8), short)
+    return labels
+
+
+def _split(n: int, sizes: list, rng: np.random.Generator) -> list:
+    """Sorted int32 index sets of a uniformly random partition of range(n) into ``sizes``.
+
+    More than three parts are first split among three groups of parts, then
+    each group among its own parts, so the work grows with n log(parts)
+    rather than n parts.  Each set is read into an exact-size int32 array,
+    ``_BLOCK`` positions at a time.
+    """
+    if len(sizes) == 1:
+        return [np.arange(n, dtype=np.int32)]
+    if len(sizes) > 3:
+        cuts = [len(sizes) * j // 3 for j in range(4)]
+        groups = [sizes[a:b] for a, b in zip(cuts, cuts[1:])]
+        parts = _split(n, [sum(g) for g in groups], rng)
+        return [part[i] for part, g in zip(parts, groups) for i in _split(part.size, g, rng)]
+    labels = _labelling(n, sizes, rng)
+    sets, filled = [np.empty(size, np.int32) for size in sizes], [0] * len(sizes)
+    for start in range(0, n, _BLOCK):
+        block = labels[start : start + _BLOCK]
+        for k, out in enumerate(sets):
+            idx = np.flatnonzero(block == k)
+            np.add(idx, start, out=out[filled[k] : filled[k] + idx.size], casting="unsafe")
+            filled[k] += idx.size
+    return sets
+
+
 def extract_blocks(
     z_pool: np.ndarray, c_test: int, c_sig: int, seed: int = 0, link: str = "AB"
 ) -> tuple[tuple[np.ndarray, np.ndarray], list[SignatureBlock]]:
     """Randomly split a pool into a test sample and disjoint signature blocks.
 
-    Returns ((test_indices, test_bits), blocks).  Uniform without
-    replacement, deterministic under ``seed``; block count equals
-    :func:`n_blocks` exactly.  Pools beyond ``MAX_MATERIALISED_POOL`` must
-    use :func:`n_blocks` for the count arithmetic instead of materialising
-    indices.
+    Returns ((test_indices, test_bits), blocks), with sorted int32 indices;
+    the block count equals :func:`n_blocks` exactly.  The split labels the
+    pool's positions: the test sample (``c_test``), then each signature
+    block (``c_sig``), then the leftover.  Its law is uniform over every
+    labelling with those sizes, the law of cutting a uniform permutation:
+    the marking is i.i.d. over positions, and fixing the counts treats
+    positions symmetrically, so the labelling is exchangeable, and an
+    exchangeable labelling with fixed label sizes is uniform.  Splitting
+    many blocks in groups composes uniform splits, which stays uniform.
+    Deterministic under ``seed``.  Pools beyond ``MAX_MATERIALISED_POOL``
+    must use :func:`n_blocks` for the count arithmetic instead of
+    materialising indices.
     """
     pool = np.asarray(z_pool)
     count = n_blocks(len(pool), c_test, c_sig)
@@ -247,16 +317,11 @@ def extract_blocks(
         raise ValueError(
             f"pool of {len(pool)} is too large to materialise; use n_blocks()"
         )
-    rng = np.random.default_rng(seed)
-    perm = np.arange(len(pool), dtype=np.int32)  # MAX_MATERIALISED_POOL < 2^31
-    rng.shuffle(perm)
-    test_idx = np.sort(perm[:c_test])
-    blocks = []
-    for i in range(count):
-        idx = np.sort(perm[c_test + i * c_sig : c_test + (i + 1) * c_sig])
-        blocks.append(
-            SignatureBlock(link=link, bit_values=pool[idx], origin_indices=idx)
-        )
+    rest = len(pool) - c_test - count * c_sig
+    test_idx, *block_idx, _ = _split(
+        len(pool), [c_test, *[c_sig] * count, rest], np.random.default_rng(seed)
+    )
+    blocks = [SignatureBlock(link=link, bit_values=pool[idx], origin_indices=idx) for idx in block_idx]
     return (test_idx, pool[test_idx]), blocks
 
 

@@ -303,6 +303,36 @@ class TestSweep:
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
         assert "zero sent pulses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            ({"distances": 5}, "distances"),
+            ({"distances": [5, "ten"]}, "distances"),
+            ({"distances": []}, "distances"),
+            ({"n_pulses": "many"}, "n_pulses"),
+            ({"n_pulses": 1.5e9 + 0.5}, "n_pulses"),
+            ({"seed": "x"}, "seed"),
+            ({"mode": "mdi"}, "mode"),
+            ({"duty": 0}, "duty"),
+            ({"mdi_model": [0.9]}, "mdi_model"),
+            ({"mdi_model": {"visibility": 0.9}}, "mdi_model"),
+        ],
+        ids=("distances-not-a-list", "distance-not-a-number", "distances-empty", "n_pulses-not-a-number",
+             "n_pulses-not-an-integer", "seed-not-a-number", "mode-unknown", "duty-out-of-range",
+             "mdi_model-not-an-object", "mdi_model-unknown-key"),
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, change, path):
+        cfg = {"mode": "QKD", "distances": [5], "channel": {"distance_km": 0}, **change}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_integral_float_counts_as_an_integer(self, tmp_path, capsys):
+        cfg = {"mode": "QKD", "distances": [5], "channel": {"distance_km": 0}, "seed": 5}
+        assert main(["sweep", "--config", write_config(tmp_path, dict(cfg, n_pulses=10**9))]) == 0
+        as_int = capsys.readouterr().out
+        assert main(["sweep", "--config", write_config(tmp_path, dict(cfg, n_pulses=1e9, seed=5.0))]) == 0
+        assert capsys.readouterr().out == as_int
+
     def test_unknown_preset_fails(self, capsys):
         assert main(["sweep", "--preset", "nope"]) == 2
         assert "unknown preset" in capsys.readouterr().err

@@ -1,9 +1,13 @@
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from qkdnet import qds
 from qkdnet.experiments import min_feasible_acquisition
@@ -30,6 +34,8 @@ MDI = dict(s1=666_345, c_sig=2_500_000, eph=0.053, e_test=0.005, c_test=1_714_42
 QKD = dict(s1=86_563, c_sig=150_000, eph=0.0237, e_test=0.0017, c_test=46_979_354)
 EPS_H = 2e-11
 P_REP = 0.5e-10
+#: sha256 of extract_blocks' test and block indices at seed 5 on the 1,193,839-bit pool
+SPLIT_DIGEST = "a79d10607e97063071101031ffcf89b3a150d85481eb82f15e2212c7133cfac8"
 
 
 class TestEveErrorFloor:
@@ -164,17 +170,19 @@ class TestBlocks:
     def test_extract_matches_count_and_is_disjoint(self):
         rng = np.random.default_rng(0)
         pool = rng.integers(0, 2, size=10_000, dtype=np.int8)
-        (test_idx, test_bits), blocks = extract_blocks(pool, 1_000, 2_500, seed=5)
-        assert len(blocks) == n_blocks(10_000, 1_000, 2_500) == 3
-        seen = set(test_idx.tolist())
-        assert len(seen) == 1_000
-        for block in blocks:
-            idx = set(block.origin_indices.tolist())
-            assert len(idx) == 2_500
-            assert not idx & seen
-            seen |= idx
-            assert np.all(np.diff(block.origin_indices) > 0)
-            assert np.array_equal(block.bit_values, pool[block.origin_indices])
+        # three blocks are one three-part split; 330 nest splits of at most three parts
+        for c_test, c_sig, count in ((1_000, 2_500, 3), (100, 30, 330)):
+            (test_idx, test_bits), blocks = extract_blocks(pool, c_test, c_sig, seed=5)
+            assert len(blocks) == n_blocks(10_000, c_test, c_sig) == count
+            seen = set(test_idx.tolist())
+            assert len(seen) == c_test
+            for block in blocks:
+                idx = set(block.origin_indices.tolist())
+                assert len(idx) == c_sig
+                assert not idx & seen
+                seen |= idx
+                assert np.all(np.diff(block.origin_indices) > 0)
+                assert np.array_equal(block.bit_values, pool[block.origin_indices])
 
     def test_deterministic(self):
         pool = np.arange(5000) % 2
@@ -190,17 +198,93 @@ class TestBlocks:
         with pytest.raises(ValueError):
             extract_blocks(np.zeros(100, dtype=np.int8), 80, 30, seed=1)
 
-    def test_indices_follow_the_seeds_permutation(self):
+    @pytest.mark.parametrize("pool_len, c_test, c_sig, name", [
+        (100, 10, 0, "c_sig"), (100, 10, -3, "c_sig"), (100, -5, 30, "c_test"),
+    ])
+    def test_bad_sizes_rejected_naming_the_argument(self, pool_len, c_test, c_sig, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            n_blocks(pool_len, c_test, c_sig)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            extract_blocks(np.zeros(pool_len, dtype=np.int8), c_test, c_sig, seed=1)
+
+    def test_empty_test_sample(self):
+        (test_idx, test_bits), blocks = extract_blocks(np.arange(10) % 2, 0, 3, seed=2)
+        assert test_idx.size == test_bits.size == 0
+        assert [len(b) for b in blocks] == [3, 3, 3]
+
+    def test_split_digest_at_seed_5(self):
+        # pins the seed's draws: a change to the split's algorithm or stream must show here
         n, c_test, c_sig = 1_193_839, 500_000, 300_000
         pool = np.random.default_rng(1).integers(0, 2, size=n, dtype=np.int8)
         (test_idx, test_bits), blocks = extract_blocks(pool, c_test, c_sig, seed=5)
-        perm = np.random.default_rng(5).permutation(n)
-        assert np.array_equal(test_idx, np.sort(perm[:c_test]))
-        assert np.array_equal(test_bits, pool[np.sort(perm[:c_test])])
-        assert len(blocks) == 2
-        for i, block in enumerate(blocks):
-            want = np.sort(perm[c_test + i * c_sig : c_test + (i + 1) * c_sig])
-            assert np.array_equal(block.origin_indices, want)
+        assert test_idx.dtype == np.int32 and len(test_idx) == c_test
+        assert np.all(np.diff(test_idx) > 0)
+        assert np.array_equal(test_bits, pool[test_idx])
+        assert [len(b) for b in blocks] == [c_sig, c_sig]
+        digest = hashlib.sha256(test_idx.tobytes())
+        for block in blocks:
+            assert block.origin_indices.dtype == np.int32
+            digest.update(block.origin_indices.tobytes())
+        assert digest.hexdigest() == SPLIT_DIGEST
+
+    @pytest.mark.parametrize("n, c_test, c_sig, cells, per_cell", [(7, 2, 2, 630, 8), (6, 2, 3, 60, 150)])
+    def test_exact_law_on_a_small_pool(self, n, c_test, c_sig, cells, per_cell):
+        # every labelling into the test sample, the blocks and the leftover is
+        # equally likely: 7!/(2!2!2!1!) = 630 with two blocks (split in groups),
+        # 6!/(2!3!1!) = 60 with one (three parts at once, so the deal order
+        # matters: dealing the released positions in sorted order skews the
+        # 60 cells by up to 20%, which 9,000 draws show); at these sizes the
+        # marks almost never hit the sizes, so the count fixing runs on nearly
+        # every draw
+        count = n_blocks(n, c_test, c_sig)
+        parts = [0] * c_test + [k for k in range(1, count + 1) for _ in range(c_sig)]
+        parts += [count + 1] * (n - len(parts))
+        labellings = dict.fromkeys(itertools.permutations(parts), 0)
+        assert len(labellings) == cells
+        for seed in range(cells * per_cell):
+            (test_idx, _), blocks = extract_blocks(np.zeros(n, np.int8), c_test, c_sig, seed=seed)
+            labels = np.full(n, count + 1)
+            labels[test_idx] = 0
+            for k, block in enumerate(blocks, 1):
+                labels[block.origin_indices] = k
+            labellings[tuple(labels.tolist())] += 1
+        observed = np.array(list(labellings.values()))
+        statistic = ((observed - per_cell) ** 2).sum() / per_cell
+        assert chi2.sf(statistic, cells - 1) > 1e-4
+
+    def test_inclusion_frequencies_are_uniform_over_positions(self):
+        # per-position inclusion counts over 40 seeds, pooled in 1,000-position
+        # bins: each part's bin counts are sums of hypergeometric draws
+        n, c_test, c_sig, draws, width = 1_000_000, 300_000, 250_000, 40, 1_000
+        sizes = {"test": c_test, "block 0": c_sig, "block 1": c_sig, "rest": n - c_test - 2 * c_sig}
+        counts = {part: np.zeros(n // width) for part in sizes}
+        pool = np.zeros(n, np.int8)
+        for seed in range(draws):
+            (test_idx, _), blocks = extract_blocks(pool, c_test, c_sig, seed=seed)
+            rest = np.ones(n, bool)
+            for part, idx in zip(sizes, (test_idx, *(b.origin_indices for b in blocks))):
+                counts[part] += np.bincount(idx // width, minlength=n // width)
+                rest[idx] = False
+            counts["rest"] += np.bincount(np.flatnonzero(rest) // width, minlength=n // width)
+        f = width / n
+        for part, size in sizes.items():
+            mean = draws * size * f
+            sd = math.sqrt(draws * size * f * (1 - f) * (n - size) / (n - 1))
+            assert np.abs(counts[part] - mean).max() < 5 * sd, part
+
+    def test_traced_peak_stays_below_the_permutation_split(self):
+        # the permutation split's traced peak on this pool was 13.5 MB; the
+        # labelling holds one byte per position beside the returned indices
+        n = 1_192_542
+        c_sig = int(n * 0.55)
+        pool = np.random.default_rng(1).integers(0, 2, size=n, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            extract_blocks(pool, n - c_sig - 10, c_sig, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.3e6
 
 
 class TestTimingReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathkit import check_probability, poisson_weights
+from .mathkit import check_probability, check_real, poisson_weights
 
 __all__ = [
     "ChannelParams",
@@ -41,6 +41,9 @@ N_CUT = 12
 LABELS = ("s", "u", "v", "w")
 X_LABELS = LABELS[1:]
 
+#: the shape arguments of :func:`mdi_yield_model`, each a probability
+MDI_MODEL_KEYS = ("hom_visibility", "bell_success", "x_multiphoton_floor")
+
 #: probability that a point-to-point receiver's passive analyzer takes the X
 #: branch (the Z branch takes the rest); :func:`sift_keep` is its one reader
 PASSIVE_BASIS_FACTOR = 0.5
@@ -62,12 +65,9 @@ class ChannelParams:
     clock_rate_hz: float = 1e9
 
     def __post_init__(self):
-        if self.distance_km < 0:
-            raise ValueError("distance_km must be >= 0")
-        if self.attenuation_db_per_km < 0:
-            raise ValueError("attenuation_db_per_km must be >= 0")
-        if self.clock_rate_hz <= 0:
-            raise ValueError("clock_rate_hz must be > 0")
+        check_real(self.distance_km, "distance_km", 0.0)
+        check_real(self.attenuation_db_per_km, "attenuation_db_per_km", 0.0)
+        check_real(self.clock_rate_hz, "clock_rate_hz", 0.0, low_open=True)
         check_probability(self.detector_efficiency, "detector_efficiency")
         check_probability(self.dark_count_prob, "dark_count_prob")
         check_probability(self.misalignment, "misalignment")
@@ -100,9 +100,8 @@ class IntensitySet:
         object.__setattr__(self, "x_weights", tuple(self.x_weights))  # hashable, from any sequence
         if not self.s > self.u > self.v > self.w >= 0:
             raise ValueError("intensities must satisfy s > u > v > w >= 0")
-        if not 0.0 < self.z_basis_prob < 1.0:
-            raise ValueError("z_basis_prob must be in (0, 1)")
-        if len(self.x_weights) != 3 or min(self.x_weights) < 0 or sum(self.x_weights) <= 0:
+        check_real(self.z_basis_prob, "z_basis_prob", 0.0, 1.0, low_open=True, high_open=True)
+        if len(self.x_weights) != 3 or not 0 < sum(check_real(x, "x_weights", 0.0) for x in self.x_weights) < np.inf:
             raise ValueError("x_weights must be three non-negative weights")
         _photon_law(self.s)
 

@@ -12,24 +12,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .channel import LABELS, ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from .channel import LABELS, MDI_MODEL_KEYS, ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from .decoy import CountTable, TableFormatError, estimate_bounds
 from .keyrate import SecurityParams, rate_sweep, secure_key_length, sweep_to_csv
+from .mathkit import ConfigError
 from .netsim import run_plan, schedule
 from .qds import InsecureChannelError, QdsParams, distill_report
 
 __all__ = ["load_network", "main"]
-
-
-class ConfigError(ValueError):
-    """A configuration document failed validation; the message names the key."""
 
 
 def _load_config(path: str, name: str) -> dict:
@@ -45,17 +39,6 @@ def _load_config(path: str, name: str) -> dict:
         where = name if section is not doc else "the config root"
         raise ConfigError(f"{path}: {where} must be a JSON object, got {type(section).__name__}")
     return section
-
-
-def _integer(config: dict, key: str, default: int) -> int:
-    """``config[key]`` as an integer; an integral float such as 1e7 counts as one."""
-    value = config.get(key, default)
-    try:
-        if value == int(value) and not isinstance(value, bool):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{key}: expected an integer, got {value!r}")
 
 
 def load_preset(name: str) -> dict:
@@ -97,8 +80,7 @@ def _save(out: str | None, command: str, config: dict, name: str, text: str):
 
 
 #: the channel keys and the yield-model keys each link of a ``simulate`` config may carry
-LINK_KEYS = {"AB": (("side_a", "side_b"), ("hom_visibility", "bell_success", "x_multiphoton_floor")),
-             "AC": (("channel",), ()), "BC": (("channel",), ())}
+LINK_KEYS = {"AB": (("side_a", "side_b"), MDI_MODEL_KEYS), "AC": (("channel",), ()), "BC": (("channel",), ())}
 
 
 def load_network(config: dict) -> tuple[IntensitySet, dict]:
@@ -108,11 +90,6 @@ def load_network(config: dict) -> tuple[IntensitySet, dict]:
     a misspelt key cannot silently fall back to its default.
     """
     intensities = _build(IntensitySet, config.get("intensities", {}), "intensities")
-    # the Z-basis probability has one source, intensities.z_basis_prob
-    if "z_prob" in config and config["z_prob"] != intensities.z_basis_prob:
-        raise ConfigError(f"z_prob: {config['z_prob']!r} differs from intensities.z_basis_prob "
-                          f"{intensities.z_basis_prob!r}; set only intensities.z_basis_prob")
-
     links = config.get("links", {})
     if not isinstance(links, dict):
         raise ConfigError(f"links: expected an object of link settings, got {type(links).__name__}")
@@ -131,7 +108,7 @@ def load_network(config: dict) -> tuple[IntensitySet, dict]:
         build = mdi_yield_model if link == "AB" else qkd_yield_model
         try:
             models[link] = build(*sides, **{k: doc[k] for k in shape if k in doc})
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"links.{link}: {exc}") from None
     return intensities, models
 
@@ -142,21 +119,13 @@ def cmd_simulate(args) -> int:
         config["seed"] = args.seed
     out_dir = Path(args.out)
 
-    slots = _integer(config, "slots", 0)
-    if slots < 0:
-        raise ConfigError("slots: must be >= 0")
-    weights = config.get("weights", [500, 1, 1])
-    numbers = isinstance(weights, list) and all(type(x) in (int, float) for x in weights)
-    if not (numbers and len(weights) == 3 and min(weights) >= 0 and 0 < sum(weights) < math.inf):
-        raise ConfigError(f"weights: expected three non-negative numbers with a positive sum, got {weights!r}")
-    seed = _integer(config, "seed", 0)
     intensities, models = load_network(config)
-
-    plan = schedule(slots, tuple(weights), intensities.z_basis_prob, intensities, seed)
+    plan = schedule(config.get("slots", 0), intensities=intensities,
+                    **{k: config[k] for k in ("weights", "z_prob", "seed") if k in config})
     missing = sorted(plan.active_links() - set(models))
     if missing:
         raise ConfigError(f"links: plan schedules {missing} but no channel was configured")
-    result = run_plan(plan, models, seed=seed)
+    result = run_plan(plan, models, seed=plan.seed)
 
     outputs = []
     for link, table in sorted(result.tables.items()):
@@ -169,7 +138,7 @@ def cmd_simulate(args) -> int:
     }
     extra = {"outputs": outputs, "z_pools": pools, "diagnostics": result.diagnostics}
     _manifest(out_dir, "simulate", config, extra)
-    print(f"simulated {slots} slots -> {out_dir}")
+    print(f"simulated {plan.slots} slots -> {out_dir}")
     return 0
 
 
@@ -232,28 +201,9 @@ def cmd_sweep(args) -> int:
     channel = _build(ChannelParams, config.get("channel", {}), "sweep.channel")
     intensities = _build(IntensitySet, config.get("intensities", {}), "sweep.intensities")
     security = _build(SecurityParams, config.get("security", {}), "sweep.security")
-    mode, distances, duty = config.get("mode", "QKD"), config.get("distances", []), config.get("duty", 1.0)
-    if mode not in ("QKD", "MDI"):
-        raise ConfigError(f"mode: expected 'QKD' or 'MDI', got {mode!r}")
-    if not (isinstance(distances, list) and distances and all(type(x) in (int, float) for x in distances)):
-        raise ConfigError(f"distances: expected a non-empty list of numbers, got {distances!r}")
-    if not (type(duty) in (int, float) and 0 < duty <= 1):
-        raise ConfigError(f"duty: expected a number in (0, 1], got {duty!r}")
-    shape = LINK_KEYS["AB"][1]
-    mdi_model = config.get("mdi_model", {})
-    if not (isinstance(mdi_model, dict) and set(mdi_model) <= set(shape)):
-        raise ConfigError(f"mdi_model: expected an object with keys among {', '.join(shape)}, got {mdi_model!r}")
-    points = rate_sweep(
-        channel,
-        intensities,
-        distances,
-        mode,
-        security,
-        duty=duty,
-        seed=_integer(config, "seed", 0),
-        n_pulses=_integer(config, "n_pulses", 10**12),
-        mdi_model_kwargs=mdi_model,
-    )
+    mode = config.get("mode", "QKD")
+    points = rate_sweep(channel, intensities, config.get("distances", []), mode, security,
+                        **{k: config[k] for k in ("duty", "seed", "n_pulses", "mdi_model") if k in config})
     if args.format == "json":
         rows = [dataclasses.asdict(p) for p in points]
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
@@ -277,19 +227,13 @@ def cmd_qds(args) -> int:
 
     fields = ("c_sig", "c_test", "eps_h", "p_rep_budget", "p_fail_total")
     params = _build(QdsParams, {k: config[k] for k in fields if k in config}, "qds")
+    required = ("s1_sig_lower", "eph_sig_upper", "e_test", "pool_size", "total_time_s", "duty_fraction")
+    missing = [k for k in required if k not in config]
+    if missing:
+        raise ConfigError(f"qds: missing field {missing[0]!r}")
+    inputs = {k: config[k] for k in (*required, "epsilon_inherited") if k in config}
     try:
-        report = distill_report(
-            s1_sig_lower=int(config["s1_sig_lower"]),
-            eph_sig_upper=float(config["eph_sig_upper"]),
-            e_test=float(config["e_test"]),
-            pool_size=int(config["pool_size"]),
-            params=params,
-            total_time_s=float(config["total_time_s"]),
-            duty_fraction=float(config["duty_fraction"]),
-            epsilon_inherited=float(config.get("epsilon_inherited", 0.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"qds: missing field {exc.args[0]!r}") from None
+        report = distill_report(params=params, **inputs)
     except InsecureChannelError as exc:
         outcome = json.dumps({"outcome": "no positive QDS rate", "detail": str(exc)}, sort_keys=True)
         print(outcome)

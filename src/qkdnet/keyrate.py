@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import (
+    MDI_MODEL_KEYS,
     X_LABELS,
     ChannelParams,
     IntensitySet,
@@ -25,7 +27,7 @@ from .channel import (
     sift_keep,
 )
 from .decoy import CountTable, DecoyBounds, InconsistentCountsError, estimate_bounds
-from .mathkit import binary_entropy
+from .mathkit import ConfigError, binary_entropy, check_count, check_real
 
 __all__ = [
     "SecurityParams",
@@ -54,10 +56,9 @@ class SecurityParams:
     f_ec: float = 1.16
 
     def __post_init__(self):
-        if self.eps_sec <= 0 or self.eps_cor <= 0:
-            raise ValueError("failure budgets must be positive")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        check_real(self.eps_sec, "eps_sec", 0.0, low_open=True)
+        check_real(self.eps_cor, "eps_cor", 0.0, low_open=True)
+        check_real(self.f_ec, "f_ec", 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,7 @@ def secure_key_length(
     phase-error bound at (or clamped to) one half zeroes the extraction
     term rather than erroring.
     """
+    elapsed_s = check_real(elapsed_s, "elapsed_s", 0.0)
     if bounds.s1_lower > n_z:
         raise ValueError("single-photon bound exceeds the Z-basis sample")
     h_ph = 1.0 if bounds.eph_upper >= 0.5 else binary_entropy(bounds.eph_upper)
@@ -181,7 +183,7 @@ def rate_sweep(
     duty: float = 1.0,
     seed: int = 0,
     n_pulses: int = 10**12,
-    mdi_model_kwargs: dict | None = None,
+    mdi_model: dict | None = None,
 ) -> list[SweepPoint]:
     """Secure key rate versus distance for one mode.
 
@@ -194,15 +196,23 @@ def rate_sweep(
     propagates.
 
     Half of ``security.eps_sec`` funds the decoy estimation; the remainder
-    is carried by the finite-size correction's composition.
+    is carried by the finite-size correction's composition.  ``mdi_model``
+    holds keyword arguments of :func:`channel.mdi_yield_model`.
     """
-    if not 0.0 < duty <= 1.0:
-        raise ValueError("duty must be in (0, 1]")
-    distances = list(distances)
-    if not distances:
-        raise ValueError("distance list must be non-empty")
+    if not isinstance(distances, Iterable) or not (distances := list(distances)):
+        raise ConfigError(f"distances: expected a non-empty list of numbers, got {distances!r}")
+    for dist in distances:
+        check_real(dist, "distances", 0.0)
     if mode not in ("QKD", "MDI"):
-        raise ValueError(f"mode must be 'QKD' or 'MDI', got {mode!r}")
+        raise ConfigError(f"mode: expected 'QKD' or 'MDI', got {mode!r}")
+    duty = check_real(duty, "duty", 0.0, 1.0, low_open=True)
+    seed = check_count(seed, "seed")
+    n_pulses = check_count(n_pulses, "n_pulses")
+    mdi_model = {} if mdi_model is None else mdi_model
+    if not (isinstance(mdi_model, dict) and set(mdi_model) <= set(MDI_MODEL_KEYS)):
+        raise ConfigError(f"mdi_model: expected an object with keys among {MDI_MODEL_KEYS}, got {mdi_model!r}")
+    for key, value in mdi_model.items():
+        check_real(value, f"mdi_model.{key}", 0.0, 1.0)
     points = []
     point_seeds = np.random.SeedSequence(seed).generate_state(len(distances))
     for i, dist in enumerate(distances):
@@ -212,7 +222,7 @@ def rate_sweep(
                 model = qkd_yield_model(replace(params, distance_km=dist))
             else:
                 side = replace(params, distance_km=dist / 2.0)
-                model = mdi_yield_model(side, side, **(mdi_model_kwargs or {}))
+                model = mdi_yield_model(side, side, **mdi_model)
             table = synthesize_table(
                 model, intensities, n_pulses, mode, link="AB" if mode == "MDI" else "AC",
                 seed=int(point_seeds[i]),

@@ -43,7 +43,10 @@ __all__ = [
     "LpInfeasibleError",
     "LpRows",
     "solve_bounded_lp",
+    "ConfigError",
     "check_probability",
+    "check_count",
+    "check_real",
 ]
 
 #: absolute tolerance of the inverse-entropy bisection
@@ -55,6 +58,35 @@ def check_probability(value: float, name: str = "probability") -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
+
+
+class ConfigError(ValueError):
+    """An input from outside the program is malformed; the message starts with the argument's name."""
+
+
+def check_count(value, name: str, low: int = 0) -> int:
+    """``value`` as an integer >= ``low``; an integral float such as 1e7 counts as one."""
+    try:
+        if value == int(value) >= low and not isinstance(value, (bool, np.bool_)):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name}: expected an integer >= {low}, got {value!r}")
+
+
+def check_real(value, name: str, low=-math.inf, high=math.inf, low_open=False, high_open=False) -> float:
+    """``value`` as a float: finite, not a bool, in [low, high], an end open when its ``*_open`` flag is set."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and (low < x if low_open else low <= x) and (x < high if high_open else x <= high)):
+        opening = "(" if low_open or low == -math.inf else "["
+        closing = ")" if high_open or high == math.inf else "]"
+        raise ConfigError(f"{name}: got {value!r}; {name} must be in {opening}{low:g}, {high:g}{closing}")
+    return x
 
 
 def binary_entropy(p: float) -> float:

@@ -13,12 +13,14 @@ session simply pins the inactive sender to vacuum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LABELS, CountRecord, IntensitySet, outcome_law, sift_keep
 from .decoy import CountTable
+from .mathkit import ConfigError, check_count, check_real
 
 __all__ = [
     "SESSION_NAMES",
@@ -106,20 +108,17 @@ def schedule(
     the intensity set's ``z_basis_prob``; a ``z_prob`` given as well must
     equal it.
     """
-    if slots < 0:
-        raise ValueError("slots must be >= 0")
+    slots = check_count(slots, "slots")
+    seed = check_count(seed, "seed")
     intensities = intensities or IntensitySet()
-    if z_prob is None:
-        z_prob = intensities.z_basis_prob
-    if not 0.0 <= z_prob <= 1.0:
-        raise ValueError(f"z_prob must be in [0, 1], got {z_prob!r}")
-    if z_prob != intensities.z_basis_prob:
-        raise ValueError(
-            f"z_prob {z_prob!r} differs from intensities.z_basis_prob {intensities.z_basis_prob!r}"
-        )
+    z_prob = intensities.z_basis_prob if z_prob is None else z_prob
+    if check_real(z_prob, "z_prob", 0.0, 1.0) != intensities.z_basis_prob:
+        raise ConfigError(f"z_prob: {z_prob!r} differs from intensities.z_basis_prob "
+                          f"{intensities.z_basis_prob!r}; set only intensities.z_basis_prob")
+    if not (isinstance(weights, (list, tuple, np.ndarray)) and len(weights) == 3
+            and 0.0 < sum(check_real(x, "weights", 0.0) for x in weights) < math.inf):
+        raise ConfigError(f"weights: expected three non-negative numbers with a positive sum, got {weights!r}")
     w = np.asarray(weights, dtype=float)
-    if w.shape != (3,) or w.min() < 0 or w.sum() <= 0:
-        raise ValueError("weights must be three non-negative values with a positive sum")
     rng = np.random.default_rng(seed)
     # One uniform per slot picks the session and one per sender its
     # intensity: below z_prob the signal class, above it u, v or w by x_probs.

@@ -25,7 +25,9 @@ import numpy as np
 
 from .mathkit import (
     binary_entropy,
+    check_count,
     check_probability,
+    check_real,
     hoeffding_exponent_bound,
     hoeffding_exponent_log,
     inv_binary_entropy,
@@ -76,14 +78,10 @@ class QdsParams:
     p_fail_total: float = 1e-10
 
     def __post_init__(self):
-        if self.c_sig < 1 or self.c_test < 1:
-            raise ValueError("c_sig and c_test must be >= 1")
-        if not 0.0 < self.eps_h < 1.0:
-            raise ValueError("eps_h must be in (0, 1)")
-        if not 0.0 < self.p_rep_budget < 1.0:
-            raise ValueError("p_rep_budget must be in (0, 1)")
-        if not 0.0 < self.p_fail_total < 1.0:
-            raise ValueError("p_fail_total must be in (0, 1)")
+        for name in ("c_sig", "c_test"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low=1))
+        for name in ("eps_h", "p_rep_budget", "p_fail_total"):
+            check_real(getattr(self, name), name, 0.0, 1.0, low_open=True, high_open=True)
 
 
 @dataclass(frozen=True)
@@ -450,9 +448,17 @@ def distill_report(
     c_sig; ``l_sig`` records the minimum length that would already meet
     the repudiation budget and must not exceed c_sig for a secure report.
 
-    Raises :class:`InsecureChannelError` when the QBER bound reaches the
+    Raises :class:`mathkit.ConfigError` naming a malformed input, and
+    :class:`InsecureChannelError` when the QBER bound reaches the
     attacker floor (no positive signature rate).
     """
+    s1_sig_lower = check_count(s1_sig_lower, "s1_sig_lower")
+    eph_sig_upper = check_real(eph_sig_upper, "eph_sig_upper", 0.0, 0.5)
+    e_test = check_real(e_test, "e_test", 0.0, 1.0)
+    pool_size = check_count(pool_size, "pool_size")
+    total_time_s = check_real(total_time_s, "total_time_s", 0.0)
+    duty_fraction = check_real(duty_fraction, "duty_fraction", 0.0, 1.0, low_open=True)
+    epsilon_inherited = check_real(epsilon_inherited, "epsilon_inherited", 0.0)
     c_sig, c_test = params.c_sig, params.c_test
     p_e = eve_error_floor(s1_sig_lower, c_sig, eph_sig_upper)
     e_sig = qber_upper(e_test, c_test, c_sig, params.eps_h)

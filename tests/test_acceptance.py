@@ -207,7 +207,7 @@ def test_criterion_08_rate_distance_shape():
             duty=cfg.get("duty", 1.0),
             seed=cfg["seed"],
             n_pulses=int(cfg["n_pulses"]),
-            mdi_model_kwargs=cfg.get("mdi_model"),
+            mdi_model=cfg.get("mdi_model"),
         )
         return {p.distance_km: p.rate_bps for p in points}
 

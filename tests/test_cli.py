@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -133,9 +134,14 @@ class TestSimulate:
             ({"weights": 5}, "weights"),
             ({"slots": "many"}, "slots"),
             ({"seed": 1.5}, "seed"),
+            ({"links": {**SIM_CONFIG["links"], "AB": {**SIM_CONFIG["links"]["AB"], "bell_success": "0.5"}}},
+             "links.AB"),
+            ({"seed": -1}, "seed"),
+            ({"weights": [1e308, 1e308, 1]}, "weights"),
+            ({"z_prob": 2}, "z_prob"),
         ],
         ids=("link-not-an-object", "links-not-an-object", "weights-not-a-list", "slots-not-a-number",
-             "seed-not-an-integer"),
+             "seed-not-an-integer", "bell_success-not-a-number", "seed-negative", "weights-sum-overflows", "z_prob-out-of-range"),
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, change, path):
         out = tmp_path / "o"
@@ -233,6 +239,11 @@ class TestKeyrate:
             ("--s", "8", "Poisson tail"),  # a signal class beyond the photon-number cutoff
             ("--s", "0.05", "s > u > v > w"),
             ("--f-ec", "0.5", "f_ec"),
+            ("--elapsed-s", "nan", "error: elapsed_s: got nan"),
+            ("--elapsed-s", "-5", "error: elapsed_s: got -5.0"),
+            ("--eps-sec", "nan", "error: keyrate security: eps_sec: got nan"),
+            ("--f-ec", "nan", "error: keyrate security: f_ec: got nan"),
+            ("--eps-cor", "inf", "error: keyrate security: eps_cor: got inf"),
         ],
     )
     def test_invalid_parameter_is_config_error(self, tmp_path, capsys, flag, value, message):
@@ -316,10 +327,18 @@ class TestSweep:
             ({"duty": 0}, "duty"),
             ({"mdi_model": [0.9]}, "mdi_model"),
             ({"mdi_model": {"visibility": 0.9}}, "mdi_model"),
+            ({"seed": -2}, "seed"),
+            ({"n_pulses": -1}, "n_pulses"),
+            ({"mode": "MDI", "mdi_model": {"bell_success": 2}}, "mdi_model.bell_success"),
+            ({"distances": [math.nan]}, "distances"),
+            ({"channel": {"distance_km": 0, "attenuation_db_per_km": math.nan}},
+             "sweep.channel: attenuation_db_per_km"),
+            ({"intensities": {"x_weights": [math.nan, 1, 1]}}, "sweep.intensities: x_weights"),
         ],
         ids=("distances-not-a-list", "distance-not-a-number", "distances-empty", "n_pulses-not-a-number",
              "n_pulses-not-an-integer", "seed-not-a-number", "mode-unknown", "duty-out-of-range",
-             "mdi_model-not-an-object", "mdi_model-unknown-key"),
+             "mdi_model-not-an-object", "mdi_model-unknown-key", "seed-negative", "n_pulses-negative",
+             "mdi_model-value-out-of-range", "distance-nan", "attenuation-nan", "x_weights-nan"),
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, change, path):
         cfg = {"mode": "QKD", "distances": [5], "channel": {"distance_km": 0}, **change}
@@ -388,6 +407,30 @@ class TestQds:
         err = capsys.readouterr().err
         assert rc == 0 or (rc == 2 and "error:" in err)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            ({"s1_sig_lower": 666345.9}, "s1_sig_lower"),
+            ({"pool_size": 4936714426.5}, "pool_size"),
+            ({"total_time_s": "nan"}, "total_time_s"),
+            ({"total_time_s": float("inf")}, "total_time_s"),
+            ({"epsilon_inherited": "nan"}, "epsilon_inherited"),
+            ({"s1_sig_lower": "x"}, "s1_sig_lower"),
+            ({"duty_fraction": 0}, "duty_fraction"),
+            ({"e_test": "inf"}, "e_test"),
+            ({"c_sig": 2500000.5}, "qds: c_sig"),
+        ],
+        ids=("s1-not-an-integer", "pool-not-an-integer", "time-is-a-string", "time-infinite",
+             "epsilon-is-a-string", "s1-is-a-string", "duty-zero", "e_test-is-a-string", "c_sig-not-an-integer"),
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, change, path):
+        cfg = {"qds": {**load_preset("paper-mdi")["qds"], **change}}
+        out = tmp_path / "o"
+        assert main(["qds", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ") and captured.out == ""
+        assert not out.exists()
 
     def test_missing_field_is_config_error(self, tmp_path, capsys):
         cfg = {"qds": {"c_sig": 100, "c_test": 100}}

@@ -22,8 +22,11 @@ from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yie
 from qkdnet.decoy import estimate_bounds
 from qkdnet.keyrate import synthesize_table
 from qkdnet.mathkit import (
+    ConfigError,
     LpInfeasibleError,
     binary_entropy,
+    check_count,
+    check_real,
     hoeffding_exponent_bound,
     hoeffding_exponent_log,
     inv_binary_entropy,
@@ -202,6 +205,56 @@ class TestHoeffdingBound:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             hoeffding_exponent_bound(-0.1, 10)
+
+
+class TestCheckCount:
+    def test_integral_float_counts_as_an_integer(self):
+        assert check_count(1e7, "slots") == 10_000_000
+        assert type(check_count(1e7, "slots")) is int
+        assert check_count(np.int64(5), "seed") == 5
+        assert check_count(0, "slots") == 0
+
+    @pytest.mark.parametrize("value", [True, np.True_, math.nan, math.inf, "1", None, [1], 1.5, -1])
+    def test_refuses_what_is_not_a_count(self, value):
+        with pytest.raises(ConfigError, match=r"^seed: expected an integer >= 0, got "):
+            check_count(value, "seed")
+
+    def test_lower_bound(self):
+        assert check_count(1, "c_sig", low=1) == 1
+        with pytest.raises(ConfigError, match=r"^c_sig: expected an integer >= 1, got 0$"):
+            check_count(0, "c_sig", low=1)
+
+
+class TestCheckReal:
+    def test_returns_a_float(self):
+        value = check_real(90000, "total_time_s", 0.0)
+        assert value == 90000.0 and type(value) is float
+        assert check_real(np.float32(0.5), "e_test", 0.0, 1.0) == 0.5
+
+    @pytest.mark.parametrize("value", [True, "1", "nan", None, [0.5]])
+    def test_refuses_what_is_not_a_number(self, value):
+        with pytest.raises(ConfigError, match=r"^e_test: expected a number, got "):
+            check_real(value, "e_test", 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_refuses_what_is_not_finite(self, value):
+        with pytest.raises(ConfigError, match=r"^total_time_s: got .*; total_time_s must be in \[0, inf\)$"):
+            check_real(value, "total_time_s", 0.0)
+
+    def test_closed_and_open_ends(self):
+        assert check_real(0, "eph", 0.0, 0.5) == 0.0
+        assert check_real(0.5, "eph", 0.0, 0.5) == 0.5
+        assert check_real(1, "duty", 0.0, 1.0, low_open=True) == 1.0
+        with pytest.raises(ConfigError, match=r"^duty: got 0; duty must be in \(0, 1\]$"):
+            check_real(0, "duty", 0.0, 1.0, low_open=True)
+        with pytest.raises(ConfigError, match=r"^eps_h: got 1.0; eps_h must be in \(0, 1\)$"):
+            check_real(1.0, "eps_h", 0.0, 1.0, low_open=True, high_open=True)
+        with pytest.raises(ConfigError, match=r"^eph: got -1e-300; eph must be in \[0, 0.5\]$"):
+            check_real(-1e-300, "eph", 0.0, 0.5)
+
+    def test_config_error_is_a_value_error(self):
+        # library callers that catch ValueError keep catching a malformed argument
+        assert issubclass(ConfigError, ValueError)
 
 
 class TestPoissonPmf:

@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from qkdnet import qds
 from qkdnet.experiments import min_feasible_acquisition
+from qkdnet.mathkit import ConfigError
 from qkdnet.netsim import MessageBus
 from qkdnet.qds import (
     Holding,
@@ -543,6 +544,13 @@ class TestDistillReport:
         params = {k: v for k, v in report.params.items() if k != missing}
         assert report.secure
         assert not dataclasses.replace(report, params=params).secure
+
+    def test_params_take_block_sizes_as_integers(self):
+        params = QdsParams(c_sig=2.5e6, c_test=1e3)
+        assert (params.c_sig, params.c_test) == (2_500_000, 1_000) and type(params.c_sig) is int
+        for c_sig in (2500000.5, 0, True, "100"):
+            with pytest.raises(ConfigError, match="^c_sig: expected an integer >= 1"):
+                QdsParams(c_sig=c_sig, c_test=10)
 
     @pytest.mark.parametrize("p_fail_total", [-5.0, 0.0, 1.0, 2.0])
     def test_params_reject_failure_budget_outside_unit_interval(self, p_fail_total):

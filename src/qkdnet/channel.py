@@ -10,6 +10,7 @@ per-photon-number yields.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,6 @@ N_CUT = 12
 #: intensity class labels, signal first; every other class is X-basis only
 LABELS = ("s", "u", "v", "w")
 X_LABELS = LABELS[1:]
-
-#: the shape arguments of :func:`mdi_yield_model`, each a probability
-MDI_MODEL_KEYS = ("hom_visibility", "bell_success", "x_multiphoton_floor")
 
 #: probability that a point-to-point receiver's passive analyzer takes the X
 #: branch (the Z branch takes the rest); :func:`sift_keep` is its one reader
@@ -178,7 +176,7 @@ def _eta_n(eta: float, n: np.ndarray) -> np.ndarray:
     return 1.0 - (1.0 - eta) ** n
 
 
-def qkd_yield_model(params: ChannelParams) -> YieldModel:
+def qkd_yield_model(channel: ChannelParams) -> YieldModel:
     """Point-to-point yield model.
 
     With eta the end-to-end transmittance and Y0 = 2 * dark_count_prob the
@@ -190,23 +188,23 @@ def qkd_yield_model(params: ChannelParams) -> YieldModel:
     where eta_n = 1 - (1-eta)^n.  Dark clicks land on a random detector,
     signal clicks err with the misalignment probability.
     """
-    eta = params.transmittance
-    y0 = min(1.0, 2.0 * params.dark_count_prob)
+    eta = channel.transmittance
+    y0 = min(1.0, 2.0 * channel.dark_count_prob)
     n = np.arange(N_CUT + 1)
     eta_n = _eta_n(eta, n)
     yields = y0 + eta_n - y0 * eta_n
     with np.errstate(invalid="ignore"):
         errors = np.where(
             yields > 0.0,
-            (0.5 * y0 + params.misalignment * eta_n * (1.0 - y0)) / np.where(yields > 0, yields, 1.0),
+            (0.5 * y0 + channel.misalignment * eta_n * (1.0 - y0)) / np.where(yields > 0, yields, 1.0),
             0.0,
         )
     return YieldModel(kind="QKD", yields=yields, error_rates=np.clip(errors, 0, 1))
 
 
 def mdi_yield_model(
-    params_a: ChannelParams,
-    params_b: ChannelParams,
+    side_a: ChannelParams,
+    side_b: ChannelParams,
     hom_visibility: float = 1.0,
     bell_success: float = 0.5,
     x_multiphoton_floor: float = 0.25,
@@ -232,15 +230,15 @@ def mdi_yield_model(
     check_probability(hom_visibility, "hom_visibility")
     check_probability(bell_success, "bell_success")
     check_probability(x_multiphoton_floor, "x_multiphoton_floor")
-    eta_a, eta_b = params_a.transmittance, params_b.transmittance
+    eta_a, eta_b = side_a.transmittance, side_b.transmittance
     n = np.arange(N_CUT + 1)
     eta_an = _eta_n(eta_a, n)[:, None]
     eta_bm = _eta_n(eta_b, n)[None, :]
     signal = bell_success * eta_an * eta_bm
-    dark_floor = 2.0 * params_a.dark_count_prob * params_b.dark_count_prob
+    dark_floor = 2.0 * side_a.dark_count_prob * side_b.dark_count_prob
     yields = np.clip(signal + dark_floor, 0.0, 1.0)
 
-    mis_eff = 1.0 - (1.0 - params_a.misalignment) * (1.0 - params_b.misalignment)
+    mis_eff = 1.0 - (1.0 - side_a.misalignment) * (1.0 - side_b.misalignment)
     nn, mm = np.meshgrid(n, n, indexing="ij")
     e11 = min(0.5, mis_eff + (1.0 - hom_visibility) / 2.0)
     e_x = np.where((nn + mm) > 2, x_multiphoton_floor, e11)
@@ -260,6 +258,10 @@ def mdi_yield_model(
         error_rates=np.clip(mix(e_x), 0, 1),
         z_error_rates=np.clip(mix(e_z), 0, 1),
     )
+
+
+#: the shape arguments of :func:`mdi_yield_model`, after its two sides; each a probability
+MDI_MODEL_KEYS = tuple(inspect.signature(mdi_yield_model).parameters)[2:]
 
 
 @functools.lru_cache(maxsize=64)

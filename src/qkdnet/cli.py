@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import inspect
 import json
 import sys
+import typing
 from importlib import resources
 from pathlib import Path
 
-from .channel import LABELS, MDI_MODEL_KEYS, ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from .channel import IntensitySet, mdi_yield_model, qkd_yield_model
 from .decoy import CountTable, TableFormatError, estimate_bounds
 from .keyrate import SecurityParams, rate_sweep, secure_key_length, sweep_to_csv
-from .mathkit import ConfigError
+from .mathkit import ConfigError, check_real
 from .netsim import run_plan, schedule
 from .qds import InsecureChannelError, QdsParams, distill_report
 
@@ -42,19 +45,53 @@ def _load_config(path: str, name: str) -> dict:
 
 
 def load_preset(name: str) -> dict:
-    ref = resources.files("qkdnet") / "presets" / f"{name}.json"
+    presets = resources.files("qkdnet") / "presets"
+    ref = presets / f"{name}.json"
     if not ref.is_file():
-        available = sorted(
-            p.name.removesuffix(".json")
-            for p in (resources.files("qkdnet") / "presets").iterdir()
-        )
+        available = sorted(p.name.removesuffix(".json") for p in presets.iterdir())
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(available)}")
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _build(cls, doc: dict, path: str):
+@functools.cache
+def _schema(call) -> tuple:
+    """``call``'s parameters, and the class of each typed as a parameter dataclass (or None)."""
+    params = inspect.signature(call).parameters
+    hints = typing.get_type_hints(call)
+    return params, {k: cls for k in params for cls in (hints.get(k), *typing.get_args(hints.get(k)))
+                    if dataclasses.is_dataclass(cls)}
+
+
+def _arguments(call, doc, path: str, own=(), **given) -> dict:
+    """``call``'s keyword arguments from config section ``doc``, plus ``given``.
+
+    ``call``'s signature is the schema: a key outside it and ``own`` (keys
+    another call reads), or a required key missing, is a ConfigError naming
+    its key path.  A parameter typed as a parameter dataclass is a nested
+    section, built by :func:`_build`; left out, it takes the defaults.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(doc).__name__}")
+    schema, typed = _schema(call)
+    params = {k: p for k, p in schema.items() if k not in given}
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in params and key not in own:
+            expected = ", ".join([*params, *own])
+            raise ConfigError(f"{prefix}{key}: unknown key; expected one of {expected}")
+    sections = {k: cls for k, cls in typed.items() if k in params}
+    for key, param in params.items():
+        if param.default is param.empty and key not in doc and key not in sections:
+            raise ConfigError(f"{prefix}{key}: missing field")
+    args = {k: v for k, v in doc.items() if k in params}
+    return {**args, **{k: _build(cls, doc.get(k, {}), prefix + k) for k, cls in sections.items()}, **given}
+
+
+def _build(call, doc, path: str, own=()):
+    """``call`` on section ``doc``: a parameter dataclass or yield-model builder, which fails only on bad input."""
+    kwargs = _arguments(call, doc, path, own)
     try:
-        return cls(**doc)
+        return call(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -79,37 +116,21 @@ def _save(out: str | None, command: str, config: dict, name: str, text: str):
 # ---------------------------------------------------------------------------
 
 
-#: the channel keys and the yield-model keys each link of a ``simulate`` config may carry
-LINK_KEYS = {"AB": (("side_a", "side_b"), MDI_MODEL_KEYS), "AC": (("channel",), ()), "BC": (("channel",), ())}
+#: the yield-model builder of each link
+LINK_MODELS = {"AB": mdi_yield_model, "AC": qkd_yield_model, "BC": qkd_yield_model}
 
 
 def load_network(config: dict) -> tuple[IntensitySet, dict]:
-    """The intensity set and per-link yield models of a ``simulate`` config.
-
-    Refuses any link or link key it does not know, naming its key path, so
-    a misspelt key cannot silently fall back to its default.
-    """
-    intensities = _build(IntensitySet, config.get("intensities", {}), "intensities")
+    """Intensities and per-link yield models of a ``simulate`` config: ``schedule``'s arguments and ``links``."""
+    intensities = _arguments(schedule, config, "", ("links",))["intensities"]
     links = config.get("links", {})
     if not isinstance(links, dict):
         raise ConfigError(f"links: expected an object of link settings, got {type(links).__name__}")
     models = {}
     for link, doc in links.items():
-        if link not in LINK_KEYS:
-            raise ConfigError(f"links.{link}: unknown link; expected one of {', '.join(LINK_KEYS)}")
-        if not isinstance(doc, dict):
-            raise ConfigError(f"links.{link}: expected an object of link keys, got {type(doc).__name__}")
-        channels, shape = LINK_KEYS[link]
-        unknown = sorted(set(doc) - {*channels, *shape})
-        if unknown:
-            raise ConfigError(f"links.{link}.{unknown[0]}: unknown key; "
-                              f"expected one of {', '.join(channels + shape)}")
-        sides = [_build(ChannelParams, doc.get(k, {}), f"links.{link}.{k}") for k in channels]
-        build = mdi_yield_model if link == "AB" else qkd_yield_model
-        try:
-            models[link] = build(*sides, **{k: doc[k] for k in shape if k in doc})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"links.{link}: {exc}") from None
+        if link not in LINK_MODELS:
+            raise ConfigError(f"links.{link}: unknown link; expected one of {', '.join(LINK_MODELS)}")
+        models[link] = _build(LINK_MODELS[link], doc, f"links.{link}")
     return intensities, models
 
 
@@ -119,9 +140,8 @@ def cmd_simulate(args) -> int:
         config["seed"] = args.seed
     out_dir = Path(args.out)
 
-    intensities, models = load_network(config)
-    plan = schedule(config.get("slots", 0), intensities=intensities,
-                    **{k: config[k] for k in ("weights", "z_prob", "seed") if k in config})
+    _, models = load_network(config)
+    plan = schedule(**_arguments(schedule, config, "", ("links",)))
     missing = sorted(plan.active_links() - set(models))
     if missing:
         raise ConfigError(f"links: plan schedules {missing} but no channel was configured")
@@ -142,10 +162,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-#: SecurityParams fields that ``keyrate`` takes as flags
-SECURITY_FLAGS = ("eps_sec", "eps_cor", "f_ec")
-
-
 def _read_table(path: str) -> CountTable:
     text = Path(path).read_text(encoding="utf-8")
     if path.endswith(".csv"):
@@ -154,14 +170,16 @@ def _read_table(path: str) -> CountTable:
 
 
 def cmd_keyrate(args) -> int:
-    intensities = _build(IntensitySet, {l: getattr(args, l) for l in LABELS}, "keyrate intensities")
-    security = _build(SecurityParams, {k: getattr(args, k) for k in SECURITY_FLAGS}, "keyrate security")
+    intensities, _ = load_network(_load_config(args.config, "simulate"))
+    flags = {k: v for k, v in vars(args).items() if k in _schema(SecurityParams)[0] and v is not None}
+    security = _build(SecurityParams, flags, "keyrate security")
+    elapsed = {} if args.elapsed_s is None else {"elapsed_s": check_real(args.elapsed_s, "elapsed_s", 0.0)}
     table = _read_table(args.counts)
     mode = "MDI" if table.is_pair else "QKD"
     bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
     z_rec = table.z_entry()
     qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
-    result = secure_key_length(bounds, z_rec.detected, qber_z, security, args.elapsed_s)
+    result = secure_key_length(bounds, z_rec.detected, qber_z, security, **elapsed)
     record = {
         "link": table.link,
         "mode": mode,
@@ -175,17 +193,11 @@ def cmd_keyrate(args) -> int:
     }
     if args.format == "json":
         text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-        name = "keyrate.json"
     else:
-        lines = [
-            ",".join(record),
-            f"{table.link},{mode},{bounds.s1_lower},{bounds.eph_upper:.6g},"
-            f"{result.secure_bits},{result.leak_ec_bits},{result.delta_bits},"
-            f"{result.elapsed_s:.6g},{result.rate_bps:.6g}",
-        ]
-        text = "\n".join(lines) + "\n"
-        name = "keyrate.csv"
-    _save(args.out, "keyrate", {"counts": args.counts, "mode": mode}, name, text)
+        row = (f"{v:.6g}" if isinstance(v, float) else str(v) for v in record.values())
+        text = ",".join(record) + "\n" + ",".join(row) + "\n"
+    manifest = {"config": args.config, "counts": args.counts, "mode": mode}
+    _save(args.out, "keyrate", manifest, f"keyrate.{args.format}", text)
     sys.stdout.write(text)
     return 0
 
@@ -198,20 +210,12 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
 
-    channel = _build(ChannelParams, config.get("channel", {}), "sweep.channel")
-    intensities = _build(IntensitySet, config.get("intensities", {}), "sweep.intensities")
-    security = _build(SecurityParams, config.get("security", {}), "sweep.security")
-    mode = config.get("mode", "QKD")
-    points = rate_sweep(channel, intensities, config.get("distances", []), mode, security,
-                        **{k: config[k] for k in ("duty", "seed", "n_pulses", "mdi_model") if k in config})
+    points = rate_sweep(**_arguments(rate_sweep, config, "sweep"))
     if args.format == "json":
-        rows = [dataclasses.asdict(p) for p in points]
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
-        name = f"sweep_{mode.lower()}.json"
+        text = json.dumps([dataclasses.asdict(p) for p in points], sort_keys=True, indent=2) + "\n"
     else:
         text = sweep_to_csv(points)
-        name = f"sweep_{mode.lower()}.csv"
-    _save(args.out, "sweep", config, name, text)
+    _save(args.out, "sweep", config, f"sweep_{config['mode'].lower()}.{args.format}", text)
     sys.stdout.write(text)
     return 0
 
@@ -225,15 +229,12 @@ def cmd_qds(args) -> int:
     else:
         config = _load_config(args.config, "qds")
 
-    fields = ("c_sig", "c_test", "eps_h", "p_rep_budget", "p_fail_total")
-    params = _build(QdsParams, {k: config[k] for k in fields if k in config}, "qds")
-    required = ("s1_sig_lower", "eph_sig_upper", "e_test", "pool_size", "total_time_s", "duty_fraction")
-    missing = [k for k in required if k not in config]
-    if missing:
-        raise ConfigError(f"qds: missing field {missing[0]!r}")
-    inputs = {k: config[k] for k in (*required, "epsilon_inherited") if k in config}
+    # one flat section feeds QdsParams and distill_report
+    report_keys = [k for k in _schema(distill_report)[0] if k != "params"]
+    params = _build(QdsParams, config, "qds", report_keys)
+    inputs = _arguments(distill_report, config, "qds", _schema(QdsParams)[0], params=params)
     try:
-        report = distill_report(params=params, **inputs)
+        report = distill_report(**inputs)
     except InsecureChannelError as exc:
         outcome = json.dumps({"outcome": "no positive QDS rate", "detail": str(exc)}, sort_keys=True)
         print(outcome)
@@ -276,12 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_key = sub.add_parser("keyrate", help="decoy bounds and key length from a counts file")
     p_key.add_argument("--counts", required=True, help="count table (.json or .csv)")
-    for label in LABELS:
-        p_key.add_argument(f"--{label}", type=float, default=getattr(IntensitySet, label))
-    for name in SECURITY_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        p_key.add_argument(flag, type=float, default=getattr(SecurityParams, name))
-    p_key.add_argument("--elapsed-s", type=float, default=0.0)
+    p_key.add_argument("--config", required=True, help="the simulate config that produced the counts")
+    for name in (*_schema(SecurityParams)[0], "elapsed_s"):
+        p_key.add_argument("--" + name.replace("_", "-"), type=float, default=None)
     p_key.add_argument("--format", choices=("csv", "json"), default="csv")
     p_key.add_argument("--out", default=None, help="output directory (also prints to stdout)")
     p_key.set_defaults(func=cmd_keyrate)
@@ -310,12 +308,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TableFormatError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # malformed input exits 2, a pipeline error 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, TableFormatError)) else 1
 
 
 if __name__ == "__main__":

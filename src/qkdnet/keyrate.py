@@ -175,7 +175,7 @@ def synthesize_table(
 
 
 def rate_sweep(
-    params: ChannelParams,
+    channel: ChannelParams,
     intensities: IntensitySet,
     distances,
     mode: str,
@@ -216,12 +216,12 @@ def rate_sweep(
     points = []
     point_seeds = np.random.SeedSequence(seed).generate_state(len(distances))
     for i, dist in enumerate(distances):
-        elapsed = n_pulses / params.clock_rate_hz / duty
+        elapsed = n_pulses / channel.clock_rate_hz / duty
         try:
             if mode == "QKD":
-                model = qkd_yield_model(replace(params, distance_km=dist))
+                model = qkd_yield_model(replace(channel, distance_km=dist))
             else:
-                side = replace(params, distance_km=dist / 2.0)
+                side = replace(channel, distance_km=dist / 2.0)
                 model = mdi_yield_model(side, side, **mdi_model)
             table = synthesize_table(
                 model, intensities, n_pulses, mode, link="AB" if mode == "MDI" else "AC",

@@ -453,6 +453,7 @@ def distill_report(
     attacker floor (no positive signature rate).
     """
     s1_sig_lower = check_count(s1_sig_lower, "s1_sig_lower")
+    check_real(s1_sig_lower, "s1_sig_lower", 0.0, params.c_sig)  # at most the block it bounds
     eph_sig_upper = check_real(eph_sig_upper, "eph_sig_upper", 0.0, 0.5)
     e_test = check_real(e_test, "e_test", 0.0, 1.0)
     pool_size = check_count(pool_size, "pool_size")

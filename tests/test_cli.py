@@ -28,6 +28,14 @@ SIM_CONFIG = {
 PRESETS = Path(str(resources.files("qkdnet") / "presets"))
 
 
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    """The output directory of ``simulate`` on the desk preset."""
+    out = tmp_path_factory.mktemp("desk")
+    assert main(["simulate", "--config", str(PRESETS / "desk.json"), "--out", str(out)]) == 0
+    return out
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -127,6 +135,21 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key, message",
+        [("slot", "slot: unknown key"), (None, "slots: missing field")],
+        ids=("misspelt-slots", "no-slots"),
+    )
+    def test_unknown_or_missing_key_is_config_error(self, tmp_path, capsys, key, message):
+        # "slot" used to be dropped without a word, and a plan of 0 slots simulated
+        cfg = {k: v for k, v in SIM_CONFIG.items() if k != "slots"}
+        if key:
+            cfg[key] = SIM_CONFIG["slots"]
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "change, path",
         [
             ({"links": {"AC": 5}}, "links.AC"),
@@ -160,10 +183,9 @@ class TestSimulate:
         assert main([command, "--config", cfg, *out]) == 2
         assert f"{cfg}: {where or command} must be a JSON object" in capsys.readouterr().err
 
-    def test_desk_preset_reproduces_the_hand_built_network(self, tmp_path):
+    def test_desk_preset_reproduces_the_hand_built_network(self, desk_run):
         # digests of the tables the desk network gave when each caller built it by hand
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(PRESETS / "desk.json"), "--out", str(out)]) == 0
+        out = desk_run
         digests = {
             "AB": "ceeec2d4605c31b01a420371cec6000986cea3726da28a2061acc32872e54d69",
             "AC": "cc4883bfac4328ced399d722a5bd8013411866fcb84dee1345c4df8b5860ae69",
@@ -182,15 +204,16 @@ def test_preset_is_labelled_and_has_one_section(path):
 
 class TestKeyrate:
     def make_counts(self, tmp_path):
-        cfg = dict(SIM_CONFIG, slots=2_000_000, weights=[0, 1, 0])
+        """``keyrate`` arguments naming an AC table and the config that simulated it."""
+        cfg = write_config(tmp_path, dict(SIM_CONFIG, slots=2_000_000, weights=[0, 1, 0]), "sim.json")
         out = tmp_path / "sim"
-        main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
-        return out / "counts_AC.json"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        return ["--counts", str(out / "counts_AC.json"), "--config", cfg]
 
     def test_reports_key_length_csv(self, tmp_path, capsys):
         counts = self.make_counts(tmp_path)
         capsys.readouterr()  # drop the simulate helper's output
-        rc = main(["keyrate", "--counts", str(counts), "--eps-sec", "1e-4",
+        rc = main(["keyrate", *counts, "--eps-sec", "1e-4",
                    "--eps-cor", "1e-6", "--elapsed-s", "0.002"])
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -201,7 +224,7 @@ class TestKeyrate:
     def test_json_format(self, tmp_path, capsys):
         counts = self.make_counts(tmp_path)
         capsys.readouterr()
-        rc = main(["keyrate", "--counts", str(counts), "--format", "json",
+        rc = main(["keyrate", *counts, "--format", "json",
                    "--eps-sec", "1e-4", "--eps-cor", "1e-6"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
@@ -214,7 +237,7 @@ class TestKeyrate:
         bad.write_text(
             "link,intensity,basis,sent,detected,errors\nAC,s,Z,100,10,0\nAC,u,X,50,oops,0\n"
         )
-        rc = main(["keyrate", "--counts", str(bad)])
+        rc = main(["keyrate", "--counts", str(bad), "--config", write_config(tmp_path, SIM_CONFIG)])
         assert rc == 2
         assert "row 3" in capsys.readouterr().err
 
@@ -228,7 +251,7 @@ class TestKeyrate:
     def test_duplicate_or_wrong_arity_row_is_format_error(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
         bad.write_text("link,intensity,basis,sent,detected,errors\n" + rows)
-        rc = main(["keyrate", "--counts", str(bad)])
+        rc = main(["keyrate", "--counts", str(bad), "--config", write_config(tmp_path, SIM_CONFIG)])
         assert rc == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
@@ -236,8 +259,6 @@ class TestKeyrate:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--s", "8", "Poisson tail"),  # a signal class beyond the photon-number cutoff
-            ("--s", "0.05", "s > u > v > w"),
             ("--f-ec", "0.5", "f_ec"),
             ("--elapsed-s", "nan", "error: elapsed_s: got nan"),
             ("--elapsed-s", "-5", "error: elapsed_s: got -5.0"),
@@ -250,12 +271,29 @@ class TestKeyrate:
         counts = self.make_counts(tmp_path)
         capsys.readouterr()
         out = tmp_path / "out"
-        rc = main(["keyrate", "--counts", str(counts), flag, value, "--out", str(out)])
+        rc = main(["keyrate", *counts, flag, value, "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            (8.0, "Poisson tail"),  # a signal class beyond the photon-number cutoff
+            (0.05, "s > u > v > w"),
+        ],
+    )
+    def test_invalid_config_intensity_is_config_error(self, tmp_path, capsys, s, message):
+        # refused before the counts are read: the counts file does not exist
+        cfg = dict(SIM_CONFIG, intensities=dict(SIM_CONFIG["intensities"], s=s))
+        out = tmp_path / "out"
+        rc = main(["keyrate", "--counts", str(tmp_path / "absent.json"), "--config", write_config(tmp_path, cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: intensities: ") and message in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_mode_follows_the_link(self, tmp_path, capsys):
         # the link fixes the mode (AB is MDI, AC and BC are QKD); there is no flag to contradict it
@@ -263,12 +301,36 @@ class TestKeyrate:
         table = synthesize_table(mdi_yield_model(side, side), IntensitySet(), 10**12, "MDI", "AB", 1)
         counts = tmp_path / "counts_AB.json"
         counts.write_text(table.to_json(), encoding="utf-8")
+        args = ["keyrate", "--counts", str(counts), "--config", write_config(tmp_path, SIM_CONFIG)]
         with pytest.raises(SystemExit) as exited:
-            main(["keyrate", "--counts", str(counts), "--mode", "QKD"])
+            main([*args, "--mode", "QKD"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --mode QKD" in capsys.readouterr().err
-        assert main(["keyrate", "--counts", str(counts)]) == 0
+        assert main(args) == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == ["AB", "MDI"]
+
+    def test_intensities_come_from_the_config_not_flags(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["keyrate", "--counts", "counts_AC.json", "--config", "sim.json", "--s", "0.5"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --s 0.5" in capsys.readouterr().err
+
+    def test_readme_flow_reads_the_intensities_that_made_the_counts(self, desk_run, capsys):
+        # the line the desk intensities gave as flags (--s 0.8 --u 0.5 --v 0.15 --w 0); the
+        # default intensities found these counts inconsistent with any photon-number model
+        capsys.readouterr()
+        rc = main(["keyrate", "--config", str(PRESETS / "desk.json"), "--counts", str(desk_run / "counts_AB.json")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1] == "AB,MDI,358148,0.136656,100131,51656,277,0,0"
+
+    def test_malformed_elapsed_s_is_refused_before_the_bounds(self, desk_run, tmp_path, capsys):
+        args = ["keyrate", "--config", write_config(tmp_path, SIM_CONFIG), "--counts", str(desk_run / "counts_AB.json")]
+        capsys.readouterr()
+        # the desk's relay counts fit no photon-number model under SIM_CONFIG's intensities
+        assert main(args) == 1
+        assert "counts inconsistent" in capsys.readouterr().err
+        assert main([*args, "--elapsed-s", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: elapsed_s: got nan")
 
 
 class TestSweep:
@@ -345,6 +407,21 @@ class TestSweep:
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [("n_pulse", "sweep.n_pulse: unknown key"), ("mode", "sweep.mode: missing field")],
+        ids=("misspelt-n_pulses", "no-mode"),
+    )
+    def test_unknown_or_missing_key_is_config_error(self, tmp_path, capsys, key, message):
+        # "n_pulse" used to run on the default pulse budget, and no mode on QKD
+        cfg = {"mode": "QKD", "distances": [5], "channel": {"distance_km": 0}}
+        if key in cfg:
+            del cfg[key]
+        else:
+            cfg[key] = 10**9
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_integral_float_counts_as_an_integer(self, tmp_path, capsys):
         cfg = {"mode": "QKD", "distances": [5], "channel": {"distance_km": 0}, "seed": 5}
         assert main(["sweep", "--config", write_config(tmp_path, dict(cfg, n_pulses=10**9))]) == 0
@@ -420,9 +497,11 @@ class TestQds:
             ({"duty_fraction": 0}, "duty_fraction"),
             ({"e_test": "inf"}, "e_test"),
             ({"c_sig": 2500000.5}, "qds: c_sig"),
+            ({"s1_sig_lower": 3_000_000}, "s1_sig_lower"),
         ],
         ids=("s1-not-an-integer", "pool-not-an-integer", "time-is-a-string", "time-infinite",
-             "epsilon-is-a-string", "s1-is-a-string", "duty-zero", "e_test-is-a-string", "c_sig-not-an-integer"),
+             "epsilon-is-a-string", "s1-is-a-string", "duty-zero", "e_test-is-a-string", "c_sig-not-an-integer",
+             "s1-above-c_sig"),
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, change, path):
         cfg = {"qds": {**load_preset("paper-mdi")["qds"], **change}}
@@ -431,6 +510,13 @@ class TestQds:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: ") and captured.out == ""
         assert not out.exists()
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt budget used to be dropped, and the report ran on the default eps_h
+        cfg = {"qds": {**load_preset("paper-mdi")["qds"], "eps_hh": 1e-12}}
+        assert main(["qds", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: qds.eps_hh: unknown key") and captured.out == ""
 
     def test_missing_field_is_config_error(self, tmp_path, capsys):
         cfg = {"qds": {"c_sig": 100, "c_test": 100}}

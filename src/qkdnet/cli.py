@@ -89,11 +89,17 @@ def _arguments(call, doc, path: str, own=(), **given) -> dict:
 
 def _build(call, doc, path: str, own=()):
     """``call`` on section ``doc``: a parameter dataclass or yield-model builder, which fails only on bad input."""
-    kwargs = _arguments(call, doc, path, own)
+    return _call(path, call, _arguments(call, doc, path, own), (TypeError, ValueError))
+
+
+def _call(path: str, call, kwargs: dict, refused=ConfigError):
+    """``call(**kwargs)``, a ``refused`` error re-raised as a ConfigError at key path ``path``.
+
+    A ConfigError's leading argument name joins the path with ``.``; any other message follows ``: ``."""
     try:
         return call(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except refused as exc:
+        raise ConfigError(f"{path}{'.' if isinstance(exc, ConfigError) else ': '}{exc}") from None
 
 
 def _write(path: Path, text: str):
@@ -122,15 +128,15 @@ LINK_MODELS = {"AB": mdi_yield_model, "AC": qkd_yield_model, "BC": qkd_yield_mod
 
 def load_network(config: dict) -> tuple[IntensitySet, dict]:
     """Intensities and per-link yield models of a ``simulate`` config: ``schedule``'s arguments and ``links``."""
-    intensities = _arguments(schedule, config, "", ("links",))["intensities"]
+    intensities = _arguments(schedule, config, "simulate", ("links",))["intensities"]
     links = config.get("links", {})
     if not isinstance(links, dict):
-        raise ConfigError(f"links: expected an object of link settings, got {type(links).__name__}")
+        raise ConfigError(f"simulate.links: expected an object of link settings, got {type(links).__name__}")
     models = {}
     for link, doc in links.items():
         if link not in LINK_MODELS:
-            raise ConfigError(f"links.{link}: unknown link; expected one of {', '.join(LINK_MODELS)}")
-        models[link] = _build(LINK_MODELS[link], doc, f"links.{link}")
+            raise ConfigError(f"simulate.links.{link}: unknown link; expected one of {', '.join(LINK_MODELS)}")
+        models[link] = _build(LINK_MODELS[link], doc, f"simulate.links.{link}")
     return intensities, models
 
 
@@ -141,10 +147,10 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
 
     _, models = load_network(config)
-    plan = schedule(**_arguments(schedule, config, "", ("links",)))
+    plan = _call("simulate", schedule, _arguments(schedule, config, "simulate", ("links",)))
     missing = sorted(plan.active_links() - set(models))
     if missing:
-        raise ConfigError(f"links: plan schedules {missing} but no channel was configured")
+        raise ConfigError(f"simulate.links: plan schedules {missing} but no channel was configured")
     result = run_plan(plan, models, seed=plan.seed)
 
     outputs = []
@@ -172,7 +178,7 @@ def _read_table(path: str) -> CountTable:
 def cmd_keyrate(args) -> int:
     intensities, _ = load_network(_load_config(args.config, "simulate"))
     flags = {k: v for k, v in vars(args).items() if k in _schema(SecurityParams)[0] and v is not None}
-    security = _build(SecurityParams, flags, "keyrate security")
+    security = SecurityParams(**flags)  # a flag is named by its key, as elapsed_s is
     elapsed = {} if args.elapsed_s is None else {"elapsed_s": check_real(args.elapsed_s, "elapsed_s", 0.0)}
     table = _read_table(args.counts)
     mode = "MDI" if table.is_pair else "QKD"
@@ -210,7 +216,7 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
 
-    points = rate_sweep(**_arguments(rate_sweep, config, "sweep"))
+    points = _call("sweep", rate_sweep, _arguments(rate_sweep, config, "sweep"))
     if args.format == "json":
         text = json.dumps([dataclasses.asdict(p) for p in points], sort_keys=True, indent=2) + "\n"
     else:
@@ -234,7 +240,7 @@ def cmd_qds(args) -> int:
     params = _build(QdsParams, config, "qds", report_keys)
     inputs = _arguments(distill_report, config, "qds", _schema(QdsParams)[0], params=params)
     try:
-        report = distill_report(**inputs)
+        report = _call("qds", distill_report, inputs)
     except InsecureChannelError as exc:
         outcome = json.dumps({"outcome": "no positive QDS rate", "detail": str(exc)}, sort_keys=True)
         print(outcome)

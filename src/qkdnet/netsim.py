@@ -1,11 +1,11 @@
 """Three-party protocol simulator.
 
 A schedule assigns each pulse slot a session type (relay or one of the two
-point-to-point links, weighted 500:1:1 by default), a basis per sender and
-an intensity class.  Running a plan against per-link ground-truth yield
-models produces the per-link count tables and the undisclosed Z-bit pools
-consumed by the analysis stack, plus diagnostics tallies for conservation
-checks.
+point-to-point links, weighted 500:1:1 by default) and an intensity class
+per sender; the class fixes the sender's basis.  Running a plan against
+per-link ground-truth yield models produces the per-link count tables and
+the undisclosed Z-bit pools consumed by the analysis stack, plus
+diagnostics tallies for conservation checks.
 
 The vacuum class doubles as the reconfiguration switch: a point-to-point
 session simply pins the inactive sender to vacuum.
@@ -39,37 +39,40 @@ LINKS = ("AB", "AC", "BC")  # the link each session code runs
 DEFAULT_CHUNK = 1 << 20
 _BLOCK = 1 << 16  # slots per cache-sized pass of schedule's comparisons; no draw depends on it
 
-# Slot configurations: rows 0-63 are the relay link's (basis a, basis b,
-# intensity a, intensity b), rows 64-71 and 72-79 the AC and BC links'
-# (sender basis, sender intensity).  CONFIG_OF maps a slot's (session,
-# basis a, basis b, intensity a, intensity b), packed into 8 bits as
-# session << 6 | basis a << 5 | basis b << 4 | intensity a << 2 | intensity b,
-# to its row.
-N_CONFIGS = 80
-_ba, _bb, _ia, _ib = np.indices((2, 2, 4, 4)).reshape(4, -1)
-CONFIG_OF = np.concatenate([np.arange(64), 64 + 4 * _ba + _ia, 72 + 4 * _bb + _ib]).astype(np.int16)
+BASIS = "ZXXX"  # each intensity class's basis: the signal class is sent in Z, the decoys in X
+
+# Slot configurations: rows 0-15 are the relay link's (class a, class b)
+# pairs, ordered by (basis a, basis b, class a, class b); rows 16-19 and
+# 20-23 the AC and BC links' sender class.  CONFIG_OF maps a slot's
+# (session, class a, class b), packed into 6 bits as
+# session << 4 | class a << 2 | class b, to its row.
+N_CONFIGS = 24
+RELAY_CLASSES = sorted(np.ndindex(4, 4), key=lambda c: (c[0] > 0, c[1] > 0, c))  # Z before X
+_relay_row = {c: row for row, c in enumerate(RELAY_CLASSES)}
+CONFIG_OF = np.array([_relay_row[a, b] if s == 0 else 16 + a if s == 1 else 20 + b
+                      for s, a, b in np.ndindex(3, 4, 4)], dtype=np.int16)
 #: recorded rows of each link's count table: row -> (link, intensity label(s), basis)
 TABLE_ROWS = {
-    **{b * 48 + c: ("AB", (LABELS[c // 4], LABELS[c % 4]), "ZX"[b]) for b in (0, 1) for c in range(16)},
-    **{64 + 8 * k + 4 * b + i: (link, (LABELS[i],), "ZX"[b])
-       for k, link in enumerate(("AC", "BC")) for b in (0, 1) for i in range(4)},
+    **{row: ("AB", (LABELS[a], LABELS[b]), BASIS[a])
+       for row, (a, b) in enumerate(RELAY_CLASSES) if BASIS[a] == BASIS[b]},
+    **{16 + 4 * k + i: (link, (LABELS[i],), BASIS[i]) for k, link in enumerate(("AC", "BC")) for i in range(4)},
 }
 
 
 @dataclass
 class SessionPlan:
-    """Per-slot session, basis and intensity assignments."""
+    """Per-slot session and intensity classes; each sender's basis follows its class."""
 
     slots: int
-    weights: tuple
-    z_prob: float
     intensities: IntensitySet
     seed: int
     session: np.ndarray  # 0 = MDI_AB, 1 = QKD_AC, 2 = QKD_BC
-    basis_a: np.ndarray  # 0 = Z, 1 = X
-    basis_b: np.ndarray
     intensity_a: np.ndarray  # index into LABELS
     intensity_b: np.ndarray
+
+    # each sender's basis per slot, 0 = Z and 1 = X, derived from its class
+    basis_a = property(lambda self: (self.intensity_a > 0).view(np.int8))
+    basis_b = property(lambda self: (self.intensity_b > 0).view(np.int8))
 
     def active_links(self) -> set:
         return {link for k, link in enumerate(LINKS) if np.count_nonzero(self.session == k)}
@@ -128,7 +131,10 @@ def schedule(
     # (an edge at 1.0, top 65536, never counts; one at 0.0 always does).
     session_edges = np.cumsum(w / w.sum())[:2]
     sender_edges = z_prob + (1.0 - z_prob) * np.cumsum([0.0, *intensities.x_probs()[:2]])
-    session, basis_a, basis_b, intensity_a, intensity_b = (np.empty(slots, np.int8) for _ in range(5))
+    # One block for the three code arrays: as three separate arrays, a loop of
+    # 10^7-slot plans whose basis views were read took about 4,500 page faults
+    # a plan, as glibc returned the freed heap top and faulted it back in.
+    session, intensity_a, intensity_b = np.empty((3, slots), np.int8)
     draws = ((session, session_edges), (intensity_a, sender_edges), (intensity_b, sender_edges))
     hit, tie = np.empty(_BLOCK, bool), np.empty(_BLOCK, bool)
     pin = np.empty(min(slots, DEFAULT_CHUNK), np.int8)
@@ -152,8 +158,6 @@ def schedule(
             tied = np.concatenate(ties)  # in slot order: one tie uniform per tie, as one pass would
             r = rng.random((tied.size, 1))
             cls[tied] += ((h[tied, None] == top) & (r >= frac)).sum(axis=1, dtype=np.int8)
-        np.greater(intensity_a[sl], 0, out=basis_a[sl].view(bool))  # 1 = X
-        np.greater(intensity_b[sl], 0, out=basis_b[sl].view(bool))
         # Vacuum switch: the party not sending in a point-to-point session.
         # Classes are below 4, so OR with 3 sets the vacuum class, without
         # the branches a masked copy takes on a dense random mask.
@@ -161,18 +165,7 @@ def schedule(
             np.equal(session[sl], k, out=pin[:n].view(bool))
             np.multiply(pin[:n], 3, out=pin[:n])
             np.bitwise_or(out[sl], pin[:n], out=out[sl])
-    return SessionPlan(
-        slots=slots,
-        weights=tuple(float(x) for x in w),
-        z_prob=z_prob,
-        intensities=intensities,
-        seed=seed,
-        session=session,
-        basis_a=basis_a,
-        basis_b=basis_b,
-        intensity_a=intensity_a,
-        intensity_b=intensity_b,
-    )
+    return SessionPlan(slots, intensities, seed, session, intensity_a, intensity_b)
 
 
 def _outcome_table(models: dict, intensities: IntensitySet) -> np.ndarray:
@@ -185,13 +178,12 @@ def _outcome_table(models: dict, intensities: IntensitySet) -> np.ndarray:
     mu = [intensities.mu(label) for label in LABELS]
     law = np.zeros((N_CONFIGS, 4))
     if "AB" in models:
-        for row, (ba, bb, ia, ib) in enumerate(np.ndindex(2, 2, 4, 4)):
-            keep = sift_keep("MDI", "ZX"[ba], "ZX"[bb])
-            law[row] = outcome_law(models["AB"], mu[ia], mu[ib], "ZX"[ba], keep)
-    for start, link in ((64, "AC"), (72, "BC")):
+        for row, (a, b) in enumerate(RELAY_CLASSES):
+            law[row] = outcome_law(models["AB"], mu[a], mu[b], BASIS[a], sift_keep("MDI", BASIS[a], BASIS[b]))
+    for start, link in ((16, "AC"), (20, "BC")):
         if link in models:
-            for row, (b, i) in enumerate(np.ndindex(2, 4), start):
-                law[row] = outcome_law(models[link], mu[i], None, "ZX"[b], sift_keep("QKD", "ZX"[b]))
+            for row, i in enumerate(range(4), start):
+                law[row] = outcome_law(models[link], mu[i], None, BASIS[i], sift_keep("QKD", BASIS[i]))
     return law
 
 
@@ -222,14 +214,14 @@ def run_plan(
     under ``seed``.
     """
     pairs = np.zeros(1 << 16, dtype=np.int64)
-    columns = (plan.session, plan.basis_a, plan.basis_b, plan.intensity_a, plan.intensity_b)
+    columns = (plan.session, plan.intensity_a, plan.intensity_b)
     for start in range(0, plan.slots, DEFAULT_CHUNK):
         sl = slice(start, min(plan.slots, start + DEFAULT_CHUNK))
         n = sl.stop - sl.start
         m = n - n % 8  # slots keyed eight to a uint64 word; the tail one byte at a time
         key = np.zeros(n + n % 2, dtype=np.uint8)
         key[n:] = 255  # an odd chunk's pad byte, the key of no configuration
-        for column, shift, limit in zip(columns, (6, 5, 4, 2, 0), (3, 2, 2, 4, 4)):
+        for column, shift, limit in zip(columns, (4, 2, 0), (3, 4, 4)):
             code = np.ascontiguousarray(column[sl]).view(np.uint8)
             if code.max() >= limit:
                 raise ValueError(f"plan codes outside [0, {limit}) in slots {start}..{sl.stop - 1}")
@@ -242,7 +234,7 @@ def run_plan(
     slots_per_key = (by_byte.sum(0) + by_byte.sum(1))[: CONFIG_OF.size]
     sent = np.zeros(N_CONFIGS, dtype=np.int64)
     np.add.at(sent, CONFIG_OF, slots_per_key)
-    per_session = np.add.reduceat(sent, [0, 64, 72]).tolist()
+    per_session = np.add.reduceat(sent, [0, 16, 20]).tolist()
     links = [link for link, count in zip(LINKS, per_session) if count]
     for link in links:
         if link not in models:
@@ -256,9 +248,9 @@ def run_plan(
     hist = rng.multinomial(sent, law)
     records = np.c_[sent, hist[:, 0] + hist[:, 1], hist[:, 0]]
     diag = {
-        "basis_mismatch_slots": int(hist[16:48].sum()),
-        "cross_branch_discarded": int(hist[:64, 2].sum()),
-        "branch_mismatch_discarded": int(hist[64:, 2].sum()),
+        "basis_mismatch_slots": int(hist[1:7].sum()),  # relay rows with one sender in Z, one in X
+        "cross_branch_discarded": int(hist[:16, 2].sum()),
+        "branch_mismatch_discarded": int(hist[16:, 2].sum()),
         "slots_per_session": dict(zip(SESSION_NAMES, per_session)),
     }
     tables = {link: CountTable(link=link) for link in LINKS}
@@ -269,7 +261,7 @@ def run_plan(
     # first sender's bit is uniform; the second sender's preparation
     # realises the error flag through the flip rule.
     z_pools = {}
-    for link, row in zip(LINKS, (0, 64, 72)):
+    for link, row in zip(LINKS, (0, 16, 20)):
         errors, correct = hist[row, :2].tolist()
         size = errors + correct
         bits = rng.integers(0, 2, size=size, dtype=np.int8)

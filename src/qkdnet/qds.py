@@ -129,7 +129,6 @@ class QdsReport:
 class SignatureBlock:
     """One message's worth of undisclosed key bits drawn from a Z pool."""
 
-    link: str
     bit_values: np.ndarray
     origin_indices: np.ndarray
 
@@ -292,7 +291,7 @@ def _split(n: int, sizes: list, rng: np.random.Generator) -> list:
 
 
 def extract_blocks(
-    z_pool: np.ndarray, c_test: int, c_sig: int, seed: int = 0, link: str = "AB"
+    z_pool: np.ndarray, c_test: int, c_sig: int, seed: int = 0
 ) -> tuple[tuple[np.ndarray, np.ndarray], list[SignatureBlock]]:
     """Randomly split a pool into a test sample and disjoint signature blocks.
 
@@ -319,7 +318,7 @@ def extract_blocks(
     test_idx, *block_idx, _ = _split(
         len(pool), [c_test, *[c_sig] * count, rest], np.random.default_rng(seed)
     )
-    blocks = [SignatureBlock(link=link, bit_values=pool[idx], origin_indices=idx) for idx in block_idx]
+    blocks = [SignatureBlock(bit_values=pool[idx], origin_indices=idx) for idx in block_idx]
     return (test_idx, pool[test_idx]), blocks
 
 

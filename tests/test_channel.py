@@ -264,8 +264,8 @@ class TestOutcomeLaw:
             drawn = sampled.entries[(key, basis)]
             sigma = math.sqrt(drawn.sent * accept * (1 - accept))
             assert abs(drawn.detected - drawn.sent * accept) < 5 * sigma, (key, basis)
-            # session AC: sender A's basis bit and intensity index
-            slot = 1 << 6 | (basis == "X") << 5 | LABELS.index(label) << 2
+            # session AC and sender A's intensity class, which fixes its basis
+            slot = 1 << 4 | LABELS.index(label) << 2
             assert law[CONFIG_OF[slot], :2].sum() == pytest.approx(accept, rel=1e-12)
 
 

@@ -115,9 +115,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "link, key, path",
         [
-            ("CA", None, "links.CA"),
-            ("AB", "bell_sucess", "links.AB.bell_sucess"),
-            ("AC", "chanel", "links.AC.chanel"),
+            ("CA", None, "simulate.links.CA"),
+            ("AB", "bell_sucess", "simulate.links.AB.bell_sucess"),
+            ("AC", "chanel", "simulate.links.AC.chanel"),
         ],
         ids=("unknown-link", "unknown-relay-key", "unknown-point-to-point-key"),
     )
@@ -131,12 +131,12 @@ class TestSimulate:
         out = tmp_path / "o"
         rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
         assert rc == 2
-        assert f"{path}: unknown" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {path}: unknown")
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, message",
-        [("slot", "slot: unknown key"), (None, "slots: missing field")],
+        [("slot", "simulate.slot: unknown key"), (None, "simulate.slots: missing field")],
         ids=("misspelt-slots", "no-slots"),
     )
     def test_unknown_or_missing_key_is_config_error(self, tmp_path, capsys, key, message):
@@ -152,16 +152,16 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "change, path",
         [
-            ({"links": {"AC": 5}}, "links.AC"),
-            ({"links": []}, "links"),
-            ({"weights": 5}, "weights"),
-            ({"slots": "many"}, "slots"),
-            ({"seed": 1.5}, "seed"),
+            ({"links": {"AC": 5}}, "simulate.links.AC"),
+            ({"links": []}, "simulate.links"),
+            ({"weights": 5}, "simulate.weights"),
+            ({"slots": "many"}, "simulate.slots"),
+            ({"seed": 1.5}, "simulate.seed"),
             ({"links": {**SIM_CONFIG["links"], "AB": {**SIM_CONFIG["links"]["AB"], "bell_success": "0.5"}}},
-             "links.AB"),
-            ({"seed": -1}, "seed"),
-            ({"weights": [1e308, 1e308, 1]}, "weights"),
-            ({"z_prob": 2}, "z_prob"),
+             "simulate.links.AB"),
+            ({"seed": -1}, "simulate.seed"),
+            ({"weights": [1e308, 1e308, 1]}, "simulate.weights"),
+            ({"z_prob": 2}, "simulate.z_prob"),
         ],
         ids=("link-not-an-object", "links-not-an-object", "weights-not-a-list", "slots-not-a-number",
              "seed-not-an-integer", "bell_success-not-a-number", "seed-negative", "weights-sum-overflows", "z_prob-out-of-range"),
@@ -184,15 +184,32 @@ class TestSimulate:
         assert f"{cfg}: {where or command} must be a JSON object" in capsys.readouterr().err
 
     def test_desk_preset_reproduces_the_hand_built_network(self, desk_run):
-        # digests of the tables the desk network gave when each caller built it by hand
-        out = desk_run
+        # digests of the tables the desk network gave when each caller built it by hand,
+        # and of the manifest, which carries the pool sizes and the diagnostics
         digests = {
-            "AB": "ceeec2d4605c31b01a420371cec6000986cea3726da28a2061acc32872e54d69",
-            "AC": "cc4883bfac4328ced399d722a5bd8013411866fcb84dee1345c4df8b5860ae69",
-            "BC": "80f34bb3b0f37ae1f63dcc43295b76e2ff04c63b37656b11eb07f90062a6b890",
+            "counts_AB.json": "ceeec2d4605c31b01a420371cec6000986cea3726da28a2061acc32872e54d69",
+            "counts_AC.json": "cc4883bfac4328ced399d722a5bd8013411866fcb84dee1345c4df8b5860ae69",
+            "counts_BC.json": "80f34bb3b0f37ae1f63dcc43295b76e2ff04c63b37656b11eb07f90062a6b890",
+            "manifest.json": "a859e5eee5f6aeeb35a09b156faf6db9c3702c4aacb9ccc1e558c339a0b982a7",
         }
-        for link, digest in digests.items():
-            assert hashlib.sha256((out / f"counts_{link}.json").read_bytes()).hexdigest() == digest
+        for name, digest in digests.items():
+            assert hashlib.sha256((desk_run / name).read_bytes()).hexdigest() == digest, name
+
+
+#: sha256 of each preset command's stdout: CSV and a table, both at 6 significant digits
+PRESET_STDOUT_DIGESTS = {
+    ("sweep", "hw-qkd-sweep"): "34312932909779554c3dea1e87126312ab292db9b619acbb9b7c06f8bce3b883",
+    ("sweep", "hw-mdi-sweep"): "293a53ba161b63d22e7c154bf9cbcdbbd74c650f94f53b3131ee2f3700cbf34f",
+    ("qds", "paper-mdi"): "80f978ca2c9711eb327935a1c88fdc8726201ace1f4421d7aa15eb68c134636c",
+    ("qds", "paper-qkd"): "3c962975db1bd903ecee4b782390063af689c14c63433bb5dbe33441e249fa80",
+}
+
+
+@pytest.mark.parametrize("command, preset", list(PRESET_STDOUT_DIGESTS), ids=lambda x: x)
+def test_preset_stdout_is_pinned(command, preset, capsys):
+    assert main([command, "--preset", preset]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PRESET_STDOUT_DIGESTS[command, preset]
 
 
 @pytest.mark.parametrize("path", sorted(PRESETS.glob("*.json")), ids=lambda p: p.stem)
@@ -262,9 +279,9 @@ class TestKeyrate:
             ("--f-ec", "0.5", "f_ec"),
             ("--elapsed-s", "nan", "error: elapsed_s: got nan"),
             ("--elapsed-s", "-5", "error: elapsed_s: got -5.0"),
-            ("--eps-sec", "nan", "error: keyrate security: eps_sec: got nan"),
-            ("--f-ec", "nan", "error: keyrate security: f_ec: got nan"),
-            ("--eps-cor", "inf", "error: keyrate security: eps_cor: got inf"),
+            ("--eps-sec", "nan", "error: eps_sec: got nan"),
+            ("--f-ec", "nan", "error: f_ec: got nan"),
+            ("--eps-cor", "inf", "error: eps_cor: got inf"),
         ],
     )
     def test_invalid_parameter_is_config_error(self, tmp_path, capsys, flag, value, message):
@@ -292,7 +309,7 @@ class TestKeyrate:
                    "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: intensities: ") and message in captured.err
+        assert captured.err.startswith("error: simulate.intensities: ") and message in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_mode_follows_the_link(self, tmp_path, capsys):
@@ -379,23 +396,23 @@ class TestSweep:
     @pytest.mark.parametrize(
         "change, path",
         [
-            ({"distances": 5}, "distances"),
-            ({"distances": [5, "ten"]}, "distances"),
-            ({"distances": []}, "distances"),
-            ({"n_pulses": "many"}, "n_pulses"),
-            ({"n_pulses": 1.5e9 + 0.5}, "n_pulses"),
-            ({"seed": "x"}, "seed"),
-            ({"mode": "mdi"}, "mode"),
-            ({"duty": 0}, "duty"),
-            ({"mdi_model": [0.9]}, "mdi_model"),
-            ({"mdi_model": {"visibility": 0.9}}, "mdi_model"),
-            ({"seed": -2}, "seed"),
-            ({"n_pulses": -1}, "n_pulses"),
-            ({"mode": "MDI", "mdi_model": {"bell_success": 2}}, "mdi_model.bell_success"),
-            ({"distances": [math.nan]}, "distances"),
+            ({"distances": 5}, "sweep.distances"),
+            ({"distances": [5, "ten"]}, "sweep.distances"),
+            ({"distances": []}, "sweep.distances"),
+            ({"n_pulses": "many"}, "sweep.n_pulses"),
+            ({"n_pulses": 1.5e9 + 0.5}, "sweep.n_pulses"),
+            ({"seed": "x"}, "sweep.seed"),
+            ({"mode": "mdi"}, "sweep.mode"),
+            ({"duty": 0}, "sweep.duty"),
+            ({"mdi_model": [0.9]}, "sweep.mdi_model"),
+            ({"mdi_model": {"visibility": 0.9}}, "sweep.mdi_model"),
+            ({"seed": -2}, "sweep.seed"),
+            ({"n_pulses": -1}, "sweep.n_pulses"),
+            ({"mode": "MDI", "mdi_model": {"bell_success": 2}}, "sweep.mdi_model.bell_success"),
+            ({"distances": [math.nan]}, "sweep.distances"),
             ({"channel": {"distance_km": 0, "attenuation_db_per_km": math.nan}},
-             "sweep.channel: attenuation_db_per_km"),
-            ({"intensities": {"x_weights": [math.nan, 1, 1]}}, "sweep.intensities: x_weights"),
+             "sweep.channel.attenuation_db_per_km"),
+            ({"intensities": {"x_weights": [math.nan, 1, 1]}}, "sweep.intensities.x_weights"),
         ],
         ids=("distances-not-a-list", "distance-not-a-number", "distances-empty", "n_pulses-not-a-number",
              "n_pulses-not-an-integer", "seed-not-a-number", "mode-unknown", "duty-out-of-range",
@@ -488,16 +505,16 @@ class TestQds:
     @pytest.mark.parametrize(
         "change, path",
         [
-            ({"s1_sig_lower": 666345.9}, "s1_sig_lower"),
-            ({"pool_size": 4936714426.5}, "pool_size"),
-            ({"total_time_s": "nan"}, "total_time_s"),
-            ({"total_time_s": float("inf")}, "total_time_s"),
-            ({"epsilon_inherited": "nan"}, "epsilon_inherited"),
-            ({"s1_sig_lower": "x"}, "s1_sig_lower"),
-            ({"duty_fraction": 0}, "duty_fraction"),
-            ({"e_test": "inf"}, "e_test"),
-            ({"c_sig": 2500000.5}, "qds: c_sig"),
-            ({"s1_sig_lower": 3_000_000}, "s1_sig_lower"),
+            ({"s1_sig_lower": 666345.9}, "qds.s1_sig_lower"),
+            ({"pool_size": 4936714426.5}, "qds.pool_size"),
+            ({"total_time_s": "nan"}, "qds.total_time_s"),
+            ({"total_time_s": float("inf")}, "qds.total_time_s"),
+            ({"epsilon_inherited": "nan"}, "qds.epsilon_inherited"),
+            ({"s1_sig_lower": "x"}, "qds.s1_sig_lower"),
+            ({"duty_fraction": 0}, "qds.duty_fraction"),
+            ({"e_test": "inf"}, "qds.e_test"),
+            ({"c_sig": 2500000.5}, "qds.c_sig"),
+            ({"s1_sig_lower": 3_000_000}, "qds.s1_sig_lower"),
         ],
         ids=("s1-not-an-integer", "pool-not-an-integer", "time-is-a-string", "time-infinite",
              "epsilon-is-a-string", "s1-is-a-string", "duty-zero", "e_test-is-a-string", "c_sig-not-an-integer",

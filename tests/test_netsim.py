@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -86,6 +87,14 @@ class TestSchedule:
         assert np.all(plan.intensity_a[plan.basis_a == 0] == 0)
         assert np.all(plan.intensity_a[plan.basis_a == 1] >= 1)
 
+    def test_basis_follows_the_class_on_every_slot(self):
+        # pinned slots included: the inactive sender of a point-to-point slot sends vacuum, in X
+        plan = schedule(100_000, weights=(1, 1, 1), seed=28)
+        assert np.count_nonzero(plan.session == 1) and np.count_nonzero(plan.session == 2)
+        for basis, cls in ((plan.basis_a, plan.intensity_a), (plan.basis_b, plan.intensity_b)):
+            assert basis.dtype == np.int8
+            assert np.array_equal(basis, cls > 0)
+
     def test_vacuum_switch_pins_inactive_party(self):
         plan = schedule(10_000, weights=(0, 1, 0), seed=5)
         assert np.all(plan.intensity_b == 3)
@@ -111,7 +120,7 @@ class TestSchedule:
         intensities = IntensitySet(z_basis_prob=0.65)
         implicit = schedule(10_000, intensities=intensities, seed=15)
         explicit = schedule(10_000, (500, 1, 1), 0.65, intensities, 15)
-        assert implicit.z_prob == 0.65
+        assert implicit.intensities.z_basis_prob == 0.65
         assert np.array_equal(implicit.basis_a, explicit.basis_a)
 
     @pytest.mark.parametrize("z_prob", [-0.1, 1.5, float("nan")])
@@ -256,39 +265,44 @@ class TestScheduleDraw:
             assert _within_five_sigma(np.count_nonzero(rest == k), tail, p)
 
 
-FIELDS = ("session", "basis_a", "basis_b", "intensity_a", "intensity_b")
-#: sha256 of the five plan arrays, in FIELDS order, for seeds 1-3 on the desk intensities
+FIELDS = ("session", "intensity_a", "intensity_b")
+#: sha256 of the three plan arrays, in FIELDS order, for seeds 1-3 on the desk intensities
 PLAN_DIGESTS = {
     (7, (500, 1, 1)): (
-        "5630d4b7a499587fc6899662f1a7f797c8ebaf2f0bc419b891606b5b1bc5192c",
-        "94913d2fc2ba7c30f7b6f543e999e1244cb37f2427b4cd40a2daf3a873aa327b",
-        "00a9fc05d6c3671fe051088231632d0fbb6b1809a63af5a482b0a89485de6060",
+        "c7e59452bbb2197f2162a62ffeddfcd19dda287ec8c085d8341b6e4a4b1e4815",
+        "3838370b28fa25f76e99efef99cc9901f16b071e4a2c4b9cf2c93599fb4efae0",
+        "70f13ca7d3301d3f0688b64df5b78de0b27d61012c0fea77f36a2adaace17e4a",
     ),
     (7, (1, 1, 1)): (
-        "f26e58d5b5c347c9c6e4e5ac142a666341f0bdf82de4baacfaab6cdb4f780a65",
-        "6edcbcf6a4c2ecb9f5b426c619669788adf912c78cd4de29b75c2203cee7aede",
-        "ba1badb2a9a4c02aca8828ae873b0b9f86e8599415165541642214700afab06c",
+        "5984eaf53ca1aecbf6bc5390004b0844f92ce3eb067042dd8851cb983ba8b288",
+        "9440a6c5c475ec640d329a3c713a5c875cce6c701c558b8c7da39b20ed52a018",
+        "3431371012b03cbfef35d99a68cf294513805bc86aebd99fffb8af2d4472087a",
     ),
     (65_537, (500, 1, 1)): (
-        "9e973a3ca342ad90fe2f1cef1b2b585af78d36db755d3682bd399a540147ad57",
-        "3010f33ec257b775cd9f9b56c27ba44bb747982c7e2d65cdc90164f03003f4f4",
-        "c00d24f3af42f1bfa355e87d36bd6223b524419684b39d24ed6e5533689fcfcb",
+        "bf4554ae60e0550eee7e2deb380291faf091095a9acd8579eef30410f35d9c55",
+        "a28d95fb8d619c4324bf3a1df7d27b8f24f112c46610ccf688a7b0ece6cff4de",
+        "bf4ba233b2055f53e8cd2db3efe574c721c75b0d78acd657c48a706a2e9ad81a",
     ),
     (65_537, (1, 1, 1)): (
-        "b3829afe58c64ab4e2b0747147717b07e81b5bc661df207121b814407e81c706",
-        "acb3435b2a8e0e64bcfeb60f120c995f0ae0c6f0e849bfca7eff44c633edce33",
-        "e33d92fb0d559d8d01264351647a1f36c25998834c1f76d1332ad544b3caef7d",
+        "f954ec80599130e8fb32a0478dcbd9e54136e477ddab11d84103733ca7f345e5",
+        "47dd1325b388944078903eea68fed6f2693c66f5fd11d4db7c71d8fa41ac3633",
+        "e6026e9b9332e1be3b20db4e9b4fb76495c8e5e8c7fb4f30ce48e31f8c57ded2",
     ),
     (DEFAULT_CHUNK + 12_345, (500, 1, 1)): (
-        "e15a2f27579905f34fd3f6329f29ae6f661247e3fc6a5796e6c89420f6afd507",
-        "1c32e1ad71d7915422b961be88eb077978ad6b0208a410d147748296ca83ba92",
-        "8926bf0c693f9a524bc7602e61d17579c39f645fcc88f46f3be5b5e36f5567cb",
+        "d8d70c5667b3e8b2aa543e953e48583d8a446a978eb900dba724fe30fb96b112",
+        "9139e9e2bbbbdb3cbb5b650865cee6aad0f68b856ab6ce81dc9a3a2556a7870b",
+        "3c40325ab387e90333569fb0901782ae24bbc13a9f5efc525295d85b375a9b02",
     ),
     (DEFAULT_CHUNK + 12_345, (1, 1, 1)): (
-        "91f927439543d474c3de23fbf09b893eac45585b255b3d60e460fdbe8e37e1b4",
-        "447d143d61eb889afa0504d60a9350cad4dbecdac8a4bac40830532987486790",
-        "fb9e4f6ee01fb12fea5ba8841784e8ba906c5c35fa88a422067de34c1374a3e8",
+        "1786410d16004fd305c1888fd3f9eca25493da7efe3ea7b24bb2d5ed11729fb9",
+        "c255790e5815689f42b2da26f059bb91932a233a0b03f00eea08d8b28503801f",
+        "e823e32d720bd75d1d339d7281358040c77da35b846fca392eb4fdd5827716b8",
     ),
+}
+#: sha256 of run_plan's tables, pools and diagnostics on the seed-3 plan of DEFAULT_CHUNK + 12,345 slots
+RUN_DIGESTS = {
+    (1, 1, 1): "727aaa117310d38b95e3a669d70564f1e0b335d1da981c0cbf4ab5c4075a63c1",
+    (500, 1, 1): "24745e527b8c9e3fcdf5975cbbc58335576c3ca215c85fd75b57c8d41284eff8",
 }
 
 
@@ -299,6 +313,17 @@ class TestPlanDigests:
             plan = schedule(slots, weights, intensities=NETWORK_INTENSITIES, seed=seed)
             sha = hashlib.sha256(b"".join(getattr(plan, field).tobytes() for field in FIELDS))
             assert sha.hexdigest() == digest, (slots, weights, seed)
+
+    @pytest.mark.parametrize("weights", list(RUN_DIGESTS))
+    def test_run_outputs_are_pinned(self, weights):
+        plan = schedule(DEFAULT_CHUNK + 12_345, weights, intensities=NETWORK_INTENSITIES, seed=3)
+        result = run_plan(plan, default_models(), seed=3)
+        sha = hashlib.sha256()
+        for link in sorted(result.tables):
+            pool = result.z_pools[link]
+            sha.update(result.tables[link].to_json().encode() + pool.bits.tobytes() + pool.error_flags.tobytes())
+        sha.update(json.dumps(result.diagnostics, sort_keys=True).encode())
+        assert sha.hexdigest() == RUN_DIGESTS[weights]
 
     @pytest.mark.parametrize("block", [1000, 4099])
     def test_plan_does_not_depend_on_the_block_size(self, monkeypatch, block):
@@ -312,7 +337,7 @@ class TestPlanDigests:
 
 def naive_sent(plan):
     """Slots per configuration row, each slot's key built on its own in int64."""
-    key = sum(getattr(plan, field).astype(np.int64) << shift for field, shift in zip(FIELDS, (6, 5, 4, 2, 0)))
+    key = sum(getattr(plan, field).astype(np.int64) << shift for field, shift in zip(FIELDS, (4, 2, 0)))
     return np.bincount(CONFIG_OF[key], minlength=N_CONFIGS)
 
 
@@ -335,9 +360,7 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             run_plan(plan, {"AB": default_models()["AC"]}, seed=8)
 
-    @pytest.mark.parametrize("field, code", [
-        ("session", 4), ("basis_a", 2), ("basis_b", -1), ("intensity_a", 4), ("intensity_b", 7),
-    ])
+    @pytest.mark.parametrize("field, code", [("session", 4), ("intensity_a", 4), ("intensity_b", 7)])
     def test_out_of_range_plan_codes_rejected(self, field, code):
         plan = schedule(1000, weights=(1, 0, 0), seed=19)
         getattr(plan, field)[500] = code
@@ -353,11 +376,15 @@ class TestRunPlan:
         sent = naive_sent(plan)
         entries = {row: result.tables[link].entries.get((label, basis)) for row, (link, label, basis) in TABLE_ROWS.items()}
         assert {row: rec.sent for row, rec in entries.items() if rec} == {row: sent[row] for row in TABLE_ROWS if sent[row]}
-        per_session = [sent[:64].sum(), sent[64:72].sum(), sent[72:].sum()]
+        per_session = [sent[:16].sum(), sent[16:20].sum(), sent[20:].sum()]
         assert list(result.diagnostics["slots_per_session"].values()) == per_session
         assert sum(per_session) == slots
 
-    @pytest.mark.parametrize("field, code", [("session", 3), ("basis_b", -1), ("intensity_a", 4)])
+    def test_every_configuration_row_is_reachable(self):
+        plan = schedule(100_000, weights=(1, 1, 1), intensities=NETWORK_INTENSITIES, seed=29)
+        assert np.all(naive_sent(plan) > 0)
+
+    @pytest.mark.parametrize("field, code", [("session", 3), ("intensity_a", 4)])
     @pytest.mark.parametrize("slot", [8 * 3 + 2, 8 * 1_250 + 3, DEFAULT_CHUNK + 1],
                              ids=("mid-word", "tail", "next-chunk-tail"))
     def test_out_of_range_code_rejected_in_word_or_tail(self, field, code, slot):
@@ -466,10 +493,7 @@ class TestRunPlan:
         plan = schedule(100_000, weights=(2, 1, 1), seed=22)
         models = default_models()
         order = np.random.default_rng(0).permutation(plan.slots)
-        shuffled = dataclasses.replace(plan, **{
-            field: getattr(plan, field)[order]
-            for field in ("session", "basis_a", "basis_b", "intensity_a", "intensity_b")
-        })
+        shuffled = dataclasses.replace(plan, **{field: getattr(plan, field)[order] for field in FIELDS})
         r1, r2 = run_plan(plan, models, seed=22), run_plan(shuffled, models, seed=22)
         assert r1.diagnostics == r2.diagnostics
         for link in r1.tables:
@@ -508,10 +532,11 @@ class TestOutcomeTable:
         intensities = IntensitySet()
         models = default_models(distance)
         law = _outcome_table(models, intensities)
-        assert law.shape == (80, 4)
+        assert law.shape == (N_CONFIGS, 4) == (24, 4)
         mu = [intensities.mu(label) for label in LABELS]
-        for key in range(192):
-            session, ba, bb, ia, ib = key >> 6, key >> 5 & 1, key >> 4 & 1, key >> 2 & 3, key & 3
+        for key in range(48):
+            session, ia, ib = key >> 4, key >> 2 & 3, key & 3
+            ba, bb = int(ia > 0), int(ib > 0)  # the basis follows the class
             row = law[CONFIG_OF[key]]
             if session == 0:
                 gain, qber = expected_gain_and_qber(models["AB"], mu[ia], mu[ib], basis="ZX"[ba])
@@ -531,8 +556,8 @@ class TestOutcomeTable:
         pmf = [poisson_pmf(1.0, n) for n in range(N_CUT)]
         law = np.append(pmf, 1.0 - sum(pmf))
         truncated = np.append(pmf, poisson_pmf(1.0, N_CUT)) @ model.yields
-        row = _outcome_table({"AC": model}, IntensitySet(s=1.0))[CONFIG_OF[1 << 6]]
-        # session AC, sender A in Z with the signal class: all detections
+        row = _outcome_table({"AC": model}, IntensitySet(s=1.0))[CONFIG_OF[1 << 4]]
+        # session AC, sender A with the signal class, in Z: all detections
         assert row[:3].sum() == pytest.approx(law @ model.yields, abs=1e-13)
         assert law @ model.yields - truncated > 1e-11
 

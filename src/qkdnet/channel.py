@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathkit import check_probability, check_real, poisson_weights
+from .mathkit import ConfigError, check_probability, check_real, check_weights, poisson_weights
 
 __all__ = [
     "ChannelParams",
@@ -47,7 +47,7 @@ X_LABELS = LABELS[1:]
 PASSIVE_BASIS_FACTOR = 0.5
 
 
-class TailBoundError(ValueError):
+class TailBoundError(ConfigError):
     """Mean photon number too large for the photon-number cutoff ``N_CUT``."""
 
 
@@ -66,9 +66,8 @@ class ChannelParams:
         check_real(self.distance_km, "distance_km", 0.0)
         check_real(self.attenuation_db_per_km, "attenuation_db_per_km", 0.0)
         check_real(self.clock_rate_hz, "clock_rate_hz", 0.0, low_open=True)
-        check_probability(self.detector_efficiency, "detector_efficiency")
-        check_probability(self.dark_count_prob, "dark_count_prob")
-        check_probability(self.misalignment, "misalignment")
+        for name in ("detector_efficiency", "dark_count_prob", "misalignment"):
+            check_real(getattr(self, name), name, 0.0, 1.0)
 
     @property
     def transmittance(self) -> float:
@@ -84,7 +83,7 @@ class IntensitySet:
     The signal class ``s`` is the only one prepared in the Z basis; ``u``,
     ``v`` and ``w`` are prepared in X, drawn with weights ``x_weights``.
     A signal class (hence any class) whose Poisson tail beyond ``N_CUT``
-    exceeds ``TAIL_LIMIT`` raises :class:`TailBoundError`.
+    exceeds ``TAIL_LIMIT`` raises :class:`TailBoundError` naming ``s``.
     """
 
     s: float = 0.5
@@ -95,13 +94,12 @@ class IntensitySet:
     x_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self):
-        object.__setattr__(self, "x_weights", tuple(self.x_weights))  # hashable, from any sequence
-        if not self.s > self.u > self.v > self.w >= 0:
-            raise ValueError("intensities must satisfy s > u > v > w >= 0")
+        low = 0.0  # s > u > v > w >= 0: each class is checked against the next dimmer one
+        for name in reversed(LABELS):
+            low = check_real(getattr(self, name), name, low, low_open=name != "w")
         check_real(self.z_basis_prob, "z_basis_prob", 0.0, 1.0, low_open=True, high_open=True)
-        if len(self.x_weights) != 3 or not 0 < sum(check_real(x, "x_weights", 0.0) for x in self.x_weights) < np.inf:
-            raise ValueError("x_weights must be three non-negative weights")
-        _photon_law(self.s)
+        object.__setattr__(self, "x_weights", check_weights(self.x_weights, "x_weights"))  # hashable
+        _photon_law(self.s, "s")
 
     def mu(self, label: str) -> float:
         try:
@@ -160,7 +158,7 @@ class YieldModel:
             expected = (N_CUT + 1,) if self.kind == "QKD" else (N_CUT + 1,) * 2
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
-            if arr.min() < 0.0 or arr.max() > 1.0:
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # false for a NaN entry too
                 raise ValueError(f"{name} entries must be probabilities")
 
     def errors_for_basis(self, basis: str) -> np.ndarray:
@@ -227,9 +225,9 @@ def mdi_yield_model(
     Interference physics is intentionally absent; the matrix itself is the
     ground truth that downstream bounds are tested against.
     """
-    check_probability(hom_visibility, "hom_visibility")
-    check_probability(bell_success, "bell_success")
-    check_probability(x_multiphoton_floor, "x_multiphoton_floor")
+    check_real(hom_visibility, "hom_visibility", 0.0, 1.0)
+    check_real(bell_success, "bell_success", 0.0, 1.0)
+    check_real(x_multiphoton_floor, "x_multiphoton_floor", 0.0, 1.0)
     eta_a, eta_b = side_a.transmittance, side_b.transmittance
     n = np.arange(N_CUT + 1)
     eta_an = _eta_n(eta_a, n)[:, None]
@@ -265,11 +263,11 @@ MDI_MODEL_KEYS = tuple(inspect.signature(mdi_yield_model).parameters)[2:]
 
 
 @functools.lru_cache(maxsize=64)
-def _photon_law(mu: float) -> np.ndarray:
-    """Law of min(Poisson(mu), N_CUT), cached read-only; a tail beyond TAIL_LIMIT raises TailBoundError."""
+def _photon_law(mu: float, name: str = "mu") -> np.ndarray:
+    """Law of min(Poisson(mu), N_CUT), cached read-only; a tail beyond TAIL_LIMIT is a TailBoundError at ``name``."""
     pmf, tail = poisson_weights(mu, N_CUT)
     if tail > TAIL_LIMIT:
-        raise TailBoundError(f"Poisson tail {tail:.2e} beyond N_CUT={N_CUT} for mu={mu}")
+        raise TailBoundError(f"{name}: Poisson tail {tail:.2e} beyond N_CUT={N_CUT} for mu={mu}")
     pmf[-1] += tail
     pmf.flags.writeable = False
     return pmf

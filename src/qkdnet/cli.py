@@ -88,18 +88,16 @@ def _arguments(call, doc, path: str, own=(), **given) -> dict:
 
 
 def _build(call, doc, path: str, own=()):
-    """``call`` on section ``doc``: a parameter dataclass or yield-model builder, which fails only on bad input."""
-    return _call(path, call, _arguments(call, doc, path, own), (TypeError, ValueError))
+    """``call`` on section ``doc``: a parameter dataclass or yield-model builder."""
+    return _call(path, call, _arguments(call, doc, path, own))
 
 
-def _call(path: str, call, kwargs: dict, refused=ConfigError):
-    """``call(**kwargs)``, a ``refused`` error re-raised as a ConfigError at key path ``path``.
-
-    A ConfigError's leading argument name joins the path with ``.``; any other message follows ``: ``."""
+def _call(path: str, call, kwargs: dict):
+    """``call(**kwargs)``, a ConfigError re-raised with key path ``path`` before the argument name it starts with."""
     try:
         return call(**kwargs)
-    except refused as exc:
-        raise ConfigError(f"{path}{'.' if isinstance(exc, ConfigError) else ': '}{exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def _write(path: Path, text: str):

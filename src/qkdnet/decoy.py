@@ -27,6 +27,7 @@ from .channel import N_CUT, X_LABELS, CountRecord, IntensitySet
 from .mathkit import (
     LpInfeasibleError,
     LpRows,
+    check_count,
     poisson_pmf,
     poisson_weights,
     serfling_deviation,
@@ -109,7 +110,7 @@ class CountTable:
                 table.add(
                     row["intensity"],
                     row["basis"],
-                    CountRecord(int(row["sent"]), int(row["detected"]), int(row["errors"])),
+                    CountRecord(*(check_count(row[k], k) for k in ("sent", "detected", "errors"))),
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise TableFormatError(f"bad count-table JSON: {exc}") from exc

@@ -47,6 +47,7 @@ __all__ = [
     "check_probability",
     "check_count",
     "check_real",
+    "check_weights",
 ]
 
 #: absolute tolerance of the inverse-entropy bisection
@@ -87,6 +88,16 @@ def check_real(value, name: str, low=-math.inf, high=math.inf, low_open=False, h
         closing = ")" if high_open or high == math.inf else "]"
         raise ConfigError(f"{name}: got {value!r}; {name} must be in {opening}{low:g}, {high:g}{closing}")
     return x
+
+
+def check_weights(value, name: str) -> tuple:
+    """``value``, a list, tuple or 1-D array of three non-negative numbers with a finite positive sum, as floats."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if isinstance(items, (list, tuple)) and len(items) == 3:
+        weights = tuple(check_real(x, name, 0.0) for x in items)
+        if 0.0 < sum(weights) < math.inf:
+            return weights
+    raise ConfigError(f"{name}: expected three non-negative numbers with a positive sum, got {value!r}")
 
 
 def binary_entropy(p: float) -> float:

@@ -13,14 +13,13 @@ session simply pins the inactive sender to vacuum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LABELS, CountRecord, IntensitySet, outcome_law, sift_keep
 from .decoy import CountTable
-from .mathkit import ConfigError, check_count, check_real
+from .mathkit import ConfigError, check_count, check_real, check_weights
 
 __all__ = [
     "SESSION_NAMES",
@@ -118,10 +117,7 @@ def schedule(
     if check_real(z_prob, "z_prob", 0.0, 1.0) != intensities.z_basis_prob:
         raise ConfigError(f"z_prob: {z_prob!r} differs from intensities.z_basis_prob "
                           f"{intensities.z_basis_prob!r}; set only intensities.z_basis_prob")
-    if not (isinstance(weights, (list, tuple, np.ndarray)) and len(weights) == 3
-            and 0.0 < sum(check_real(x, "weights", 0.0) for x in weights) < math.inf):
-        raise ConfigError(f"weights: expected three non-negative numbers with a positive sum, got {weights!r}")
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(check_weights(weights, "weights"))
     rng = np.random.default_rng(seed)
     # One uniform per slot picks the session and one per sender its
     # intensity: below z_prob the signal class, above it u, v or w by x_probs.

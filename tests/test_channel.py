@@ -320,3 +320,5 @@ class TestYieldModelSerialization:
             YieldModel(kind="QKD", yields=np.zeros(5), error_rates=np.zeros(5))
         with pytest.raises(ValueError):
             YieldModel(kind="QKD", yields=np.full(13, 1.5), error_rates=np.zeros(13))
+        with pytest.raises(ValueError, match="probabilities"):
+            YieldModel(kind="QKD", yields=np.full(13, np.nan), error_rates=np.zeros(13))

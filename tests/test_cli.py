@@ -1,16 +1,23 @@
+import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import math
+import typing
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qkdnet import keyrate
+from qkdnet import channel, keyrate
 from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model
 from qkdnet.cli import load_preset, main
 from qkdnet.decoy import InconsistentCountsError
-from qkdnet.keyrate import synthesize_table
+from qkdnet.keyrate import SecurityParams, synthesize_table
+from qkdnet.mathkit import ConfigError
+from qkdnet.qds import QdsParams
 
 SIM_CONFIG = {
     "slots": 50_000,
@@ -158,7 +165,7 @@ class TestSimulate:
             ({"slots": "many"}, "simulate.slots"),
             ({"seed": 1.5}, "simulate.seed"),
             ({"links": {**SIM_CONFIG["links"], "AB": {**SIM_CONFIG["links"]["AB"], "bell_success": "0.5"}}},
-             "simulate.links.AB"),
+             "simulate.links.AB.bell_success"),
             ({"seed": -1}, "simulate.seed"),
             ({"weights": [1e308, 1e308, 1]}, "simulate.weights"),
             ({"z_prob": 2}, "simulate.z_prob"),
@@ -182,6 +189,50 @@ class TestSimulate:
         out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
         assert main([command, "--config", cfg, *out]) == 2
         assert f"{cfg}: {where or command} must be a JSON object" in capsys.readouterr().err
+
+    @staticmethod
+    def desk_config(key=None, value=None):
+        """The desk preset at 1,000 slots, its ``simulate`` value at dotted ``key`` set to ``value`` when given."""
+        doc = load_preset("desk")
+        doc["simulate"]["slots"] = 1000
+        if key:
+            *parents, leaf = key.split(".")
+            functools.reduce(dict.__getitem__, parents, doc["simulate"])[leaf] = value
+        return doc
+
+    @pytest.mark.parametrize(
+        "key, value, refused",
+        [
+            ("links.AB.bell_success", True, "links.AB.bell_success"),
+            ("links.AB.bell_success", "0.5", "links.AB.bell_success"),
+            ("links.AC.channel.detector_efficiency", 2, "links.AC.channel.detector_efficiency"),
+            ("links.AC.channel.misalignment", "x", "links.AC.channel.misalignment"),
+            ("intensities.x_weights", 5, "intensities.x_weights"),
+            ("intensities.x_weights", [1, 2], "intensities.x_weights"),
+            ("intensities.s", "0.8", "intensities.s"),
+            ("intensities.s", 8.0, "intensities.s"),
+            ("intensities.w", False, "intensities.w"),
+            ("intensities.u", 0.9, "intensities.s"),  # above the signal class: s fails its bound
+        ],
+        ids=("bell_success-bool", "bell_success-string", "detector_efficiency-above-one", "misalignment-string",
+             "x_weights-not-a-list", "x_weights-two-entries", "s-string", "s-beyond-tail", "w-bool", "u-above-s"),
+    )
+    def test_builder_refusal_names_the_key(self, tmp_path, capsys, key, value, refused):
+        # every builder refuses its own key with a ConfigError; cli only adds the section path
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, self.desk_config(key, value)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: simulate.{refused}: ")
+        assert not out.exists()
+
+    def test_fault_inside_a_builder_is_a_pipeline_error(self, tmp_path, capsys, monkeypatch):
+        # a yield model that is not a probability is the program's fault, not malformed input
+        monkeypatch.setattr(channel, "_eta_n", lambda eta, n: np.full(np.shape(n), 2.0))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, self.desk_config()),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: yields entries must be probabilities\n"
+        assert not out.exists()
 
     def test_desk_preset_reproduces_the_hand_built_network(self, desk_run):
         # digests of the tables the desk network gave when each caller built it by hand,
@@ -298,8 +349,9 @@ class TestKeyrate:
         "s, message",
         [
             (8.0, "Poisson tail"),  # a signal class beyond the photon-number cutoff
-            (0.05, "s > u > v > w"),
+            (0.05, "s must be in (0.1, inf)"),  # below u, against s > u > v > w
         ],
+        ids=("8.0-Poisson tail", "0.05-s > u > v > w"),
     )
     def test_invalid_config_intensity_is_config_error(self, tmp_path, capsys, s, message):
         # refused before the counts are read: the counts file does not exist
@@ -309,7 +361,7 @@ class TestKeyrate:
                    "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: simulate.intensities: ") and message in captured.err
+        assert captured.err.startswith("error: simulate.intensities.s: ") and message in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_mode_follows_the_link(self, tmp_path, capsys):
@@ -540,3 +592,30 @@ class TestQds:
         rc = main(["qds", "--config", write_config(tmp_path, cfg)])
         assert rc == 2
         assert "missing field" in capsys.readouterr().err
+
+
+#: a valid value of each required argument of the builders cli feeds
+BUILDER_REQUIRED = {
+    ChannelParams: {"distance_km": 0.0},
+    QdsParams: {"c_sig": 10, "c_test": 10},
+    mdi_yield_model: {"side_a": ChannelParams(0.0), "side_b": ChannelParams(0.0)},
+}
+
+
+def builder_keys():
+    """Every config key the builders cli feeds check themselves; one typed as a dataclass is a nested section."""
+    for call in (ChannelParams, IntensitySet, QdsParams, SecurityParams, mdi_yield_model):
+        hints = typing.get_type_hints(call)
+        names = ([f.name for f in dataclasses.fields(call)] if dataclasses.is_dataclass(call)
+                 else inspect.signature(call).parameters)
+        for name in names:
+            if not dataclasses.is_dataclass(hints.get(name)):
+                yield pytest.param(call, name, id=f"{call.__name__}.{name}")
+
+
+@pytest.mark.parametrize("value", ["0.5", True], ids=("string", "bool"))
+@pytest.mark.parametrize("call, name", builder_keys())
+def test_builder_refuses_a_malformed_value_with_its_name(call, name, value):
+    with pytest.raises(ConfigError) as refused:
+        call(**{**BUILDER_REQUIRED.get(call, {}), name: value})
+    assert str(refused.value).startswith(f"{name}: ")

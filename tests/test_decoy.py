@@ -147,6 +147,17 @@ class TestCountTable:
         with pytest.raises(TableFormatError, match="arity"):
             CountTable.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("tally, value", [("sent", 1000.7), ("detected", True), ("errors", "0")])
+    def test_json_tallies_are_integers(self, tally, value):
+        # int() used to read these as 1000, 1 and 0
+        row = {"intensity": "s", "basis": "Z", "sent": 1000, "detected": 10, "errors": 0}
+        with pytest.raises(TableFormatError, match=f"{tally}: expected an integer"):
+            CountTable.from_json(json.dumps({"link": "AC", "entries": [dict(row, **{tally: value})]}))
+
+    def test_json_integral_float_tally_counts(self):
+        row = {"intensity": "s", "basis": "Z", "sent": 1e7, "detected": 10, "errors": 0}
+        assert CountTable.from_json(json.dumps({"link": "AC", "entries": [row]})).z_entry() == CountRecord(10**7, 10, 0)
+
     def test_json_bytes_unchanged(self):
         # serialised by the asdict-based writer this one replaced
         side = ChannelParams(distance_km=15)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,13 +139,16 @@ class YieldModel:
     estimation; ``z_error_rates`` is the key-basis map used when sampling
     Z-basis data.  They coincide for QKD, where both bases behave alike;
     for MDI the X map carries the multi-photon error floor while Z errors
-    stay misalignment-driven at every photon number.
+    stay misalignment-driven at every photon number.  The arrays are
+    read-only copies, so the :func:`outcome_law` results a model memoises
+    never go stale.
     """
 
     kind: str  # "QKD" | "MDI"
     yields: np.ndarray
     error_rates: np.ndarray
     z_error_rates: np.ndarray = None
+    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("QKD", "MDI"):
@@ -153,7 +156,8 @@ class YieldModel:
         if self.z_error_rates is None:
             object.__setattr__(self, "z_error_rates", self.error_rates)
         for name in ("yields", "error_rates", "z_error_rates"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
             expected = (N_CUT + 1,) if self.kind == "QKD" else (N_CUT + 1,) * 2
             if arr.shape != expected:
@@ -306,7 +310,7 @@ def expected_gain_and_qber(
         raise ValueError("nu must be given exactly when the model kind is MDI")
     weights = _photon_law(mu)
     if nu is not None:
-        weights = np.outer(weights, _photon_law(nu))
+        weights = np.outer(weights, _photon_law(nu, "nu"))
     detect = weights * model.yields
     gain = min(1.0, float(detect.sum()))
     err_gain = float((detect * model.errors_for_basis(basis)).sum())
@@ -326,12 +330,19 @@ def outcome_law(
 
     A detection occurs with the gain of :func:`expected_gain_and_qber` and
     errs with its QBER; it is recorded with probability ``keep`` (the
-    link's sifting, :func:`sift_keep`) and discarded otherwise.
+    link's sifting, :func:`sift_keep`) and discarded otherwise.  The law is
+    computed once per model and arguments, and returned read-only.
     """
     check_probability(keep, "keep")
-    gain, qber = expected_gain_and_qber(model, mu, nu, basis)
-    recorded = keep * gain
-    return np.array([recorded * qber, recorded * (1.0 - qber), gain - recorded, 1.0 - gain])
+    key = mu, nu, basis, keep
+    law = model._laws.get(key)
+    if law is None:
+        gain, qber = expected_gain_and_qber(model, mu, nu, basis)
+        recorded = keep * gain
+        law = np.array([recorded * qber, recorded * (1.0 - qber), gain - recorded, 1.0 - gain])
+        law.flags.writeable = False
+        model._laws[key] = law
+    return law
 
 
 def sample_counts(

@@ -107,11 +107,7 @@ class CountTable:
             doc = json.loads(text)
             table = cls(link=doc["link"])
             for row in doc["entries"]:
-                table.add(
-                    row["intensity"],
-                    row["basis"],
-                    CountRecord(*(check_count(row[k], k) for k in ("sent", "detected", "errors"))),
-                )
+                table.add(row["intensity"], row["basis"], _tallies(row))
         except (KeyError, TypeError, ValueError) as exc:
             raise TableFormatError(f"bad count-table JSON: {exc}") from exc
         return table
@@ -132,7 +128,7 @@ class CountTable:
             try:
                 link = row["link"]
                 label = tuple(row["intensity"].split(":"))
-                rec = CountRecord(int(row["sent"]), int(row["detected"]), int(row["errors"]))
+                rec = _tallies(row, json.loads)
                 if table is None:
                     table = cls(link=link)
                 elif link != table.link:
@@ -143,6 +139,12 @@ class CountTable:
         if table is None:
             raise TableFormatError("empty count-table CSV")
         return table
+
+
+def _tallies(row: dict, parse=lambda field: field) -> CountRecord:
+    """The row's tallies as a record, each a ``parse``d field that passes :func:`check_count`:
+    both table formats read tallies as JSON numbers, so they accept and refuse the same ones."""
+    return CountRecord(*(check_count(parse(row[k]), k) for k in ("sent", "detected", "errors")))
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,18 @@ def widen_counts(record: CountRecord, eps: float, numerator: str = "detected") -
     p_hat = count / record.sent
     delta = math.sqrt(math.log(2.0 / eps) / (2.0 * record.sent))
     return max(0.0, p_hat - delta), min(1.0, p_hat + delta)
+
+
+def _widen_rates(records, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`widen_counts` of every record at once: ``(lo, hi)``, each of shape
+    (2, len(records)), row 0 widening the detection rates and row 1 the error
+    rates.  Equal bit for bit to the scalar form for every count below 2**53."""
+    detected, errors, sent = np.array([(r.detected, r.errors, r.sent) for r in records], dtype=float).T
+    if not sent.min() >= 1.0:
+        raise ValueError("cannot widen a record with zero sent pulses")
+    p_hat = np.stack([detected, errors]) / sent
+    delta = np.sqrt(math.log(2.0 / eps) / (2.0 * sent))
+    return np.maximum(0.0, p_hat - delta), np.minimum(1.0, p_hat + delta)
 
 
 @functools.lru_cache(maxsize=16)
@@ -239,16 +253,11 @@ def estimate_bounds(
         raise ValueError(f"mode must be 'QKD' or 'MDI', got {mode!r}")
     senders = 2 if mode == "MDI" else 1
     x_keys = list(itertools.product(X_LABELS, repeat=senders))
-    x_records = {}
-    for key in x_keys:
-        try:
-            x_records[key] = table.entries[(key, "X")]
-        except KeyError:
-            raise KeyError(f"table is missing the X-basis entry for {key}") from None
     try:
+        x_records = [table.entries[(key, "X")] for key in x_keys]
         z_record = table.entries[(("s",) * senders, "Z")]
-    except KeyError:
-        raise KeyError("table is missing the Z-basis signal entry") from None
+    except KeyError as exc:
+        raise KeyError(f"table has no (intensity, basis) entry {exc.args[0]}") from None
 
     n_shares = 2 * len(x_keys) + 1  # gain + error per entry, + the Z transfer
     eps_each = eps_total / n_shares
@@ -261,14 +270,12 @@ def estimate_bounds(
     x_mus = tuple(intensities.mu(label) for label in X_LABELS)
     tails, p1_x, objective, rate_rows, yield_rows, n_monotone = _decoy_lp(senders, x_mus)
 
-    def rate_rhs(numerator):
-        lo, hi = np.array([widen_counts(x_records[k], eps_each, numerator) for k in x_keys]).T
-        return np.stack([-np.maximum(0.0, lo - tails), hi], axis=1).ravel()
-
-    yield_rhs = np.concatenate([rate_rhs("detected"), np.zeros(n_monotone)])
+    # the rate rows' right-hand sides, as _decoy_lp lays them out: detections in row 0, errors in row 1
+    lo, hi = _widen_rates(x_records, eps_each)
+    detected_rhs, error_rhs = np.stack([-np.maximum(0.0, lo - tails), hi], axis=2).reshape(2, -1)
     try:
-        y1 = solve_bounded_lp(objective, yield_rows, yield_rhs, "min")
-        z1 = solve_bounded_lp(objective, rate_rows, rate_rhs("errors"), "max")
+        y1 = solve_bounded_lp(objective, yield_rows, np.concatenate([detected_rhs, np.zeros(n_monotone)]), "min")
+        z1 = solve_bounded_lp(objective, rate_rows, error_rhs, "max")
     except LpInfeasibleError as exc:
         raise InconsistentCountsError(
             f"counts inconsistent with any photon-number model on link {table.link}"
@@ -281,7 +288,7 @@ def estimate_bounds(
 
     s1_lower = int(math.floor(z_record.sent * p1_z * y1_lower))
     s1_lower = min(s1_lower, z_record.detected)
-    n_x1 = int(math.floor(sum(x_records[k].sent * p1 for k, p1 in zip(x_keys, p1_x)) * y1_lower))
+    n_x1 = int(math.floor(sum(record.sent * p1 for record, p1 in zip(x_records, p1_x)) * y1_lower))
 
     if y1_lower <= 0.0 or s1_lower < 1 or n_x1 < 1:
         eph_upper = 0.5

@@ -25,8 +25,8 @@ def expected_table(model, intensities: IntensitySet, n_pulses: int, mode: str, l
     """Deterministic count table at the expected values (no sampling noise).
 
     Splits the pulse budget and reads the outcome law exactly as
-    :func:`keyrate.synthesize_table` does.  Smooth in the pulse budget,
-    which the baseline's bisection over acquisition sizes relies on.
+    :func:`keyrate.synthesize_table` does.  Entries are rounded to integers,
+    so the table is not monotone in the pulse budget.
     """
     table = CountTable(link=link)
     for (key, basis), sent in entry_budgets(n_pulses, intensities, mode).items():
@@ -39,12 +39,12 @@ def expected_table(model, intensities: IntensitySet, n_pulses: int, mode: str, l
 
 
 def min_feasible_acquisition(feasible, lo: int, hi: int) -> int | None:
-    """Smallest acquisition size in [lo, hi] accepted by ``feasible``.
+    """A size in [lo, hi] accepted by ``feasible`` whose predecessor is not, by bisection.
 
-    ``feasible`` must be monotone (once an acquisition is large enough it
-    stays feasible).  Returns None when even ``hi`` fails.  Backs the
-    single-signature-per-acquisition baseline against which the
-    multi-signature protocol is compared.
+    None when ``hi`` fails, ``lo`` when it passes.  ``feasible`` need not be
+    monotone; the transition returned is the one the probes reach, not
+    necessarily the smallest feasible size.  Backs the baseline of one
+    signature per acquisition that multi-signature is compared against.
     """
     if not feasible(hi):
         return None
@@ -111,8 +111,9 @@ def multisig_comparison(
     Both protocols get the ``QdsParams`` default budgets per signature; the
     multi-block side conservatively charges its shared decoy and test
     estimates in full against every signature.  The baseline's acquisition
-    size is the smallest one whose own single block is signable, found by
-    bisection (expected-value tables keep feasibility monotone).
+    size is the transition to a signable single block that bisection reaches:
+    expected-value tables are rounded to integers, so signability is not
+    monotone and a smaller signable size may exist.
     """
     link = "AB" if mode == "MDI" else "AC"
 
@@ -123,7 +124,7 @@ def multisig_comparison(
         e_test = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
         return estimate_bounds(table, intensities, eps_decoy, mode), z_rec.detected, e_test
 
-    bounds, n_z, e_test = pool_stats(n_pulses_total)
+    bounds, n_z, e_test = full = pool_stats(n_pulses_total)
     c_test = int(n_z * TEST_FRACTION)
 
     def block_signable(c_sig: int) -> bool:
@@ -135,8 +136,9 @@ def multisig_comparison(
     n_multi = n_blocks(n_z, c_test, c_sig_min)
 
     def acquisition_signable(n_pulses: int) -> bool:
-        # the baseline spends its whole pool, less the test sample, on one block
-        sub_bounds, sub_z, sub_e_test = pool_stats(n_pulses)
+        # the baseline spends its whole pool, less the test sample, on one block;
+        # its first probe is the full acquisition, whose pool is already known
+        sub_bounds, sub_z, sub_e_test = full if n_pulses == n_pulses_total else pool_stats(n_pulses)
         sub_test = int(sub_z * TEST_FRACTION)
         return _block_signable(sub_bounds, sub_z, sub_e_test, sub_z - sub_test, sub_test)
 

@@ -100,13 +100,17 @@ def check_weights(value, name: str) -> tuple:
     raise ConfigError(f"{name}: expected three non-negative numbers with a positive sum, got {value!r}")
 
 
-def binary_entropy(p: float) -> float:
-    """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0."""
-    check_probability(p, "p")
+def _entropy(p: float) -> float:
+    """Binary entropy of a ``p`` already known to lie in [0, 1]."""
     if p == 0.0 or p == 1.0:
         return 0.0
     # log1p keeps the (1-p) branch accurate for p close to 0
     return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / math.log(2.0))
+
+
+def binary_entropy(p: float) -> float:
+    """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0."""
+    return _entropy(check_probability(p, "p"))
 
 
 def inv_binary_entropy(y: float) -> float:
@@ -132,7 +136,7 @@ def inv_binary_entropy(y: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # float resolution exhausted
             break
-        h_mid = binary_entropy(mid)
+        h_mid = _entropy(mid)
         if h_mid < y:
             lo, h_lo = mid, h_mid
         else:
@@ -216,16 +220,20 @@ _THREAD = threading.local()
 
 
 class LpRows:
-    """Constraint rows built once for many solves: a read-only copy of ``a`` and
-    its column-wise nonzeros in scipy's CSC order, as tuples (faster across the
-    binding than arrays).  Array-like, so it goes wherever ``a_ub`` does."""
+    """Constraint rows built once for many solves: a read-only copy of ``a``, whether it is
+    finite, its column-wise nonzeros in scipy's CSC order, as tuples, and the HiGHS matrix
+    holding them.  Array-like, so it goes wherever ``a_ub`` does."""
 
     def __init__(self, a):
         self.a = np.array(a, dtype=float)
         self.a.flags.writeable = False
+        self.finite = bool(np.isfinite(self.a).all())
         nonzero = self.a.T != 0.0
         start = (0, *np.cumsum(nonzero.sum(axis=1)).tolist())
         self.colwise = start, tuple(np.nonzero(nonzero)[1].tolist()), tuple(self.a.T[nonzero].tolist())
+        self.matrix = matrix = _highs.HighsSparseMatrix()
+        matrix.format_, (matrix.num_row_, matrix.num_col_) = _highs.MatrixFormat.kColwise, self.a.shape
+        matrix.start_, matrix.index_, matrix.value_ = self.colwise
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.a, dtype=dtype, copy=copy)
@@ -236,23 +244,21 @@ def linprog(c, a_ub, b_ub):
 
     The objective means something only at ``kOptimal``.  One presolve-off solve on the
     thread's solver, whose ``passModel`` drops the last model and basis: no value depends
-    on call order.  An :class:`LpRows` ``a_ub`` spares rebuilding the column-wise form.
+    on call order.  An :class:`LpRows` ``a_ub`` spares rebuilding its matrix and checks.
     """
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     a = a.reshape(0, c.size) if a.size == 0 else a
     if c.ndim != 1 or a.ndim != 2 or a.shape[1] != c.size or b.shape != (a.shape[0],):
         raise ValueError(f"LP shapes do not match: c {c.shape}, a_ub {a.shape}, b_ub {b.shape}")
-    if not all(np.isfinite(v).all() for v in (c, a, b)):
+    rows = a_ub if isinstance(a_ub, LpRows) else LpRows(a)
+    if not (rows.finite and np.isfinite(c).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
     n, m = c.size, b.size
     lp = _highs.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), [0.0] * n, [1.0] * n
     lp.row_lower_, lp.row_upper_ = [-math.inf] * m, b.tolist()
-    matrix = lp.a_matrix_
-    matrix.format_, matrix.num_col_, matrix.num_row_ = _highs.MatrixFormat.kColwise, n, m
-    rows = a_ub if isinstance(a_ub, LpRows) else LpRows(a)
-    matrix.start_, matrix.index_, matrix.value_ = rows.colwise
+    lp.a_matrix_ = rows.matrix
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
         highs = _THREAD.highs = _highs._Highs()

@@ -137,6 +137,11 @@ class TestExpectedGainAndQber:
         with pytest.raises(TailBoundError):
             expected_gain_and_qber(model, 5.0)
 
+    def test_tail_error_names_the_second_sender(self):
+        p = ChannelParams(distance_km=10)
+        with pytest.raises(TailBoundError, match=r"^nu: "):
+            expected_gain_and_qber(mdi_yield_model(p, p), 0.1, 5.0)
+
     def test_mdi_needs_two_intensities(self):
         model = qkd_yield_model(ChannelParams(distance_km=10))
         with pytest.raises(ValueError):
@@ -267,6 +272,60 @@ class TestOutcomeLaw:
             # session AC and sender A's intensity class, which fixes its basis
             slot = 1 << 4 | LABELS.index(label) << 2
             assert law[CONFIG_OF[slot], :2].sum() == pytest.approx(accept, rel=1e-12)
+
+
+def _law_keys(mode):
+    """Every (intensities, basis, keep) a table or a network plan reads from a model of ``mode``."""
+    if mode == "QKD":
+        return [((mu,), basis, keep) for mu in (0.5, 0.1, 0.02, 0.0)
+                for basis in ("Z", "X") for keep in (sift_keep("QKD", basis), 1.0)]
+    return [((mu, nu), basis, keep) for mu in (0.5, 0.1, 0.0) for nu in (0.5, 0.02)
+            for basis in ("Z", "X") for keep in (0.0, 1.0)]
+
+
+class TestLawMemo:
+    @staticmethod
+    def build(mode):
+        side = ChannelParams(distance_km=10)
+        return qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+
+    def test_arrays_are_read_only_copies(self):
+        yields = np.zeros(13)
+        model = YieldModel(kind="QKD", yields=yields, error_rates=np.zeros(13))
+        yields[1] = 0.5
+        assert model.yields[1] == 0.0
+        for name in ("yields", "error_rates", "z_error_rates"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[0] = 0.5
+
+    @pytest.mark.parametrize("mode", ["QKD", "MDI"])
+    def test_repeated_law_equals_a_fresh_models(self, mode):
+        warm = self.build(mode)
+        for mus, basis, keep in _law_keys(mode):
+            first = outcome_law(warm, *mus, basis=basis, keep=keep)
+            again = outcome_law(warm, *mus, basis=basis, keep=keep)
+            assert again is first
+            assert again.tobytes() == outcome_law(self.build(mode), *mus, basis=basis, keep=keep).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                again[0] = 0.5
+        assert len(warm._laws) == len(_law_keys(mode))
+
+    def test_checks_run_on_every_call(self):
+        p = ChannelParams(distance_km=10)
+        model = mdi_yield_model(p, p)
+        outcome_law(model, 0.1, 0.1, keep=0.5)
+        with pytest.raises(ValueError, match="keep"):
+            outcome_law(model, 0.1, 0.1, keep=1.5)
+        for _ in range(2):
+            with pytest.raises(TailBoundError, match=r"^nu: "):
+                outcome_law(model, 0.1, 5.0)
+        assert list(model._laws) == [(0.1, 0.1, "X", 0.5)]
+
+    def test_memo_is_not_part_of_the_value(self):
+        model, other = self.build("QKD"), self.build("QKD")
+        outcome_law(model, 0.5)
+        assert repr(model) == repr(other)
+        assert "_laws" not in repr(model)
 
 
 class TestSampleCounts:

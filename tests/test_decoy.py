@@ -84,6 +84,26 @@ class TestWidenCounts:
         with pytest.raises(ValueError, match="numerator"):
             widen_counts(CountRecord(10**6, 10**5, 10**4), 0.5, numerator=numerator)
 
+    @pytest.mark.parametrize("eps", [1e-12, 0.3, 2.0])
+    def test_table_pass_equals_the_scalar_form(self, eps):
+        rng = np.random.default_rng(17)
+        sent = np.concatenate([[1, 2, 10**15], rng.integers(1, 10**15, 300, endpoint=True)])
+        detected = rng.integers(0, sent, endpoint=True)
+        errors = rng.integers(0, detected, endpoint=True)
+        records = [CountRecord(*map(int, r)) for r in zip(sent, detected, errors)]
+        lo, hi = decoy._widen_rates(records, eps)
+        for row, numerator in enumerate(("detected", "errors")):
+            for i, record in enumerate(records):
+                widened = widen_counts(record, eps, numerator)
+                assert (lo[row, i].hex(), hi[row, i].hex()) == tuple(x.hex() for x in widened)
+
+    def test_table_with_a_zero_sent_entry_rejected(self):
+        side = ChannelParams(distance_km=10)
+        table = exact_table_qkd(qkd_yield_model(side), IntensitySet())
+        table.entries[(("v",), "X")] = CountRecord(0, 0, 0)
+        with pytest.raises(ValueError, match="zero sent"):
+            estimate_bounds(table, IntensitySet(), 1e-6, "QKD")
+
 
 class TestCountTable:
     def test_z_basis_accepts_signal_only(self):
@@ -153,6 +173,21 @@ class TestCountTable:
         row = {"intensity": "s", "basis": "Z", "sent": 1000, "detected": 10, "errors": 0}
         with pytest.raises(TableFormatError, match=f"{tally}: expected an integer"):
             CountTable.from_json(json.dumps({"link": "AC", "entries": [dict(row, **{tally: value})]}))
+
+    @pytest.mark.parametrize("tally, accepted", [("1e3", True), ("1_000", False)])
+    @pytest.mark.parametrize("form", ["json", "csv"])
+    def test_formats_agree_on_a_tally(self, form, tally, accepted):
+        if form == "json":
+            read = CountTable.from_json
+            text = '{"link": "AC", "entries": [{"intensity": "s", "basis": "Z", "sent": %s, "detected": 10, "errors": 0}]}'
+        else:
+            read = CountTable.from_csv
+            text = "link,intensity,basis,sent,detected,errors\nAC,s,Z,%s,10,0\n"
+        if accepted:
+            assert read(text % tally).z_entry() == CountRecord(1000, 10, 0)
+        else:
+            with pytest.raises(TableFormatError):
+                read(text % tally)
 
     def test_json_integral_float_tally_counts(self):
         row = {"intensity": "s", "basis": "Z", "sent": 1e7, "detected": 10, "errors": 0}
@@ -338,6 +373,27 @@ class TestLpCache:
         first, second, again = seen[0:2], seen[2:4], seen[4:6]
         assert not any(np.array_equal(a, b) for a, b in zip(first, second))
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("mode", ["QKD", "MDI"])
+    def test_bounds_equal_on_warm_and_fresh_models(self, mode):
+        # the grids of acceptance criterion 7; a warm model answers from its memoised laws
+        if mode == "QKD":
+            link, intensities, kms, budgets = "AC", IntensitySet(), (5.0, 15.0, 30.0), (10**9, 10**10)
+        else:
+            link, intensities, kms, budgets = "AB", IntensitySet(s=0.5, u=0.3, v=0.1, w=0.0), (2.0, 10.0, 25.0), (10**12, 10**13)
+
+        def build(km):
+            side = ChannelParams(distance_km=km)
+            return qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+
+        for km in kms:
+            warm = build(km)
+            synthesize_table(warm, intensities, 10**9, mode, link, seed=0)
+            for seed, n in enumerate(budgets, start=1):
+                tables = [synthesize_table(model, intensities, n, mode, link, seed) for model in (warm, build(km))]
+                assert tables[0].to_json() == tables[1].to_json()
+                warm_bounds, fresh_bounds = (estimate_bounds(table, intensities, 5e-11, mode) for table in tables)
+                assert warm_bounds == fresh_bounds
 
 
 class TestRestrictToBlock:

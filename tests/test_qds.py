@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from qkdnet import qds
-from qkdnet.experiments import min_feasible_acquisition
+from qkdnet import experiments, qds
+from qkdnet.cli import load_network, load_preset
+from qkdnet.decoy import estimate_bounds
+from qkdnet.experiments import expected_table, min_feasible_acquisition
 from qkdnet.mathkit import ConfigError
 from qkdnet.netsim import MessageBus
 from qkdnet.qds import (
@@ -580,3 +582,23 @@ class TestMinFeasibleAcquisition:
 
     def test_feasible_at_floor(self):
         assert min_feasible_acquisition(lambda n: True, 7, 100) == 7
+
+    def test_comparison_probes_the_full_acquisition_once(self, monkeypatch):
+        # one pool at n_pulses_total, reused as the baseline's first probe, and 30 more probes
+        tabled, bounded = [], []
+
+        def tabulated(model, intensities, n_pulses, *args):
+            tabled.append(n_pulses)
+            return expected_table(model, intensities, n_pulses, *args)
+
+        def counted(*args):
+            bounded.append(args)
+            return estimate_bounds(*args)
+
+        monkeypatch.setattr(experiments, "expected_table", tabulated)
+        monkeypatch.setattr(experiments, "estimate_bounds", counted)
+        intensities, models = load_network(load_preset("desk")["simulate"])
+        comparison = experiments.multisig_comparison(models["AB"], intensities, "MDI", 5 * 10**8)
+        assert comparison.n_baseline == 18
+        assert len(bounded) == len(tabled) == len(set(tabled)) == 31
+        assert tabled[0] == 5 * 10**8

@@ -142,8 +142,7 @@ class CountTable:
 
 
 def _tallies(row: dict, parse=lambda field: field) -> CountRecord:
-    """The row's tallies as a record, each a ``parse``d field that passes :func:`check_count`:
-    both table formats read tallies as JSON numbers, so they accept and refuse the same ones."""
+    """The row's tallies, each ``parse``d to a JSON number that :func:`check_count` accepts."""
     return CountRecord(*(check_count(parse(row[k]), k) for k in ("sent", "detected", "errors")))
 
 
@@ -185,9 +184,8 @@ def widen_counts(record: CountRecord, eps: float, numerator: str = "detected") -
 
 
 def _widen_rates(records, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`widen_counts` of every record at once: ``(lo, hi)``, each of shape
-    (2, len(records)), row 0 widening the detection rates and row 1 the error
-    rates.  Equal bit for bit to the scalar form for every count below 2**53."""
+    """:func:`widen_counts` of every record at once, bit for bit for counts below 2**53:
+    ``(lo, hi)``, each (2, len(records)), detection rates in row 0 and error rates in row 1."""
     detected, errors, sent = np.array([(r.detected, r.errors, r.sent) for r in records], dtype=float).T
     if not sent.min() >= 1.0:
         raise ValueError("cannot widen a record with zero sent pulses")

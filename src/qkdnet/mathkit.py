@@ -221,19 +221,22 @@ _THREAD = threading.local()
 
 class LpRows:
     """Constraint rows built once for many solves: a read-only copy of ``a``, whether it is
-    finite, its column-wise nonzeros in scipy's CSC order, as tuples, and the HiGHS matrix
-    holding them.  Array-like, so it goes wherever ``a_ub`` does."""
+    finite, and its HiGHS column-wise matrix, nonzeros in scipy's CSC order.  Array-like, so
+    it goes wherever ``a_ub`` does."""
 
     def __init__(self, a):
         self.a = np.array(a, dtype=float)
         self.a.flags.writeable = False
         self.finite = bool(np.isfinite(self.a).all())
         nonzero = self.a.T != 0.0
-        start = (0, *np.cumsum(nonzero.sum(axis=1)).tolist())
-        self.colwise = start, tuple(np.nonzero(nonzero)[1].tolist()), tuple(self.a.T[nonzero].tolist())
         self.matrix = matrix = _highs.HighsSparseMatrix()
         matrix.format_, (matrix.num_row_, matrix.num_col_) = _highs.MatrixFormat.kColwise, self.a.shape
-        matrix.start_, matrix.index_, matrix.value_ = self.colwise
+        matrix.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
+        matrix.index_, matrix.value_ = np.nonzero(nonzero)[1].tolist(), self.a.T[nonzero].tolist()
+
+    @property
+    def colwise(self) -> tuple:  # the matrix's (start, index, value), as tuples
+        return tuple(self.matrix.start_), tuple(self.matrix.index_), tuple(self.matrix.value_)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.a, dtype=dtype, copy=copy)

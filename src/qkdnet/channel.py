@@ -127,7 +127,7 @@ class CountRecord:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YieldModel:
     """Per-photon-number detection and error probabilities.
 
@@ -141,14 +141,14 @@ class YieldModel:
     for MDI the X map carries the multi-photon error floor while Z errors
     stay misalignment-driven at every photon number.  The arrays are
     read-only copies, so the :func:`outcome_law` results a model memoises
-    never go stale.
+    never go stale.  A model is an object, not a value: it equals only itself.
     """
 
     kind: str  # "QKD" | "MDI"
     yields: np.ndarray
     error_rates: np.ndarray
     z_error_rates: np.ndarray = None
-    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _laws: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("QKD", "MDI"):

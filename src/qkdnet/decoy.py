@@ -143,7 +143,12 @@ class CountTable:
 
 def _tallies(row: dict, parse=lambda field: field) -> CountRecord:
     """The row's tallies, each ``parse``d to a JSON number that :func:`check_count` accepts."""
-    return CountRecord(*(check_count(parse(row[k]), k) for k in ("sent", "detected", "errors")))
+    def tally(name):
+        try:
+            return parse(row[name])
+        except ValueError:  # left as it is, for check_count to refuse by name
+            return row[name]
+    return CountRecord(*(check_count(tally(k), k) for k in ("sent", "detected", "errors")))
 
 
 @dataclass(frozen=True)

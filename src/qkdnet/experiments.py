@@ -5,7 +5,7 @@ classical one-signature-per-acquisition baseline on the same synthetic pool
 and equal per-signature failure budgets: the baseline pays the full
 statistical fluctuation (decoy widening plus QBER sampling) once per
 signature, the multi-block protocol pays it once per acquisition and only a
-Serfling sampling penalty per block.
+Serfling sampling penalty per block.  :func:`relay_chain` signs on a simulated run.
 """
 
 from __future__ import annotations
@@ -13,12 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import CountRecord, IntensitySet, outcome_law, sift_keep
-from .decoy import CountTable, estimate_bounds, restrict_to_block
-from .keyrate import entry_budgets
-from .qds import InsecureChannelError, QdsParams, distill_report, n_blocks
+import numpy as np
 
-__all__ = ["MultisigComparison", "expected_table", "min_feasible_acquisition", "multisig_comparison"]
+from .channel import CountRecord, IntensitySet, outcome_law, sift_keep
+from .decoy import CountTable, DecoyBounds, estimate_bounds, restrict_to_block
+from .keyrate import KeyRateResult, SecurityParams, entry_budgets, secure_key_length
+from .netsim import MessageBus
+from .qds import (Holding, InsecureChannelError, QdsParams, QdsReport, distill_report, extract_blocks,
+                  n_blocks, run_signing_session)
+
+__all__ = ["MultisigComparison", "RelayChain", "expected_table", "min_feasible_acquisition",
+           "multisig_comparison", "relay_chain"]
 
 
 def expected_table(model, intensities: IntensitySet, n_pulses: int, mode: str, link: str) -> CountTable:
@@ -62,6 +67,63 @@ def min_feasible_acquisition(feasible, lo: int, hi: int) -> int | None:
 #: share of each pool spent on the test sample, by both protocols
 TEST_FRACTION = 0.1
 
+# The relay chain's budgets, relaxed so that a desk-scale run signs and echoed in each report's params.
+# RELAY_EPS funds the decoy bounds, the key's secrecy, each block-sampling step and the hashing bound.
+RELAY_EPS, RELAY_EPS_COR, RELAY_P_REP, RELAY_P_FAIL = 1e-4, 1e-6, 0.01, 0.1
+#: share of the relay pool signed as one block; the test sample takes all but RELAY_SPARE of the rest
+RELAY_SIG_FRACTION, RELAY_SPARE = 0.55, 10
+
+
+def _block_report(bounds, n_z, e_test, params, total_time_s=1.0, duty_fraction=1.0) -> QdsReport:
+    """The report of a ``params.c_sig``-bit block of an n_z-bit pool; InsecureChannelError without a gap."""
+    block = restrict_to_block(bounds, params.c_sig, n_z, params.eps_h)
+    return distill_report(block.s1_lower, block.eph_upper, e_test, n_z, params, total_time_s,
+                          duty_fraction, epsilon_inherited=block.epsilon_spent)
+
+
+@dataclass(frozen=True)
+class RelayChain:
+    """With no positive signature rate, ``report`` is None, ``verdicts`` empty and ``insecure`` the reason."""
+
+    bounds: DecoyBounds
+    key: KeyRateResult
+    e_test: float
+    report: QdsReport | None
+    verdicts: dict
+    insecure: str = ""
+
+
+def relay_chain(result, intensities: IntensitySet, weights, seed: int) -> RelayChain:
+    """The relay link's key and signature chain on one ``netsim.RunResult`` of 1 GHz slots.
+
+    Keys the AB table, splits the AB pool by ``seed`` into a test sample and blocks, and signs the
+    first block in one honest session: both recipients hold Bob's flip-rule bits, which differ from
+    Alice's at the pool's error flags.  ``weights[0]`` is the relay session's share.
+    """
+    slots = sum(result.diagnostics["slots_per_session"].values())
+    duty = weights[0] / sum(weights)
+    table, pool = result.tables["AB"], result.z_pools["AB"]
+    bounds = estimate_bounds(table, intensities, RELAY_EPS, "MDI")
+    z_rec = table.z_entry()  # its detections are the pool
+    key = secure_key_length(bounds, z_rec.detected, z_rec.errors / z_rec.detected,
+                            SecurityParams(eps_sec=RELAY_EPS, eps_cor=RELAY_EPS_COR), elapsed_s=slots / 1e9)
+    n_z = len(pool)
+    c_sig = int(n_z * RELAY_SIG_FRACTION)
+    c_test = n_z - c_sig - RELAY_SPARE
+    (test_idx, _), blocks = extract_blocks(pool.bits, c_test, c_sig, seed=seed)
+    e_test = float(pool.error_flags[test_idx].mean())
+    params = QdsParams(c_sig=c_sig, c_test=c_test, eps_h=RELAY_EPS,
+                       p_rep_budget=RELAY_P_REP, p_fail_total=RELAY_P_FAIL)
+    try:
+        report = _block_report(bounds, n_z, e_test, params, slots / 1e9 / duty, duty)
+    except InsecureChannelError as exc:
+        return RelayChain(bounds, key, e_test, None, {}, str(exc))
+    block = blocks[0]
+    held = [Holding("AB", np.arange(len(block)), block.bit_values ^ pool.error_flags[block.origin_indices])]
+    verdicts = run_signing_session(MessageBus(), "alice", "bob", "charlie", 0, {"AB": block.bit_values},
+                                   {"direct": held, "forwarded": held}, report.s_auth, report.s_ver, report.l_sig)
+    return RelayChain(bounds, key, e_test, report, verdicts)
+
 
 @dataclass(frozen=True)
 class MultisigComparison:
@@ -81,22 +143,10 @@ def _block_signable(bounds, n_z, e_test, c_sig, c_test) -> bool:
     """
     if c_sig < 1 or c_test < 1 or c_sig + c_test > n_z:
         return False
-    params = QdsParams(c_sig=c_sig, c_test=c_test)
-    block = restrict_to_block(bounds, c_sig, n_z, params.eps_h)
     try:
-        report = distill_report(
-            block.s1_lower,
-            block.eph_upper,
-            e_test,
-            pool_size=n_z,
-            params=params,
-            total_time_s=1.0,
-            duty_fraction=1.0,
-            epsilon_inherited=block.epsilon_spent,
-        )
+        return _block_report(bounds, n_z, e_test, QdsParams(c_sig=c_sig, c_test=c_test)).secure
     except InsecureChannelError:
         return False
-    return report.secure
 
 
 def multisig_comparison(

@@ -12,26 +12,21 @@ import pytest
 from qkdnet.channel import (
     ChannelParams,
     IntensitySet,
-    expected_gain_and_qber,
     mdi_yield_model,
     qkd_yield_model,
     sample_counts,
 )
 from qkdnet.cli import load_network, load_preset
-from qkdnet.decoy import CountTable, estimate_bounds, restrict_to_block
-from qkdnet.experiments import multisig_comparison
-from qkdnet.keyrate import SecurityParams, rate_sweep, secure_key_length
-from qkdnet.netsim import MessageBus, run_plan, schedule
+from qkdnet.decoy import CountTable, estimate_bounds
+from qkdnet.experiments import multisig_comparison, relay_chain
+from qkdnet.keyrate import SecurityParams, rate_sweep
+from qkdnet.netsim import run_plan, schedule
 from qkdnet.qds import (
-    Holding,
-    QdsParams,
     abort_and_forge,
-    distill_report,
     eve_error_floor,
     extract_blocks,
     n_blocks,
     qber_upper,
-    run_signing_session,
     signature_length,
     thresholds,
     timing_report,
@@ -237,10 +232,9 @@ def test_criterion_08_rate_distance_shape():
 
 
 # Desk-scale end-to-end scenario: idealised short channel so that a 1e7-slot
-# session supports the whole pipeline; budgets relaxed accordingly and
-# recorded in the report itself.
+# session supports the whole pipeline; the chain's budgets are relaxed
+# accordingly (experiments.RELAY_*) and recorded in the report itself.
 DESK_SEED = 505
-DESK_EPS = 1e-4
 
 
 DESK = load_preset("desk")["simulate"]
@@ -248,63 +242,23 @@ DESK = load_preset("desk")["simulate"]
 
 def test_criterion_09_end_to_end_protocol_run():
     intensities, models = load_network(DESK)
-    slots, weights = DESK["slots"], DESK["weights"]
-    duty = weights[0] / sum(weights)
-    plan = schedule(slots, weights, intensities=intensities, seed=DESK_SEED)
+    plan = schedule(DESK["slots"], DESK["weights"], intensities=intensities, seed=DESK_SEED)
     result = run_plan(plan, models, seed=DESK_SEED)
 
     for link in ("AB", "AC", "BC"):
         assert result.tables[link].entries, f"link {link} produced no counts"
 
-    table = result.tables["AB"]
-    pool = result.z_pools["AB"]
-    bounds = estimate_bounds(table, intensities, DESK_EPS, "MDI")
-    z_rec = table.z_entry()
-    key = secure_key_length(
-        bounds, z_rec.detected, z_rec.errors / z_rec.detected,
-        SecurityParams(eps_sec=DESK_EPS, eps_cor=1e-6), elapsed_s=slots / 1e9,
-    )
+    chain = relay_chain(result, intensities, DESK["weights"], DESK_SEED)
+    key, report, verdicts = chain.key, chain.report, chain.verdicts
     assert key.secure_bits > 0
-
-    n_z = len(pool)
-    c_sig = int(n_z * 0.55)
-    c_test = n_z - c_sig - 10
-    block_bounds = restrict_to_block(bounds, c_sig, z_rec.detected, DESK_EPS)
-    params = QdsParams(c_sig=c_sig, c_test=c_test, eps_h=DESK_EPS,
-                       p_rep_budget=0.01, p_fail_total=0.1)
-
-    (test_idx, test_bits), blocks = extract_blocks(
-        np.asarray(pool.bits), c_test, c_sig, seed=DESK_SEED
-    )
-    e_test = float(pool.error_flags[test_idx].mean())
-    report = distill_report(
-        block_bounds.s1_lower, block_bounds.eph_upper, e_test,
-        pool_size=n_z, params=params,
-        total_time_s=slots / 1e9 / duty, duty_fraction=duty,
-        epsilon_inherited=bounds.epsilon_spent + 2 * DESK_EPS,
-    )
+    assert report is not None, chain.insecure
     assert report.secure
     assert (report.e_test <= report.e_sig_upper < report.s_auth
             < report.s_ver < report.p_e)
-    assert report.l_sig <= c_sig
+    assert report.l_sig <= report.params["c_sig"]
 
     # honest signing session over the classical channel: Alice declares the
-    # pool bits; Bob holds the flip-rule outcomes (errors flagged in the pool)
-    block = blocks[0]
-    alice_keys = {"AB": block.bit_values}
-    bob_bits = np.bitwise_xor(
-        block.bit_values.astype(np.int8),
-        pool.error_flags[block.origin_indices].astype(np.int8),
-    )
-    positions = np.arange(len(block))
-    holdings = {
-        "direct": [Holding("AB", positions, bob_bits)],
-        "forwarded": [Holding("AB", positions, bob_bits)],
-    }
-    verdicts = run_signing_session(
-        MessageBus(), "alice", "bob", "charlie", 0, alice_keys, holdings,
-        report.s_auth, report.s_ver, report.l_sig,
-    )
+    # block's pool bits; Bob holds the flip-rule outcomes (errors flagged in the pool)
     assert verdicts["direct"].accepted
     assert verdicts["forwarded"].accepted
 
@@ -315,7 +269,7 @@ def test_criterion_09_end_to_end_protocol_run():
     forger_mismatches = rng.binomial(l, report.p_e, size=1000)
     rejected = (forger_mismatches >= report.s_ver * l).mean()
     assert rejected >= 0.999
-    honest_mismatches = rng.binomial(l, e_test, size=1000)
+    honest_mismatches = rng.binomial(l, chain.e_test, size=1000)
     accepted = (honest_mismatches < report.s_auth * l).mean()
     assert accepted >= 0.999
     ok(9, (f"key {key.secure_bits} bits; secure report (p_e={report.p_e:.4f}, "

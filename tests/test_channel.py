@@ -327,6 +327,11 @@ class TestLawMemo:
         assert repr(model) == repr(other)
         assert "_laws" not in repr(model)
 
+    def test_model_equals_and_hashes_as_itself(self):
+        model, other = self.build("QKD"), self.build("QKD")
+        assert model == model and model != other
+        assert hash(model) == hash(model) and len({model, other}) == 2
+
 
 class TestSampleCounts:
     def test_one_multinomial_over_the_law(self):

@@ -30,7 +30,8 @@ def test_script_imports(path):
 
 
 @pytest.mark.parametrize("name, argv, expect", [
-    ("run_network_demo.py", ["--slots", "1000000"], ["link AB:", "link AC:", "link BC:", "relay key:"]),
+    ("run_network_demo.py", ["--slots", "1000000"],
+     ["link AB:", "link AC:", "link BC:", "relay key:", "no positive QDS rate"]),
     ("multisig_gain.py", ["--pulses", "5e7"], ["multi-block signatures:", "improvement ratio:"]),
 ], ids=("run_network_demo", "multisig_gain"))
 def test_script_main_runs(name, argv, expect, monkeypatch, capsys):

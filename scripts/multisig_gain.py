@@ -10,6 +10,7 @@ import argparse
 
 from qkdnet.cli import load_network, load_preset
 from qkdnet.experiments import multisig_comparison
+from qkdnet.mathkit import ConfigError
 
 
 def main():
@@ -18,7 +19,10 @@ def main():
     args = parser.parse_args()
 
     intensities, models = load_network(load_preset("desk")["simulate"])
-    result = multisig_comparison(models["AB"], intensities, "MDI", int(args.pulses))
+    try:  # an integral float such as 5e8 is a count; a fractional budget is refused
+        result = multisig_comparison(models["AB"], intensities, "MDI", args.pulses)
+    except ConfigError as exc:
+        parser.error(str(exc))
     print(f"multi-block signatures:    {result.n_multi} (block size {result.c_sig_multi})")
     print(f"baseline signatures:       {result.n_baseline} "
           f"(min acquisition {result.min_acquisition_pulses} pulses)")

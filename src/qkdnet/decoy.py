@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,9 @@ class CountTable:
             table = cls(link=doc["link"])
             for row in doc["entries"]:
                 table.add(row["intensity"], row["basis"], _tallies(row))
+        except json.JSONDecodeError as exc:  # its message gives a position only: quote the token there
+            near = next((m[0] for m in re.finditer(r"[^\s,:\[\]{}]+|.", exc.doc, re.S) if m.end() > exc.pos), "")
+            raise TableFormatError(f"bad count-table JSON: {exc}, at {near!r}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise TableFormatError(f"bad count-table JSON: {exc}") from exc
         return table

@@ -18,6 +18,7 @@ import numpy as np
 from .channel import CountRecord, IntensitySet, outcome_law, sift_keep
 from .decoy import CountTable, DecoyBounds, estimate_bounds, restrict_to_block
 from .keyrate import KeyRateResult, SecurityParams, entry_budgets, secure_key_length
+from .mathkit import check_count, check_real, reuse_bases
 from .netsim import MessageBus
 from .qds import (Holding, InsecureChannelError, QdsParams, QdsReport, distill_report, extract_blocks,
                   n_blocks, run_signing_session)
@@ -46,11 +47,13 @@ def expected_table(model, intensities: IntensitySet, n_pulses: int, mode: str, l
 def min_feasible_acquisition(feasible, lo: int, hi: int) -> int | None:
     """A size in [lo, hi] accepted by ``feasible`` whose predecessor is not, by bisection.
 
-    None when ``hi`` fails, ``lo`` when it passes.  ``feasible`` need not be
-    monotone; the transition returned is the one the probes reach, not
-    necessarily the smallest feasible size.  Backs the baseline of one
-    signature per acquisition that multi-signature is compared against.
+    None when ``hi`` fails, ``lo`` when it passes, ValueError when ``lo > hi``.
+    ``feasible`` need not be monotone; the transition returned is the one the
+    probes reach, not necessarily the smallest feasible size.  Backs the
+    one-signature-per-acquisition baseline of :func:`multisig_comparison`.
     """
+    if lo > hi:
+        raise ValueError(f"empty size range: lo {lo} > hi {hi}")
     if not feasible(hi):
         return None
     if feasible(lo):
@@ -163,8 +166,11 @@ def multisig_comparison(
     estimates in full against every signature.  The baseline's acquisition
     size is the transition to a signable single block that bisection reaches:
     expected-value tables are rounded to integers, so signability is not
-    monotone and a smaller signable size may exist.
+    monotone and a smaller signable size may exist.  The probes' LPs run in one
+    ``reuse_bases`` block, so a bound may differ from a cold solve's in its last bits.
     """
+    n_pulses_total = check_count(n_pulses_total, "n_pulses_total", 1)
+    eps_decoy = check_real(eps_decoy, "eps_decoy", 0, 1, low_open=True, high_open=True)
     link = "AB" if mode == "MDI" else "AC"
 
     def pool_stats(n_pulses: int):
@@ -174,16 +180,8 @@ def multisig_comparison(
         e_test = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
         return estimate_bounds(table, intensities, eps_decoy, mode), z_rec.detected, e_test
 
-    bounds, n_z, e_test = full = pool_stats(n_pulses_total)
-    c_test = int(n_z * TEST_FRACTION)
-
     def block_signable(c_sig: int) -> bool:
         return _block_signable(bounds, n_z, e_test, c_sig, c_test)
-
-    c_sig_min = min_feasible_acquisition(block_signable, 1, n_z - c_test)
-    if c_sig_min is None:
-        return MultisigComparison(0, 0, 0, None, 0.0)
-    n_multi = n_blocks(n_z, c_test, c_sig_min)
 
     def acquisition_signable(n_pulses: int) -> bool:
         # the baseline spends its whole pool, less the test sample, on one block;
@@ -192,13 +190,13 @@ def multisig_comparison(
         sub_test = int(sub_z * TEST_FRACTION)
         return _block_signable(sub_bounds, sub_z, sub_e_test, sub_z - sub_test, sub_test)
 
-    b_min = min_feasible_acquisition(acquisition_signable, 1000, n_pulses_total)
+    with reuse_bases():
+        bounds, n_z, e_test = full = pool_stats(n_pulses_total)
+        c_test = int(n_z * TEST_FRACTION)
+        c_sig_min = min_feasible_acquisition(block_signable, 1, n_z - c_test)
+        if c_sig_min is None:
+            return MultisigComparison(0, 0, 0, None, 0.0)
+        b_min = min_feasible_acquisition(acquisition_signable, 1000, n_pulses_total)
+    n_multi = n_blocks(n_z, c_test, c_sig_min)
     n_baseline = n_pulses_total // b_min if b_min else 0
-    ratio = n_multi / n_baseline if n_baseline else math.inf
-    return MultisigComparison(
-        n_multi=n_multi,
-        n_baseline=n_baseline,
-        c_sig_multi=c_sig_min,
-        min_acquisition_pulses=b_min,
-        ratio=ratio,
-    )
+    return MultisigComparison(n_multi, n_baseline, c_sig_min, b_min, n_multi / n_baseline if n_baseline else math.inf)

@@ -1,13 +1,14 @@
 """Numerical kernels shared by the analysis stack.
 
-Binary entropy and its inverse, the Serfling and Hoeffding concentration
-terms, Poisson photon-number statistics, and a small linear-program wrapper
-over the unit box that drives scipy's bundled HiGHS binding directly.
-Everything here is a pure function of its inputs.
+Binary entropy and its inverse, the Serfling and Hoeffding concentration terms, Poisson
+photon-number statistics, and a small linear-program wrapper over the unit box that drives
+scipy's bundled HiGHS binding directly.  Everything here is a pure function of its inputs,
+save the last bits of an LP value solved inside a ``reuse_bases`` block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -43,6 +44,7 @@ __all__ = [
     "LpInfeasibleError",
     "LpRows",
     "solve_bounded_lp",
+    "reuse_bases",
     "ConfigError",
     "check_probability",
     "check_count",
@@ -215,8 +217,13 @@ _OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
 _STATUS = _highs.HighsModelStatus
-# One solver per thread: a shared one could take another thread's model between passModel and run.
-_THREAD = threading.local()
+
+
+class _ThreadState(threading.local):  # one solver per thread: another could take its model between passModel and run
+    highs = bases = None  # bases: {(LpRows, objective bytes): optimal basis} inside a reuse_bases block
+
+
+_THREAD = _ThreadState()
 
 
 class LpRows:
@@ -246,8 +253,9 @@ def linprog(c, a_ub, b_ub):
     """``(model status, objective)`` of min ``c @ x`` s.t. ``a_ub @ x <= b_ub`` over the unit box.
 
     The objective means something only at ``kOptimal``.  One presolve-off solve on the
-    thread's solver, whose ``passModel`` drops the last model and basis: no value depends
-    on call order.  An :class:`LpRows` ``a_ub`` spares rebuilding its matrix and checks.
+    thread's solver, whose ``passModel`` drops the last model and basis, so outside a
+    :func:`reuse_bases` block no value depends on call order.  An :class:`LpRows` ``a_ub``
+    spares rebuilding its matrix and checks, and inside a block starts from a stored basis.
     """
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     a = a.reshape(0, c.size) if a.size == 0 else a
@@ -262,14 +270,34 @@ def linprog(c, a_ub, b_ub):
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), [0.0] * n, [1.0] * n
     lp.row_lower_, lp.row_upper_ = [-math.inf] * m, b.tolist()
     lp.a_matrix_ = rows.matrix
-    highs = getattr(_THREAD, "highs", None)
+    highs, bases = _THREAD.highs, _THREAD.bases
     if highs is None:
         highs = _THREAD.highs = _highs._Highs()
         highs.passOptions(_OPTIONS)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         return _STATUS.kModelError, math.nan
+    key = (a_ub, c.tobytes()) if bases is not None and isinstance(a_ub, LpRows) else None
+    warm = key is not None and key in bases and highs.setBasis(bases[key]) != _highs.HighsStatus.kError
     highs.run()
+    if warm and highs.getModelStatus() not in (_STATUS.kOptimal, _STATUS.kInfeasible):
+        highs.passModel(lp)
+        highs.run()
+    if key is not None and highs.getModelStatus() == _STATUS.kOptimal:
+        bases[key] = highs.getBasis()
     return highs.getModelStatus(), highs.getObjectiveValue()  # getInfo() would copy all of info
+
+
+@contextlib.contextmanager
+def reuse_bases():
+    """A block in which :func:`linprog` starts each :class:`LpRows` LP from the last optimal basis of
+    the same rows and objective on this thread.  That basis stays dual feasible whatever ``b_ub`` is,
+    so a warm solve ends at a certified optimum, within HiGHS's tolerances of a cold solve's value;
+    a warm end short of optimal or infeasible is solved again cold, as outside a block."""
+    outer, _THREAD.bases = _THREAD.bases, {}
+    try:
+        yield
+    finally:
+        _THREAD.bases = outer
 
 
 class LpInfeasibleError(ValueError):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet import decoy, mathkit
 from qkdnet.channel import (
+    N_CUT,
     ChannelParams,
     CountRecord,
     IntensitySet,
@@ -23,7 +26,7 @@ from qkdnet.decoy import (
     widen_counts,
 )
 from qkdnet.keyrate import synthesize_table
-from qkdnet.mathkit import solve_bounded_lp
+from qkdnet.mathkit import poisson_weights, reuse_bases, solve_bounded_lp
 
 X_SINGLE = ("u", "v", "w")
 
@@ -187,8 +190,8 @@ class TestCountTable:
             assert read(text % tally).z_entry() == CountRecord(1000, 10, 0)
         else:
             # a CSV field that is no JSON number reaches check_count as text; in a
-            # JSON document the same token stops the parser, which names its column
-            match = "sent: expected an integer >= 0, got '1_000'" if form == "csv" else "line 1 column 70"
+            # JSON document the same token stops the parser, whose column the message quotes
+            match = "sent: expected an integer >= 0, got '1_000'" if form == "csv" else "line 1 column 70.*'1_000'"
             with pytest.raises(TableFormatError, match=match):
                 read(text % tally)
 
@@ -397,6 +400,77 @@ class TestLpCache:
                 assert tables[0].to_json() == tables[1].to_json()
                 warm_bounds, fresh_bounds = (estimate_bounds(table, intensities, 5e-11, mode) for table in tables)
                 assert warm_bounds == fresh_bounds
+
+
+def _ma_bounds(table, intensities, eps_total):
+    """``(y1, z1)`` bounds of Ma, Qi, Zhao & Lo, PRA 72, 012326 (2005), on the rows that
+    ``estimate_bounds`` widens for a QKD table: u is the signal, v the weak decoy and w = 0
+    the vacuum; the tail beyond N_CUT comes off v's lower detection row, as in the LP.
+
+    Each is a non-negative combination of a few LP rows with the box, so the LP's minimum
+    yield is at least ``y1`` and its maximum error gain at most ``z1``."""
+    eps_each = eps_total / 7  # a gain and an error share per X entry, and the Z transfer
+    u, v = intensities.u, intensities.v
+    det = {label: widen_counts(table.entries[((label,), "X")], eps_each) for label in X_SINGLE}
+    err = {label: widen_counts(table.entries[((label,), "X")], eps_each, "errors") for label in X_SINGLE}
+    lo_v = max(0.0, det["v"][0] - poisson_weights(v, N_CUT)[1])
+    r = (v / u) ** 2
+    y1 = (math.exp(v) * lo_v - r * math.exp(u) * det["u"][1] - (1 - r) * det["w"][1]) / (v - v * v / u)
+    z1 = (err["v"][1] - err["w"][0] * math.exp(-v)) * math.exp(v) / v
+    return y1, z1
+
+
+class TestAnalyticOracleQkd:
+    """The QKD decoy LPs against the analytic vacuum + weak-decoy bounds on their own rows,
+    cold and warm: the LP may be tighter, never looser, beyond HiGHS's 1e-10 tolerance."""
+
+    @staticmethod
+    def check(table, intensities, eps):
+        """The LP's ``y1_lower`` and the analytic one, after checking both LPs against the oracle."""
+        solved = []
+
+        def recorded(c, a_ub, b_ub, sense):
+            solved.append(solve_bounded_lp(c, a_ub, b_ub, sense))
+            return solved[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decoy, "solve_bounded_lp", recorded)
+            bounds = estimate_bounds(table, intensities, eps, "QKD")
+        y1_analytic, z1_analytic = _ma_bounds(table, intensities, eps)
+        assert bounds.y1_lower >= y1_analytic - 1e-10
+        assert solved[1] <= z1_analytic + 1e-10
+        return bounds.y1_lower, y1_analytic
+
+    def test_reference_point_is_positive_and_close(self):
+        # criterion 7's intensities at 10 km: both bounds well off zero, the LP the tighter
+        intensities = IntensitySet()
+        table = synthesize_table(qkd_yield_model(ChannelParams(distance_km=10)), intensities, 10**10, "QKD", "AC", 3)
+        y1, y1_analytic = self.check(table, intensities, 1e-10)
+        assert 0.0 < y1_analytic <= y1 <= 1.02 * y1_analytic
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        km=st.floats(0.0, 80.0),
+        dark=st.sampled_from([1e-7, 1e-6, 1e-5]),
+        misalignment=st.floats(0.0, 0.05),
+        s=st.floats(0.3, 0.8),
+        u_share=st.floats(0.1, 0.9),
+        v_share=st.floats(0.05, 0.8),
+        exponent=st.floats(9.0, 12.0),
+        eps=st.sampled_from([1e-10, 1e-6]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_lp_is_within_the_analytic_bounds(self, km, dark, misalignment, s, u_share, v_share, exponent, eps, seed):
+        intensities = IntensitySet(s=s, u=s * u_share, v=s * u_share * v_share, w=0.0)
+        model = qkd_yield_model(ChannelParams(distance_km=km, dark_count_prob=dark, misalignment=misalignment))
+        n = int(10**exponent)
+        tables = [synthesize_table(model, intensities, round(n * f), "QKD", "AC", seed + i)
+                  for i, f in enumerate((1.0, 1.01, 0.97, 1.3))]
+        for table in tables:  # cold
+            self.check(table, intensities, eps)
+        with reuse_bases():  # warm, each from the last table's bases
+            for table in tables:
+                self.check(table, intensities, eps)
 
 
 class TestRestrictToBlock:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -19,7 +20,9 @@ from scipy.stats import poisson as scipy_poisson
 
 from qkdnet import decoy, mathkit
 from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import estimate_bounds
+from qkdnet.experiments import expected_table
 from qkdnet.keyrate import synthesize_table
 from qkdnet.mathkit import (
     ConfigError,
@@ -33,6 +36,7 @@ from qkdnet.mathkit import (
     poisson_pmf,
     poisson_weights,
     probability_from_log,
+    reuse_bases,
     serfling_deviation,
     solve_bounded_lp,
 )
@@ -388,24 +392,31 @@ def _scipy_bounded_lp(c, a_ub, b_ub, sense):
     return float(sign * res.fun)
 
 
-def _decoy_lps(mode, kms):
-    """``(c, a_ub, b_ub, sense)`` of each LP ``estimate_bounds`` solves on one
-    10^12-pulse table per distance."""
+def _recorded_lps(tables, intensities, eps, mode):
+    """``(c, a_ub, b_ub, sense)`` of each LP ``estimate_bounds`` solves on ``tables``."""
     lps = []
 
     def recorded(c, a_ub, b_ub, sense):
         lps.append((np.array(c), a_ub, np.array(b_ub), sense))
         return solve_bounded_lp(c, a_ub, b_ub, sense)
 
-    intensities = IntensitySet(s=0.5, u=0.2, v=0.05, w=0.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decoy, "solve_bounded_lp", recorded)
-        for km in kms:
-            side = ChannelParams(distance_km=km)
-            model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
-            table = synthesize_table(model, intensities, 10**12, mode, "AC" if mode == "QKD" else "AB", km)
-            estimate_bounds(table, intensities, 1e-6, mode)
+        for table in tables:
+            estimate_bounds(table, intensities, eps, mode)
     return lps
+
+
+def _decoy_lps(mode, kms):
+    """``(c, a_ub, b_ub, sense)`` of each LP ``estimate_bounds`` solves on one
+    10^12-pulse table per distance."""
+    intensities = IntensitySet(s=0.5, u=0.2, v=0.05, w=0.0)
+    tables = []
+    for km in kms:
+        side = ChannelParams(distance_km=km)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        tables.append(synthesize_table(model, intensities, 10**12, mode, "AC" if mode == "QKD" else "AB", km))
+    return _recorded_lps(tables, intensities, 1e-6, mode)
 
 
 def _outcome(solve, *args):
@@ -629,6 +640,194 @@ class TestHighsShim:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert f"scipy >= 1.15 for its HiGHS binding, found {scipy.__version__}" in out.stdout
+
+
+def _probe_lps(sizes):
+    """``(c, a_ub, b_ub, sense)`` of each LP ``estimate_bounds`` solves on the desk relay link's
+    expected-value table at each pulse count, as the multi-signature bisection probes it."""
+    intensities, models = load_network(load_preset("desk")["simulate"])
+    tables = [expected_table(models["AB"], intensities, n, "MDI", "AB") for n in sizes]
+    return _recorded_lps(tables, intensities, 1e-11, "MDI")
+
+
+def _solve(lp):
+    """``(status, value, simplex iterations)`` of one ``(c, a_ub, b_ub, sense)`` LP through ``linprog``."""
+    c, a_ub, b_ub, sense = lp
+    status, value = mathkit.linprog(c if sense == "min" else -c, a_ub, b_ub)
+    return status, value, mathkit._THREAD.highs.getInfo().simplex_iteration_count
+
+
+def _close(warm, cold):
+    """Same status, and at kOptimal a value within 1e-12 relative of the cold solve's."""
+    if warm[0] != cold[0]:
+        return False
+    return cold[0] != HighsModelStatus.kOptimal or abs(warm[1] - cold[1]) <= 1e-12 * abs(cold[1])
+
+
+class TestReuseBases:
+    """Inside a ``reuse_bases`` block, ``linprog`` starts an ``LpRows`` LP from the last optimal
+    basis of the same rows and objective; outside one, every solve is cold."""
+
+    def test_warm_sequence_equals_cold(self):
+        lps = [*_decoy_lps("QKD", (5, 15, 30)), *_decoy_lps("MDI", (2, 10, 25))]
+        # each family's right-hand sides moved between solves, looser and tighter
+        moved = [(c, a_ub, b_ub * f, sense) for c, a_ub, b_ub, sense in lps for f in (1.0, 1.002, 0.998)]
+        cold = [_solve(lp) for lp in moved]
+        with reuse_bases():
+            warm = [_solve(lp) for lp in moved]
+            assert len(mathkit._THREAD.bases) == 4  # yield and error rows of each mode
+        assert all(_close(w, c) for w, c in zip(warm, cold))
+        assert sum(w[2] for w in warm) < sum(c[2] for c in cold) / 2
+
+    def test_infeasible_raises_and_stores_nothing(self):
+        c, a_ub, b_ub, sense = _decoy_lps("MDI", (10,))[0]
+        bad = b_ub.copy()
+        bad[0] = -(b_ub[1] + 0.1)  # the first key's detections above their own upper bound
+        with pytest.raises(LpInfeasibleError):
+            solve_bounded_lp(c, a_ub, bad, sense)
+        cold = solve_bounded_lp(c, a_ub, b_ub, sense)
+        with reuse_bases():
+            assert solve_bounded_lp(c, a_ub, b_ub, sense) == cold
+            (stored,) = mathkit._THREAD.bases.values()
+            with pytest.raises(LpInfeasibleError):
+                solve_bounded_lp(c, a_ub, bad, sense)
+            (kept,) = mathkit._THREAD.bases.values()
+            assert kept is stored
+            assert solve_bounded_lp(c, a_ub, b_ub, sense) == pytest.approx(cold, rel=1e-12, abs=0)
+
+    def test_leaving_a_block_restores_the_enclosing_state(self):
+        lp = _decoy_lps("QKD", (15,))[0]
+        assert mathkit._THREAD.bases is None
+        with reuse_bases():
+            solve_bounded_lp(*lp)
+            outer = mathkit._THREAD.bases
+            with pytest.raises(RuntimeError, match="inner"):
+                with reuse_bases():
+                    assert mathkit._THREAD.bases == {}
+                    solve_bounded_lp(*lp)
+                    raise RuntimeError("inner")
+            assert mathkit._THREAD.bases is outer
+            assert len(outer) == 1
+        assert mathkit._THREAD.bases is None
+        with pytest.raises(RuntimeError, match="outer"):
+            with reuse_bases():
+                solve_bounded_lp(*lp)
+                raise RuntimeError("outer")
+        assert mathkit._THREAD.bases is None
+
+    def test_a_block_warms_only_its_own_thread(self):
+        first, _, second, _ = _probe_lps((26_701_985, 26_960_000))  # two probes' yield LPs
+        cold = _solve(second)
+        seen = []
+
+        def solve_second():
+            seen.append((mathkit._THREAD.bases, _solve(second)))
+
+        def warm_in_a_block():
+            with reuse_bases():
+                _solve(first)
+                seen.append(_solve(second))
+
+        with reuse_bases():
+            _solve(first)
+            thread = threading.Thread(target=solve_second)
+            thread.start()
+            thread.join(timeout=60)
+            assert _solve(second)[2] < cold[2]
+        thread = threading.Thread(target=warm_in_a_block)
+        thread.start()
+        thread.join(timeout=60)
+        assert seen[0] == (None, cold)
+        assert seen[1][2] < cold[2]
+        assert _solve(second) == cold
+
+    def test_blocks_on_many_threads_stay_apart(self):
+        # more threads than cores, switching often: each sees only its own block's bases
+        lps = _probe_lps((26_701_985, 26_702_280, 26_960_000, 27_400_000))
+        cold = [_solve(lp) for lp in lps]
+        results, leaked = [[] for _ in range(4)], []
+
+        def solve(i):
+            for _ in range(5):
+                with reuse_bases() if i % 2 else contextlib.nullcontext():
+                    results[i].append([_solve(lp) for lp in lps])
+                leaked.append(mathkit._THREAD.bases)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert leaked == [None] * 20
+        for i, runs in enumerate(results):
+            assert len(runs) == 5
+            for run in runs:
+                assert run == cold if i % 2 == 0 else all(_close(w, c) for w, c in zip(run, cold))
+
+    def test_warm_neighbouring_probe_takes_half_the_iterations(self):
+        # two consecutive probes of criterion 10's baseline bisection
+        lps = _probe_lps((26_701_985, 26_702_280))
+        for before, after in zip(lps[:2], lps[2:]):  # the yield LPs, then the error LPs
+            cold = _solve(after)
+            with reuse_bases():
+                _solve(before)
+                warm = _solve(after)
+            assert _close(warm, cold)
+            assert warm[2] <= cold[2] / 2
+
+    def test_a_refused_basis_solves_cold(self):
+        c, a_ub, b_ub, sense = lp = _decoy_lps("MDI", (10,))[0]
+        cold = _solve(lp)
+        with reuse_bases():
+            # an empty basis fits no LP with rows, so setBasis refuses it
+            mathkit._THREAD.bases[(a_ub, c.tobytes())] = mathkit._highs.HighsBasis()
+            assert _solve(lp) == cold
+
+    def test_a_warm_end_short_of_optimal_solves_cold(self, monkeypatch):
+        first, _, second, _ = _probe_lps((26_701_985, 26_960_000))
+        cold = _solve(second)
+        real = mathkit._THREAD.highs
+        passed = []
+
+        class Stalling:
+            """The thread's solver, except that a run from a set basis ends at its iteration limit."""
+
+            warm = False
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def passModel(self, lp):
+                passed.append(lp)
+                self.warm = False
+                return real.passModel(lp)
+
+            def setBasis(self, basis):
+                self.warm = True
+                return real.setBasis(basis)
+
+            def getModelStatus(self):
+                return HighsModelStatus.kIterationLimit if self.warm else real.getModelStatus()
+
+        monkeypatch.setattr(mathkit._THREAD, "highs", Stalling())
+        with reuse_bases():
+            _solve(first)
+            passed.clear()
+            assert _solve(second) == cold
+        assert len(passed) == 2
+
+    def test_plain_arrays_are_never_warm(self):
+        c, a_ub, b_ub, sense = _decoy_lps("QKD", (15,))[0]
+        with reuse_bases():
+            value = solve_bounded_lp(c, np.asarray(a_ub), b_ub, sense)
+            assert solve_bounded_lp(c, np.asarray(a_ub), b_ub, sense) == value
+            assert mathkit._THREAD.bases == {}
 
 
 def _python(code, *paths):

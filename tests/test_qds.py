@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from qkdnet import experiments, qds
+from qkdnet import experiments, mathkit, qds
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import estimate_bounds
 from qkdnet.experiments import expected_table, min_feasible_acquisition
@@ -583,6 +584,11 @@ class TestMinFeasibleAcquisition:
     def test_feasible_at_floor(self):
         assert min_feasible_acquisition(lambda n: True, 7, 100) == 7
 
+    def test_empty_range_refused(self):
+        # an empty range: a feasible lo used to come back although it exceeds hi
+        with pytest.raises(ValueError, match="lo 1000 > hi 10"):
+            min_feasible_acquisition(lambda n: True, 1000, 10)
+
     def test_comparison_probes_the_full_acquisition_once(self, monkeypatch):
         # one pool at n_pulses_total, reused as the baseline's first probe, and 30 more probes
         tabled, bounded = [], []
@@ -602,3 +608,66 @@ class TestMinFeasibleAcquisition:
         assert comparison.n_baseline == 18
         assert len(bounded) == len(tabled) == len(set(tabled)) == 31
         assert tabled[0] == 5 * 10**8
+
+
+class TestMultisigComparison:
+    @pytest.fixture(scope="class")
+    def desk(self):
+        return load_network(load_preset("desk")["simulate"])
+
+    def test_integral_float_budget_is_the_integer(self, desk):
+        intensities, models = desk
+        as_float = experiments.multisig_comparison(models["AB"], intensities, "MDI", 5e8)
+        assert repr(as_float) == repr(experiments.multisig_comparison(models["AB"], intensities, "MDI", 5 * 10**8))
+
+    @pytest.mark.parametrize("n_pulses", [2.5e8 + 0.5, 0, -5, True, "5e8", math.nan])
+    def test_budget_must_be_a_positive_count(self, desk, n_pulses):
+        intensities, models = desk
+        with pytest.raises(ConfigError, match="^n_pulses_total: expected an integer >= 1"):
+            experiments.multisig_comparison(models["AB"], intensities, "MDI", n_pulses)
+
+    @pytest.mark.parametrize("eps_decoy", [2.0, 1.0, 0.0, -1e-11, math.nan, True])
+    def test_eps_decoy_must_be_a_probability_strictly_inside(self, desk, eps_decoy):
+        intensities, models = desk
+        with pytest.raises(ConfigError, match="^eps_decoy: "):
+            experiments.multisig_comparison(models["AB"], intensities, "MDI", 5 * 10**8, eps_decoy)
+
+    @pytest.mark.parametrize("link, mode, n_pulses", [
+        ("AB", "MDI", 10**8), ("AB", "MDI", 5 * 10**8), ("AB", "MDI", 10**10),
+        ("AC", "QKD", 5 * 10**8), ("AC", "QKD", 10**10),
+    ])
+    def test_warm_bases_change_no_verdict(self, desk, link, mode, n_pulses):
+        # the comparison in its reuse_bases block, and again with the block a no-op: every
+        # probe's pool bounds within 1e-12 relative, every verdict and the result equal
+        intensities, models = desk
+        runs = {}
+
+        def run(reuse):
+            runs[reuse] = probes = {"bounds": [], "verdicts": []}
+
+            def bounded(*args):
+                probes["bounds"].append(estimate_bounds(*args))
+                return probes["bounds"][-1]
+
+            def judged(*args):
+                probes["verdicts"].append(signable(*args))
+                return probes["verdicts"][-1]
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiments, "estimate_bounds", bounded)
+                patch.setattr(experiments, "_block_signable", judged)
+                patch.setattr(experiments, "reuse_bases", reuse)
+                return experiments.multisig_comparison(models[link], intensities, mode, n_pulses)
+
+        signable = experiments._block_signable
+        warm = run(mathkit.reuse_bases)
+        assert mathkit._THREAD.bases is None
+        assert run(contextlib.nullcontext) == warm
+        cold_probes, warm_probes = runs[contextlib.nullcontext], runs[mathkit.reuse_bases]
+        assert warm.n_baseline > 0
+        assert warm_probes["verdicts"] == cold_probes["verdicts"]
+        assert len(warm_probes["bounds"]) == len(cold_probes["bounds"]) > 20
+        for w, c in zip(warm_probes["bounds"], cold_probes["bounds"]):
+            assert w.mode == c.mode
+            for field in ("s1_lower", "eph_upper", "y1_lower", "epsilon_spent"):
+                assert getattr(w, field) == pytest.approx(getattr(c, field), rel=1e-12, abs=0)

@@ -41,3 +41,12 @@ def test_script_main_runs(name, argv, expect, monkeypatch, capsys):
     out = capsys.readouterr().out
     for text in expect:
         assert text in out
+
+
+def test_multisig_gain_refuses_a_fractional_budget(monkeypatch, capsys):
+    (path,) = [p for p in SCRIPTS if p.name == "multisig_gain.py"]
+    monkeypatch.setattr("sys.argv", ["multisig_gain.py", "--pulses", "250000000.5"])
+    with pytest.raises(SystemExit) as exit_info:
+        load(path).main()
+    assert exit_info.value.code == 2
+    assert "n_pulses_total: expected an integer >= 1, got 250000000.5" in capsys.readouterr().err

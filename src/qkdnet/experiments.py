@@ -18,7 +18,7 @@ import numpy as np
 from .channel import CountRecord, IntensitySet, outcome_law, sift_keep
 from .decoy import CountTable, DecoyBounds, estimate_bounds, restrict_to_block
 from .keyrate import KeyRateResult, SecurityParams, entry_budgets, secure_key_length
-from .mathkit import check_count, check_real, reuse_bases
+from .mathkit import ConfigError, check_count, check_real, reuse_bases
 from .netsim import MessageBus
 from .qds import (Holding, InsecureChannelError, QdsParams, QdsReport, distill_report, extract_blocks,
                   n_blocks, run_signing_session)
@@ -167,10 +167,14 @@ def multisig_comparison(
     size is the transition to a signable single block that bisection reaches:
     expected-value tables are rounded to integers, so signability is not
     monotone and a smaller signable size may exist.  The probes' LPs run in one
-    ``reuse_bases`` block, so a bound may differ from a cold solve's in its last bits.
+    ``reuse_bases`` block: each decoy LP is loaded into HiGHS once and re-solved in place
+    with every later probe's right-hand sides, so a bound may differ from a cold solve's
+    in its last bits.  ConfigError when a budget leaves an X-basis entry with no pulses.
     """
     n_pulses_total = check_count(n_pulses_total, "n_pulses_total", 1)
     eps_decoy = check_real(eps_decoy, "eps_decoy", 0, 1, low_open=True, high_open=True)
+    if not all(sent for (_, basis), sent in entry_budgets(n_pulses_total, intensities, mode).items() if basis == "X"):
+        raise ConfigError(f"n_pulses_total: {n_pulses_total} pulses leave an X-basis entry with none sent")
     link = "AB" if mode == "MDI" else "AC"
 
     def pool_stats(n_pulses: int):

@@ -3,7 +3,7 @@
 Binary entropy and its inverse, the Serfling and Hoeffding concentration terms, Poisson
 photon-number statistics, and a small linear-program wrapper over the unit box that drives
 scipy's bundled HiGHS binding directly.  Everything here is a pure function of its inputs,
-save the last bits of an LP value solved inside a ``reuse_bases`` block.
+save the last bits of an LP value re-solved inside a ``reuse_bases`` block.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ _STATUS = _highs.HighsModelStatus
 
 
 class _ThreadState(threading.local):  # one solver per thread: another could take its model between passModel and run
-    highs = bases = None  # bases: {(LpRows, objective bytes): optimal basis} inside a reuse_bases block
+    highs = bases = None  # bases, in a reuse_bases block: {(LpRows, objective bytes): (own solver at an optimum, b_ub)}
 
 
 _THREAD = _ThreadState()
@@ -255,7 +255,7 @@ def linprog(c, a_ub, b_ub):
     The objective means something only at ``kOptimal``.  One presolve-off solve on the
     thread's solver, whose ``passModel`` drops the last model and basis, so outside a
     :func:`reuse_bases` block no value depends on call order.  An :class:`LpRows` ``a_ub``
-    spares rebuilding its matrix and checks, and inside a block starts from a stored basis.
+    spares rebuilding its matrix and checks, and inside a block is re-solved in place.
     """
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     a = a.reshape(0, c.size) if a.size == 0 else a
@@ -264,35 +264,45 @@ def linprog(c, a_ub, b_ub):
     rows = a_ub if isinstance(a_ub, LpRows) else LpRows(a)
     if not (rows.finite and np.isfinite(c).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
+    bases = _THREAD.bases
+    key = (a_ub, c.tobytes()) if bases is not None and rows is a_ub else None
+    if key is not None and key in bases:
+        highs, last = bases.pop(key)
+        for row in np.flatnonzero(b != last).tolist():
+            highs.changeRowBounds(row, -math.inf, b[row])
+        highs.run()  # from the kept basis and factorization
+        status = highs.getModelStatus()
+        if status == _STATUS.kOptimal:
+            bases[key] = highs, b.copy()
+        if status in (_STATUS.kOptimal, _STATUS.kInfeasible):
+            return status, highs.getObjectiveValue()
+        key = None  # solved cold once below, and kept by no key
     n, m = c.size, b.size
     lp = _highs.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), [0.0] * n, [1.0] * n
     lp.row_lower_, lp.row_upper_ = [-math.inf] * m, b.tolist()
     lp.a_matrix_ = rows.matrix
-    highs, bases = _THREAD.highs, _THREAD.bases
+    highs = _THREAD.highs
     if highs is None:
         highs = _THREAD.highs = _highs._Highs()
         highs.passOptions(_OPTIONS)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         return _STATUS.kModelError, math.nan
-    key = (a_ub, c.tobytes()) if bases is not None and isinstance(a_ub, LpRows) else None
-    warm = key is not None and key in bases and highs.setBasis(bases[key]) != _highs.HighsStatus.kError
     highs.run()
-    if warm and highs.getModelStatus() not in (_STATUS.kOptimal, _STATUS.kInfeasible):
-        highs.passModel(lp)
-        highs.run()
     if key is not None and highs.getModelStatus() == _STATUS.kOptimal:
-        bases[key] = highs.getBasis()
+        bases[key], _THREAD.highs = (highs, b.copy()), None  # the key keeps the loaded solver
     return highs.getModelStatus(), highs.getObjectiveValue()  # getInfo() would copy all of info
 
 
 @contextlib.contextmanager
 def reuse_bases():
-    """A block in which :func:`linprog` starts each :class:`LpRows` LP from the last optimal basis of
-    the same rows and objective on this thread.  That basis stays dual feasible whatever ``b_ub`` is,
-    so a warm solve ends at a certified optimum, within HiGHS's tolerances of a cold solve's value;
-    a warm end short of optimal or infeasible is solved again cold, as outside a block."""
+    """A thread's block in which :func:`linprog` keeps each :class:`LpRows` LP solved to optimality loaded
+    on a HiGHS solver of its own, keyed by rows and objective.  A later solve of the key changes only the
+    moved ``b_ub`` entries and runs from the kept basis and factorization; that basis is dual feasible for
+    any ``b_ub``, so the re-solve ends at a certified optimum, within HiGHS's tolerances of a cold solve.  A
+    re-solve not ending optimal drops its solver; one neither optimal nor infeasible is solved cold once.
+    Leaving the block frees its solvers; a nested block starts empty."""
     outer, _THREAD.bases = _THREAD.bases, {}
     try:
         yield

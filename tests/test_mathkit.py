@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import math
@@ -22,7 +23,7 @@ from qkdnet import decoy, mathkit
 from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import estimate_bounds
-from qkdnet.experiments import expected_table
+from qkdnet.experiments import expected_table, multisig_comparison
 from qkdnet.keyrate import synthesize_table
 from qkdnet.mathkit import (
     ConfigError,
@@ -651,10 +652,22 @@ def _probe_lps(sizes):
 
 
 def _solve(lp):
-    """``(status, value, simplex iterations)`` of one ``(c, a_ub, b_ub, sense)`` LP through ``linprog``."""
+    """``(status, value, simplex iterations)`` of one ``(c, a_ub, b_ub, sense)`` LP through ``linprog``, the
+    iterations read from the solver that ran it: inside a ``reuse_bases`` block the one its key holds after
+    the solve, or held before a re-solve that ended infeasible and was dropped; else the thread's."""
     c, a_ub, b_ub, sense = lp
-    status, value = mathkit.linprog(c if sense == "min" else -c, a_ub, b_ub)
-    return status, value, mathkit._THREAD.highs.getInfo().simplex_iteration_count
+    c = c if sense == "min" else -c
+    bases, key = mathkit._THREAD.bases, (a_ub, c.tobytes())
+    bases = {} if bases is None else bases  # a block's dict, empty or not
+    held = bases.get(key)
+    status, value = mathkit.linprog(c, a_ub, b_ub)
+    if key in bases:
+        highs = bases[key][0]
+    elif held is not None and held[0].getModelStatus() == HighsModelStatus.kInfeasible:
+        highs = held[0]
+    else:
+        highs = mathkit._THREAD.highs
+    return status, value, highs.getInfo().simplex_iteration_count
 
 
 def _close(warm, cold):
@@ -664,9 +677,33 @@ def _close(warm, cold):
     return cold[0] != HighsModelStatus.kOptimal or abs(warm[1] - cold[1]) <= 1e-12 * abs(cold[1])
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the HiGHS solvers built on this thread, the models they load and their runs,
+    starting from no thread solver."""
+    counts = collections.Counter()
+
+    class Counting(mathkit._highs._Highs):
+        def __init__(self):
+            super().__init__()
+            counts["built"] += 1
+
+        def passModel(self, lp):
+            counts["loads"] += 1
+            return super().passModel(lp)
+
+        def run(self):
+            counts["runs"] += 1
+            return super().run()
+
+    monkeypatch.setattr(mathkit._highs, "_Highs", Counting)
+    monkeypatch.setattr(mathkit._THREAD, "highs", None)
+    return counts
+
+
 class TestReuseBases:
-    """Inside a ``reuse_bases`` block, ``linprog`` starts an ``LpRows`` LP from the last optimal
-    basis of the same rows and objective; outside one, every solve is cold."""
+    """Inside a ``reuse_bases`` block, ``linprog`` keeps each ``LpRows`` LP it solves to optimality on a
+    solver of its own and re-solves it in place; outside one, every solve is cold."""
 
     def test_warm_sequence_equals_cold(self):
         lps = [*_decoy_lps("QKD", (5, 15, 30)), *_decoy_lps("MDI", (2, 10, 25))]
@@ -679,21 +716,43 @@ class TestReuseBases:
         assert all(_close(w, c) for w, c in zip(warm, cold))
         assert sum(w[2] for w in warm) < sum(c[2] for c in cold) / 2
 
+    def test_consecutive_probe_sizes_equal_cold(self):
+        # 200 consecutive acquisition sizes around criterion 10's baseline, probed in one block
+        lps = _probe_lps(range(26_701_885, 26_702_085))
+        assert len(lps) == 400
+        cold = [_solve(lp) for lp in lps]
+        with reuse_bases():
+            hot = [_solve(lp) for lp in lps]
+            assert len(mathkit._THREAD.bases) == 2
+        assert all(_close(h, c) for h, c in zip(hot, cold))
+
+    def test_criterion_10_loads_each_lp_family_once(self, counted):
+        # the comparison's 62 LPs: the yield and the error LP are each loaded once, the other 60 re-solved in place
+        intensities, models = load_network(load_preset("desk")["simulate"])
+        comparison = multisig_comparison(models["AB"], intensities, "MDI", 5 * 10**8)
+        assert (comparison.n_multi, comparison.n_baseline) == (108, 18)
+        assert counted == {"built": 2, "loads": 2, "runs": 62}
+
     def test_infeasible_raises_and_stores_nothing(self):
-        c, a_ub, b_ub, sense = _decoy_lps("MDI", (10,))[0]
+        c, a_ub, b_ub, sense = _probe_lps((26_701_985,))[0]
         bad = b_ub.copy()
         bad[0] = -(b_ub[1] + 0.1)  # the first key's detections above their own upper bound
         with pytest.raises(LpInfeasibleError):
             solve_bounded_lp(c, a_ub, bad, sense)
         cold = solve_bounded_lp(c, a_ub, b_ub, sense)
         with reuse_bases():
-            assert solve_bounded_lp(c, a_ub, b_ub, sense) == cold
-            (stored,) = mathkit._THREAD.bases.values()
-            with pytest.raises(LpInfeasibleError):
+            with pytest.raises(LpInfeasibleError):  # solved cold: no solver kept
                 solve_bounded_lp(c, a_ub, bad, sense)
-            (kept,) = mathkit._THREAD.bases.values()
-            assert kept is stored
-            assert solve_bounded_lp(c, a_ub, b_ub, sense) == pytest.approx(cold, rel=1e-12, abs=0)
+            assert mathkit._THREAD.bases == {}
+            assert solve_bounded_lp(c, a_ub, b_ub, sense) == cold
+            ((loaded, _),) = mathkit._THREAD.bases.values()
+            with pytest.raises(LpInfeasibleError):  # re-solved in place: its solver dropped
+                solve_bounded_lp(c, a_ub, bad, sense)
+            assert loaded.getModelStatus() == HighsModelStatus.kInfeasible
+            assert mathkit._THREAD.bases == {}
+            assert solve_bounded_lp(c, a_ub, b_ub, sense) == cold  # cold again
+            ((reloaded, _),) = mathkit._THREAD.bases.values()
+            assert reloaded is not loaded
 
     def test_leaving_a_block_restores_the_enclosing_state(self):
         lp = _decoy_lps("QKD", (15,))[0]
@@ -730,27 +789,33 @@ class TestReuseBases:
 
         with reuse_bases():
             _solve(first)
+            ((key, held),) = mathkit._THREAD.bases.items()
             thread = threading.Thread(target=solve_second)
             thread.start()
             thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert list(mathkit._THREAD.bases) == [key] and mathkit._THREAD.bases[key] is held  # left alone
             assert _solve(second)[2] < cold[2]
+            assert list(mathkit._THREAD.bases) == [key] and mathkit._THREAD.bases[key][0] is held[0]  # in place
         thread = threading.Thread(target=warm_in_a_block)
         thread.start()
         thread.join(timeout=60)
+        assert not thread.is_alive()
         assert seen[0] == (None, cold)
         assert seen[1][2] < cold[2]
         assert _solve(second) == cold
 
     def test_blocks_on_many_threads_stay_apart(self):
-        # more threads than cores, switching often: each sees only its own block's bases
+        # more threads than cores, switching often: each sees only its own block's solvers
         lps = _probe_lps((26_701_985, 26_702_280, 26_960_000, 27_400_000))
         cold = [_solve(lp) for lp in lps]
-        results, leaked = [[] for _ in range(4)], []
+        results, leaked, held = [[] for _ in range(4)], [], [[] for _ in range(4)]
 
         def solve(i):
             for _ in range(5):
                 with reuse_bases() if i % 2 else contextlib.nullcontext():
                     results[i].append([_solve(lp) for lp in lps])
+                    held[i].append(len(mathkit._THREAD.bases or {}))
                 leaked.append(mathkit._THREAD.bases)
 
         interval = sys.getswitchinterval()
@@ -765,6 +830,7 @@ class TestReuseBases:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert leaked == [None] * 20
+        assert held == [[0] * 5, [2] * 5, [0] * 5, [2] * 5]  # a yield and an error solver per block
         for i, runs in enumerate(results):
             assert len(runs) == 5
             for run in runs:
@@ -777,50 +843,55 @@ class TestReuseBases:
             cold = _solve(after)
             with reuse_bases():
                 _solve(before)
+                ((loaded, _),) = mathkit._THREAD.bases.values()
                 warm = _solve(after)
+                ((again, _),) = mathkit._THREAD.bases.values()
+                assert again is loaded  # re-solved in place
             assert _close(warm, cold)
             assert warm[2] <= cold[2] / 2
 
-    def test_a_refused_basis_solves_cold(self):
-        c, a_ub, b_ub, sense = lp = _decoy_lps("MDI", (10,))[0]
-        cold = _solve(lp)
-        with reuse_bases():
-            # an empty basis fits no LP with rows, so setBasis refuses it
-            mathkit._THREAD.bases[(a_ub, c.tobytes())] = mathkit._highs.HighsBasis()
-            assert _solve(lp) == cold
-
-    def test_a_warm_end_short_of_optimal_solves_cold(self, monkeypatch):
-        first, _, second, _ = _probe_lps((26_701_985, 26_960_000))
+    def test_a_stalling_re_solve_solves_cold(self):
+        # from the probe's optimum, its yield LP at half the right-hand sides takes 60 iterations;
+        # the key's solver, limited to none, stalls at kIterationLimit
+        c, a_ub, b_ub, sense = first = _probe_lps((26_701_985,))[0]
+        second = (c, a_ub, 0.5 * b_ub, sense)
         cold = _solve(second)
-        real = mathkit._THREAD.highs
-        passed = []
-
-        class Stalling:
-            """The thread's solver, except that a run from a set basis ends at its iteration limit."""
-
-            warm = False
-
-            def __getattr__(self, name):
-                return getattr(real, name)
-
-            def passModel(self, lp):
-                passed.append(lp)
-                self.warm = False
-                return real.passModel(lp)
-
-            def setBasis(self, basis):
-                self.warm = True
-                return real.setBasis(basis)
-
-            def getModelStatus(self):
-                return HighsModelStatus.kIterationLimit if self.warm else real.getModelStatus()
-
-        monkeypatch.setattr(mathkit._THREAD, "highs", Stalling())
+        assert cold[2] > 0
         with reuse_bases():
             _solve(first)
-            passed.clear()
+            ((stalling, _),) = mathkit._THREAD.bases.values()
+            stalling.setOptionValue("simplex_iteration_limit", 0)
             assert _solve(second) == cold
-        assert len(passed) == 2
+            assert stalling.getModelStatus() == HighsModelStatus.kIterationLimit
+            assert mathkit._THREAD.bases == {}
+            assert _solve(second) == cold  # the next solve of the key is cold, and loads a new solver
+            ((loaded, _),) = mathkit._THREAD.bases.values()
+            assert loaded is not stalling
+
+    def test_a_warm_end_short_of_optimal_solves_cold(self, counted):
+        first, _, second, _ = _probe_lps((26_701_985, 26_960_000))
+        cold = _solve(second)
+        ends = [HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit, HighsModelStatus.kSolveError,
+                HighsModelStatus.kUnknown]
+        for end in ends:
+            with reuse_bases():
+                _solve(first)
+                ((key, (real, last)),) = mathkit._THREAD.bases.items()
+
+                class Stalling:
+                    """The key's solver, except that its re-solve ends at ``end``."""
+
+                    def __getattr__(self, name):
+                        return getattr(real, name)
+
+                    def getModelStatus(self):
+                        return end
+
+                mathkit._THREAD.bases[key] = Stalling(), last
+                counted.clear()
+                assert _solve(second) == cold
+                assert counted == {"runs": 2, "built": 1, "loads": 1}  # the re-solve, then one cold solve
+                assert mathkit._THREAD.bases == {}
 
     def test_plain_arrays_are_never_warm(self):
         c, a_ub, b_ub, sense = _decoy_lps("QKD", (15,))[0]

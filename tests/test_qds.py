@@ -626,6 +626,15 @@ class TestMultisigComparison:
         with pytest.raises(ConfigError, match="^n_pulses_total: expected an integer >= 1"):
             experiments.multisig_comparison(models["AB"], intensities, "MDI", n_pulses)
 
+    @pytest.mark.parametrize("n_pulses", [1, 100, 181])
+    def test_budget_must_send_pulses_in_every_x_entry(self, desk, n_pulses):
+        # below 182 pulses the desk relay link's budget split leaves an X-basis entry with none sent
+        intensities, models = desk
+        with pytest.raises(ConfigError, match="^n_pulses_total: .*X-basis entry with none sent"):
+            experiments.multisig_comparison(models["AB"], intensities, "MDI", n_pulses)
+        assert experiments.multisig_comparison(models["AB"], intensities, "MDI", 182) == (
+            experiments.MultisigComparison(0, 0, 0, None, 0.0))
+
     @pytest.mark.parametrize("eps_decoy", [2.0, 1.0, 0.0, -1e-11, math.nan, True])
     def test_eps_decoy_must_be_a_probability_strictly_inside(self, desk, eps_decoy):
         intensities, models = desk

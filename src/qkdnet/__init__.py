@@ -17,13 +17,7 @@ from .channel import (
     qkd_yield_model,
     sample_counts,
 )
-from .decoy import (
-    CountTable,
-    DecoyBounds,
-    estimate_bounds,
-    restrict_to_block,
-    widen_counts,
-)
+from .decoy import CountTable, DecoyBounds, estimate_bounds, restrict_to_block
 from .keyrate import (
     KeyRateResult,
     SecurityParams,

@@ -40,7 +40,6 @@ __all__ = [
     "DecoyBounds",
     "InconsistentCountsError",
     "TableFormatError",
-    "widen_counts",
     "estimate_bounds",
     "restrict_to_block",
 ]
@@ -172,29 +171,10 @@ class DecoyBounds:
             raise ValueError("eph_upper must be in [0, 0.5]")
 
 
-def widen_counts(record: CountRecord, eps: float, numerator: str = "detected") -> tuple[float, float]:
-    """Two-sided Hoeffding interval for a per-pulse rate.
-
-    Returns ``observed/sent -/+ sqrt(ln(2/eps) / (2 sent))`` clamped to
-    [0, 1].  ``numerator`` selects the detection or the error tally.
-    ``eps`` up to 2 is accepted; eps = 2 degenerates to a zero-width
-    interval.
-    """
-    if record.sent < 1:
-        raise ValueError("cannot widen a record with zero sent pulses")
-    if not 0.0 < eps <= 2.0:
-        raise ValueError(f"eps must be in (0, 2], got {eps!r}")
-    if numerator not in ("detected", "errors"):
-        raise ValueError(f"numerator must be 'detected' or 'errors', got {numerator!r}")
-    count = getattr(record, numerator)
-    p_hat = count / record.sent
-    delta = math.sqrt(math.log(2.0 / eps) / (2.0 * record.sent))
-    return max(0.0, p_hat - delta), min(1.0, p_hat + delta)
-
-
 def _widen_rates(records, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`widen_counts` of every record at once, bit for bit for counts below 2**53:
-    ``(lo, hi)``, each (2, len(records)), detection rates in row 0 and error rates in row 1."""
+    """Two-sided Hoeffding intervals ``p_hat -/+ sqrt(ln(2/eps) / (2 sent))`` of every record's per-pulse
+    rates, clamped to [0, 1], bit for bit the scalar form for counts below 2**53: ``(lo, hi)``, each
+    (2, len(records)), detection rates in row 0 and error rates in row 1.  ``eps`` = 2 gives zero width."""
     detected, errors, sent = np.array([(r.detected, r.errors, r.sent) for r in records], dtype=float).T
     if not sent.min() >= 1.0:
         raise ValueError("cannot widen a record with zero sent pulses")
@@ -239,7 +219,9 @@ def _decoy_lp(senders: int, x_mus: tuple) -> tuple:
     objective[index[(1,) * senders]] = 1.0
     tails.flags.writeable = objective.flags.writeable = False
     p1_x = tuple(math.prod(pmf[l][1] for l in key) for key in x_keys)
-    return tails, p1_x, objective, LpRows(rate_rows), LpRows(np.vstack([rate_rows, monotone])), len(var)
+    # the yield LP starts with every multi-photon yield at 1: those columns cost nothing in min y1
+    yield_rows = LpRows(np.vstack([rate_rows, monotone]), upper=coords.sum(axis=1) > senders)
+    return tails, p1_x, objective, LpRows(rate_rows), yield_rows, len(var)
 
 
 def estimate_bounds(

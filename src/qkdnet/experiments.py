@@ -169,11 +169,18 @@ def multisig_comparison(
     monotone and a smaller signable size may exist.  The probes' LPs run in one
     ``reuse_bases`` block: each decoy LP is loaded into HiGHS once and re-solved in place
     with every later probe's right-hand sides, so a bound may differ from a cold solve's
-    in its last bits.  ConfigError when a budget leaves an X-basis entry with no pulses.
+    in its last bits.  The baseline's bisection starts at the larger of 1,000 pulses and the
+    smallest budget that sends pulses in every X-basis entry; ConfigError when
+    ``n_pulses_total`` does not.
     """
     n_pulses_total = check_count(n_pulses_total, "n_pulses_total", 1)
     eps_decoy = check_real(eps_decoy, "eps_decoy", 0, 1, low_open=True, high_open=True)
-    if not all(sent for (_, basis), sent in entry_budgets(n_pulses_total, intensities, mode).items() if basis == "X"):
+
+    def fills_x(n_pulses: int) -> bool:  # monotone: each entry is a rounded multiple of n_pulses
+        return all(sent for (_, basis), sent in entry_budgets(n_pulses, intensities, mode).items() if basis == "X")
+
+    b_fill = min_feasible_acquisition(fills_x, 1, n_pulses_total)  # the smallest such budget
+    if b_fill is None:
         raise ConfigError(f"n_pulses_total: {n_pulses_total} pulses leave an X-basis entry with none sent")
     link = "AB" if mode == "MDI" else "AC"
 
@@ -200,7 +207,7 @@ def multisig_comparison(
         c_sig_min = min_feasible_acquisition(block_signable, 1, n_z - c_test)
         if c_sig_min is None:
             return MultisigComparison(0, 0, 0, None, 0.0)
-        b_min = min_feasible_acquisition(acquisition_signable, 1000, n_pulses_total)
+        b_min = min_feasible_acquisition(acquisition_signable, max(1000, b_fill), n_pulses_total)
     n_multi = n_blocks(n_z, c_test, c_sig_min)
     n_baseline = n_pulses_total // b_min if b_min else 0
     return MultisigComparison(n_multi, n_baseline, c_sig_min, b_min, n_multi / n_baseline if n_baseline else math.inf)

@@ -27,7 +27,7 @@ from .channel import (
     sift_keep,
 )
 from .decoy import CountTable, DecoyBounds, InconsistentCountsError, estimate_bounds
-from .mathkit import ConfigError, binary_entropy, check_count, check_real
+from .mathkit import ConfigError, binary_entropy, check_count, check_real, reuse_bases
 
 __all__ = [
     "SecurityParams",
@@ -197,7 +197,9 @@ def rate_sweep(
 
     Half of ``security.eps_sec`` funds the decoy estimation; the remainder
     is carried by the finite-size correction's composition.  ``mdi_model``
-    holds keyword arguments of :func:`channel.mdi_yield_model`.
+    holds keyword arguments of :func:`channel.mdi_yield_model`.  The distances'
+    LPs run in one ``reuse_bases`` block: each decoy LP is re-solved in place with
+    later distances' right-hand sides, so a bound may differ from a cold solve's in its last bits.
     """
     if not isinstance(distances, Iterable) or not (distances := list(distances)):
         raise ConfigError(f"distances: expected a non-empty list of numbers, got {distances!r}")
@@ -215,27 +217,24 @@ def rate_sweep(
         check_real(value, f"mdi_model.{key}", 0.0, 1.0)
     points = []
     point_seeds = np.random.SeedSequence(seed).generate_state(len(distances))
-    for i, dist in enumerate(distances):
-        elapsed = n_pulses / channel.clock_rate_hz / duty
-        try:
-            if mode == "QKD":
-                model = qkd_yield_model(replace(channel, distance_km=dist))
-            else:
-                side = replace(channel, distance_km=dist / 2.0)
-                model = mdi_yield_model(side, side, **mdi_model)
-            table = synthesize_table(
-                model, intensities, n_pulses, mode, link="AB" if mode == "MDI" else "AC",
-                seed=int(point_seeds[i]),
-            )
-            bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
-            z_rec = table.z_entry()
-            qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
-            result = secure_key_length(bounds, z_rec.detected, qber_z, security, elapsed)
-            points.append(
-                SweepPoint(dist, mode, result.secure_bits, elapsed, result.rate_bps)
-            )
-        except InconsistentCountsError as exc:
-            points.append(SweepPoint(dist, mode, 0, elapsed, 0.0, note=str(exc)))
+    elapsed = n_pulses / channel.clock_rate_hz / duty
+    with reuse_bases():
+        for i, dist in enumerate(distances):
+            try:
+                if mode == "QKD":
+                    model = qkd_yield_model(replace(channel, distance_km=dist))
+                else:
+                    side = replace(channel, distance_km=dist / 2.0)
+                    model = mdi_yield_model(side, side, **mdi_model)
+                table = synthesize_table(model, intensities, n_pulses, mode, "AB" if mode == "MDI" else "AC",
+                                         int(point_seeds[i]))
+                bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
+                z_rec = table.z_entry()
+                qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
+                result = secure_key_length(bounds, z_rec.detected, qber_z, security, elapsed)
+                points.append(SweepPoint(dist, mode, result.secure_bits, elapsed, result.rate_bps))
+            except InconsistentCountsError as exc:
+                points.append(SweepPoint(dist, mode, 0, elapsed, 0.0, note=str(exc)))
     return points
 
 

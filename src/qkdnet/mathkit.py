@@ -3,7 +3,8 @@
 Binary entropy and its inverse, the Serfling and Hoeffding concentration terms, Poisson
 photon-number statistics, and a small linear-program wrapper over the unit box that drives
 scipy's bundled HiGHS binding directly.  Everything here is a pure function of its inputs,
-save the last bits of an LP value re-solved inside a ``reuse_bases`` block.
+save the last bits of an LP value re-solved inside a ``reuse_bases`` block or started from
+an ``LpRows`` start, not from ``scipy.optimize.linprog``'s all-slack basis.
 """
 
 from __future__ import annotations
@@ -229,9 +230,11 @@ _THREAD = _ThreadState()
 class LpRows:
     """Constraint rows built once for many solves: a read-only copy of ``a``, whether it is
     finite, and its HiGHS column-wise matrix, nonzeros in scipy's CSC order.  Array-like, so
-    it goes wherever ``a_ub`` does."""
+    it goes wherever ``a_ub`` does.  A column mask ``upper`` fixes every cold solve's start: masked
+    columns nonbasic at 1, the others at 0, every row basic; dual feasible for an objective that is
+    0 on the masked columns and >= 0 on the others.  Without one, HiGHS starts all-slack."""
 
-    def __init__(self, a):
+    def __init__(self, a, upper=None):
         self.a = np.array(a, dtype=float)
         self.a.flags.writeable = False
         self.finite = bool(np.isfinite(self.a).all())
@@ -240,10 +243,12 @@ class LpRows:
         matrix.format_, (matrix.num_row_, matrix.num_col_) = _highs.MatrixFormat.kColwise, self.a.shape
         matrix.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
         matrix.index_, matrix.value_ = np.nonzero(nonzero)[1].tolist(), self.a.T[nonzero].tolist()
-
-    @property
-    def colwise(self) -> tuple:  # the matrix's (start, index, value), as tuples
-        return tuple(self.matrix.start_), tuple(self.matrix.index_), tuple(self.matrix.value_)
+        self.basis = None
+        if upper is not None:
+            status = _highs.HighsBasisStatus
+            self.basis = basis = _highs.HighsBasis()
+            basis.col_status = [status.kUpper if up else status.kLower for up in upper]
+            basis.row_status, basis.valid = [status.kBasic] * self.a.shape[0], True
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.a, dtype=dtype, copy=copy)
@@ -255,7 +260,8 @@ def linprog(c, a_ub, b_ub):
     The objective means something only at ``kOptimal``.  One presolve-off solve on the
     thread's solver, whose ``passModel`` drops the last model and basis, so outside a
     :func:`reuse_bases` block no value depends on call order.  An :class:`LpRows` ``a_ub``
-    spares rebuilding its matrix and checks, and inside a block is re-solved in place.
+    spares rebuilding its matrix and checks, sets its start, if any, on a cold solve, and
+    inside a block is re-solved in place.
     """
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     a = a.reshape(0, c.size) if a.size == 0 else a
@@ -289,6 +295,8 @@ def linprog(c, a_ub, b_ub):
         highs.passOptions(_OPTIONS)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         return _STATUS.kModelError, math.nan
+    if rows.basis is not None:
+        highs.setBasis(rows.basis)
     highs.run()
     if key is not None and highs.getModelStatus() == _STATUS.kOptimal:
         bases[key], _THREAD.highs = (highs, b.copy()), None  # the key keeps the loaded solver

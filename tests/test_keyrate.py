@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qkdnet import cli, keyrate, mathkit
 from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import DecoyBounds, estimate_bounds
@@ -137,6 +138,34 @@ class TestRateSweep:
             rate_sweep(
                 ChannelParams(distance_km=0), IntensitySet(), [5.0], "MDI", SecurityParams(), n_pulses=10
             )
+
+    @pytest.mark.parametrize("preset", ["hw-qkd-sweep", "hw-mdi-sweep"])
+    def test_block_bounds_equal_cold_per_distance_solves(self, preset):
+        # the sweep runs its distances in one reuse_bases block: every point's bounds within 1e-9
+        # relative of a cold solve of the same table, every secure_bits equal
+        kwargs = cli._arguments(rate_sweep, load_preset(preset)["sweep"], "sweep")
+        solved = []
+
+        def recorded(table, *args):
+            assert mathkit._THREAD.bases is not None  # inside the sweep's block
+            solved.append((table, args, estimate_bounds(table, *args)))
+            return solved[-1][2]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(keyrate, "estimate_bounds", recorded)
+            points = rate_sweep(**kwargs)
+        assert mathkit._THREAD.bases is None
+        assert len(solved) == len(points) == len(kwargs["distances"])
+        cold_points = []
+        for (table, args, warm), point in zip(solved, points):
+            cold = estimate_bounds(table, *args)
+            assert (warm.s1_lower, warm.mode, warm.epsilon_spent) == (cold.s1_lower, cold.mode, cold.epsilon_spent)
+            assert warm.y1_lower == pytest.approx(cold.y1_lower, rel=1e-9, abs=0)
+            assert warm.eph_upper == pytest.approx(cold.eph_upper, rel=1e-9, abs=0)
+            z_rec = table.z_entry()
+            key = secure_key_length(cold, z_rec.detected, z_rec.errors / z_rec.detected, kwargs["security"])
+            cold_points.append(key.secure_bits)
+        assert [point.secure_bits for point in points] == cold_points
 
     def test_empty_distances_rejected(self):
         with pytest.raises(ValueError):

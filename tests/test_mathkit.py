@@ -20,7 +20,7 @@ from scipy.stats import entropy as scipy_entropy
 from scipy.stats import poisson as scipy_poisson
 
 from qkdnet import decoy, mathkit
-from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from qkdnet.channel import N_CUT, ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import estimate_bounds
 from qkdnet.experiments import expected_table, multisig_comparison
@@ -41,6 +41,7 @@ from qkdnet.mathkit import (
     serfling_deviation,
     solve_bounded_lp,
 )
+from references import colwise
 
 
 def _exact_entropy(p: float):
@@ -427,6 +428,16 @@ def _outcome(solve, *args):
         return "raises"
 
 
+def _agrees(outcome, oracle):
+    """Both raise, or both are values within 1e-12 of each other: a decoy yield LP starts from its
+    fixed basis, scipy from the all-slack one, and the two may end apart in the last bits.  Every
+    variable lies in [0, 1], so the bound is absolute; over 6,400 random tables (12,800 LPs) the
+    largest gap was 3.5e-14, 8.6e-11 relative to an optimum of 1.9e-4."""
+    if "raises" in (outcome, oracle):
+        return outcome == oracle
+    return abs(outcome - oracle) <= 1e-12
+
+
 class TestHighsShim:
     """``mathkit.linprog`` drives HiGHS directly and must give exactly what
     ``scipy.optimize.linprog(method="highs")`` gives."""
@@ -456,11 +467,15 @@ class TestHighsShim:
 
     @pytest.mark.parametrize("mode, km", [("QKD", 15), ("MDI", 10), ("MDI", 25)])
     def test_decoy_lps_equal_public_linprog(self, monkeypatch, mode, km):
-        # the LPs estimate_bounds really solves: 13 (QKD) or 91 (MDI) columns
+        # the LPs estimate_bounds really solves: 13 (QKD) or 91 (MDI) columns.  As plain arrays, and as
+        # LpRows without a start, each is scipy's bit for bit; the yield LP's fixed start may move its value
         solved = []
 
         def compared(c, a_ub, b_ub, sense):
-            solved.append((solve_bounded_lp(c, a_ub, b_ub, sense), _scipy_bounded_lp(c, a_ub, b_ub, sense)))
+            oracle = _scipy_bounded_lp(c, a_ub, b_ub, sense)
+            for plain in (np.asarray(a_ub), mathkit.LpRows(a_ub)):
+                assert solve_bounded_lp(c, plain, b_ub, sense) == oracle
+            solved.append((solve_bounded_lp(c, a_ub, b_ub, sense), oracle, a_ub.basis is not None))
             return solved[-1][0]
 
         monkeypatch.setattr(decoy, "solve_bounded_lp", compared)
@@ -470,19 +485,21 @@ class TestHighsShim:
         for seed in range(3):
             table = synthesize_table(model, intensities, 10**13, mode, "AC" if mode == "QKD" else "AB", seed)
             estimate_bounds(table, intensities, 1e-6, mode)
-        assert len(solved) == 6
-        assert all(value == oracle for value, oracle in solved)
+        assert [started for *_, started in solved] == [True, False] * 3  # the yield LP, then the error LP
+        assert all(_agrees(value, oracle) for value, oracle, _ in solved)
+        assert all(value == oracle for value, oracle, started in solved if not started)
 
     @pytest.mark.parametrize("mode, kms", [("QKD", (5, 15, 30)), ("MDI", (2, 10, 25))])
     def test_cached_decoy_lps_equal_fresh_build(self, monkeypatch, mode, kms):
-        # estimate_bounds reuses one build per intensity set; each LP it solves
-        # must be the one a fresh, uncached build gives, and solve to the oracle
+        # estimate_bounds reuses one build per intensity set; each LP it solves must be the one a
+        # fresh, uncached build gives, with the same start, and solve to the oracle's value
         solved = {}
 
         def recorded(c, a_ub, b_ub, sense):
             value = solve_bounded_lp(c, a_ub, b_ub, sense)
-            assert value == _scipy_bounded_lp(c, a_ub, b_ub, sense)
-            solved[build].append((np.array(c), np.array(a_ub), np.array(b_ub), sense, value))
+            assert _agrees(value, _scipy_bounded_lp(c, a_ub, b_ub, sense))
+            start = None if a_ub.basis is None else (a_ub.basis.col_status, a_ub.basis.row_status)
+            solved[build].append((np.array(c), np.array(a_ub), np.array(b_ub), start, sense, value))
             return value
 
         monkeypatch.setattr(decoy, "solve_bounded_lp", recorded)
@@ -509,7 +526,7 @@ class TestHighsShim:
         rows = mathkit.LpRows(a)
         a[0, 0] = 9.0
         assert np.array_equal(np.asarray(rows), [[1.0, 0.0], [0.0, -2.0], [3.0, 4.0]])
-        assert rows.colwise == ((0, 2, 4), (0, 2, 1, 2), (1.0, 3.0, -2.0, 4.0))
+        assert colwise(rows) == ((0, 2, 4), (0, 2, 1, 2), (1.0, 3.0, -2.0, 4.0))
         with pytest.raises(ValueError, match="read-only"):
             np.asarray(rows)[0, 0] = 9.0
         value = solve_bounded_lp([1.0, 1.0], rows, [0.5, 1.0, 4.0], "max")
@@ -899,6 +916,86 @@ class TestReuseBases:
             value = solve_bounded_lp(c, np.asarray(a_ub), b_ub, sense)
             assert solve_bounded_lp(c, np.asarray(a_ub), b_ub, sense) == value
             assert mathkit._THREAD.bases == {}
+
+
+def _criterion_7_lps(mode):
+    """``(c, a_ub, b_ub, sense)`` of each LP ``estimate_bounds`` solves on acceptance criterion 7's grid of
+    distances and pulse budgets, one table per point, yield and error LP in turn."""
+    if mode == "QKD":
+        link, intensities, kms, budgets = "AC", IntensitySet(), (5.0, 15.0, 30.0), (10**9, 10**10)
+    else:
+        link, intensities, kms, budgets = "AB", IntensitySet(s=0.5, u=0.3, v=0.1, w=0.0), (2.0, 10.0, 25.0), (10**12, 10**13)
+    tables = []
+    for km in kms:
+        side = ChannelParams(distance_km=km)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        tables += [synthesize_table(model, intensities, n, mode, link, seed) for seed, n in enumerate(budgets, 1)]
+    return _recorded_lps(tables, intensities, 5e-11, mode)
+
+
+class TestYieldLpStart:
+    """Every cold solve of a decoy yield LP starts with its multi-photon yields nonbasic at 1 and its rows basic;
+    the error LP, plain arrays and ``LpRows`` without a mask start from HiGHS's all-slack basis."""
+
+    @pytest.mark.parametrize("mode", ["QKD", "MDI"])
+    def test_start_puts_the_multi_photon_yields_at_one(self, mode):
+        senders = 1 if mode == "QKD" else 2
+        _, _, objective, rate_rows, yield_rows, _ = decoy._decoy_lp(senders, (0.3, 0.1, 0.0))
+        photons = [sum(n) for n in itertools.product(range(N_CUT + 1), repeat=senders) if sum(n) <= N_CUT]
+        status = mathkit._highs.HighsBasisStatus
+        assert rate_rows.basis is None
+        assert yield_rows.basis.valid
+        assert yield_rows.basis.col_status == [status.kUpper if n > senders else status.kLower for n in photons]
+        assert yield_rows.basis.row_status == [status.kBasic] * yield_rows.a.shape[0]
+        assert not objective[np.array(photons) > senders].any()  # those columns cost nothing: dual feasible
+
+    @pytest.mark.parametrize("mode", ["QKD", "MDI"])
+    def test_start_halves_the_yield_lp_iterations(self, mode):
+        # simplex iterations, not wall time: from the start, and from the all-slack basis of the same rows
+        yield_lps = _criterion_7_lps(mode)[::2]
+        assert all(a_ub.basis is not None for _, a_ub, _, _ in yield_lps)
+        started = [_solve(lp) for lp in yield_lps]
+        slack = [_solve((c, mathkit.LpRows(a_ub), b_ub, sense)) for c, a_ub, b_ub, sense in yield_lps]
+        assert all(_agrees(s[1], o[1]) for s, o in zip(started, slack))
+        assert 2 * sum(s[2] for s in started) <= sum(o[2] for o in slack)
+
+    def test_a_blocks_first_solve_is_the_cold_solve(self):
+        lps = _criterion_7_lps("QKD")[:2] + _criterion_7_lps("MDI")[:2]
+        cold = [_solve(lp) for lp in lps]
+        with reuse_bases():
+            assert [_solve(lp) for lp in lps] == cold
+            assert len(mathkit._THREAD.bases) == 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        mode=st.sampled_from(["QKD", "MDI"]),
+        km=st.floats(0.0, 80.0),
+        dark=st.sampled_from([1e-7, 1e-6, 1e-5]),
+        misalignment=st.floats(0.0, 0.05),
+        s=st.floats(0.3, 0.8),
+        u_share=st.floats(0.1, 0.9),
+        v_share=st.floats(0.05, 0.8),
+        exponent=st.floats(9.0, 14.0),
+        eps=st.sampled_from([1e-10, 1e-6, 1e-3]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_decoy_lps_agree_with_public_linprog(self, mode, km, dark, misalignment, s, u_share, v_share,
+                                                 exponent, eps, seed):
+        # the same status as scipy's all-slack solve, and a value within 1e-12
+        intensities = IntensitySet(s=s, u=s * u_share, v=s * u_share * v_share, w=0.0)
+        side = ChannelParams(distance_km=km, dark_count_prob=dark, misalignment=misalignment)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        table = synthesize_table(model, intensities, int(10**exponent), mode, "AC" if mode == "QKD" else "AB", seed)
+        outcomes = []
+
+        def compared(c, a_ub, b_ub, sense):
+            outcomes.append([_outcome(solve, c, a_ub, b_ub, sense) for solve in (solve_bounded_lp, _scipy_bounded_lp)])
+            return solve_bounded_lp(c, a_ub, b_ub, sense)
+
+        with pytest.MonkeyPatch.context() as patch, contextlib.suppress(decoy.InconsistentCountsError):
+            patch.setattr(decoy, "solve_bounded_lp", compared)
+            estimate_bounds(table, intensities, eps, mode)
+        assert outcomes and all(_agrees(*pair) for pair in outcomes)
 
 
 def _python(code, *paths):

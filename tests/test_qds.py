@@ -14,6 +14,7 @@ from qkdnet import experiments, mathkit, qds
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import estimate_bounds
 from qkdnet.experiments import expected_table, min_feasible_acquisition
+from qkdnet.keyrate import entry_budgets
 from qkdnet.mathkit import ConfigError
 from qkdnet.netsim import MessageBus
 from qkdnet.qds import (
@@ -634,6 +635,21 @@ class TestMultisigComparison:
             experiments.multisig_comparison(models["AB"], intensities, "MDI", n_pulses)
         assert experiments.multisig_comparison(models["AB"], intensities, "MDI", 182) == (
             experiments.MultisigComparison(0, 0, 0, None, 0.0))
+
+    @pytest.mark.parametrize("z_basis_prob, filled", [(0.9, 2_223), (0.95, 8_889)])
+    @pytest.mark.parametrize("n_pulses", [10**9, 10**10])
+    def test_baseline_starts_where_every_x_entry_is_sent(self, desk, z_basis_prob, filled, n_pulses):
+        # these biases leave an X-basis entry with none sent at the bisection's usual 1,000-pulse start
+        intensities, models = desk
+        biased = dataclasses.replace(intensities, z_basis_prob=z_basis_prob)
+
+        def fills(n):
+            return all(sent for (_, basis), sent in entry_budgets(n, biased, "MDI").items() if basis == "X")
+
+        assert not fills(1000) and not fills(filled - 1) and fills(filled)
+        comparison = experiments.multisig_comparison(models["AB"], biased, "MDI", n_pulses)
+        assert comparison.n_baseline > 0 and comparison.min_acquisition_pulses > filled
+        assert comparison.n_multi > comparison.n_baseline
 
     @pytest.mark.parametrize("eps_decoy", [2.0, 1.0, 0.0, -1e-11, math.nan, True])
     def test_eps_decoy_must_be_a_probability_strictly_inside(self, desk, eps_decoy):

@@ -15,7 +15,6 @@ from .channel import (
     expected_gain_and_qber,
     mdi_yield_model,
     qkd_yield_model,
-    sample_counts,
 )
 from .decoy import CountTable, DecoyBounds, estimate_bounds, restrict_to_block
 from .keyrate import (

@@ -28,7 +28,6 @@ __all__ = [
     "sift_keep",
     "expected_gain_and_qber",
     "outcome_law",
-    "sample_counts",
 ]
 
 #: Poisson mass of one intensity class allowed beyond the photon-number
@@ -344,26 +343,3 @@ def outcome_law(
         model._laws[key] = law
     return law
 
-
-def sample_counts(
-    model: YieldModel,
-    mu: float,
-    nu: float | None = None,
-    n_pulses: int = 0,
-    seed: int = 0,
-    basis: str = "X",
-    gain_factor: float = 1.0,
-) -> CountRecord:
-    """Draw a finitely-sampled :class:`CountRecord` for one configuration.
-
-    One multinomial draw of ``n_pulses`` over :func:`outcome_law` with
-    ``keep=gain_factor`` (the sifting acceptance, :func:`sift_keep`), from a
-    generator seeded with ``seed``: same seed, same record.
-    """
-    if n_pulses < 0:
-        raise ValueError("n_pulses must be >= 0")
-    law = outcome_law(model, mu, nu, basis, keep=gain_factor)
-    if n_pulses == 0:
-        return CountRecord(0, 0, 0)
-    errors, correct, _, _ = np.random.default_rng(seed).multinomial(n_pulses, law).tolist()
-    return CountRecord(sent=int(n_pulses), detected=errors + correct, errors=errors)

@@ -175,21 +175,26 @@ def _widen_rates(records, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided Hoeffding intervals ``p_hat -/+ sqrt(ln(2/eps) / (2 sent))`` of every record's per-pulse
     rates, clamped to [0, 1], bit for bit the scalar form for counts below 2**53: ``(lo, hi)``, each
     (2, len(records)), detection rates in row 0 and error rates in row 1.  ``eps`` = 2 gives zero width."""
-    detected, errors, sent = np.array([(r.detected, r.errors, r.sent) for r in records], dtype=float).T
+    tallies = np.array([(r.detected, r.errors, r.sent) for r in records], dtype=float).T
+    sent = tallies[2]
     if not sent.min() >= 1.0:
         raise ValueError("cannot widen a record with zero sent pulses")
-    p_hat = np.stack([detected, errors]) / sent
+    p_hat = tallies[:2] / sent
     delta = np.sqrt(math.log(2.0 / eps) / (2.0 * sent))
     return np.maximum(0.0, p_hat - delta), np.minimum(1.0, p_hat + delta)
+
+
+#: the X-basis entry keys of a link with 1 or 2 senders, in the order of every per-key array and row
+_X_KEYS = {senders: tuple(itertools.product(X_LABELS, repeat=senders)) for senders in (1, 2)}
 
 
 @functools.lru_cache(maxsize=16)
 def _decoy_lp(senders: int, x_mus: tuple) -> tuple:
     """Every part of both decoy LPs fixed by ``senders`` and the X-class
     intensities ``x_mus``, built once per intensity set; arrays are read-only
-    and per-key entries follow ``itertools.product(X_LABELS, repeat=senders)``."""
+    and per-key entries follow ``_X_KEYS[senders]``."""
     pmf = {label: poisson_weights(mu, N_CUT)[0] for label, mu in zip(X_LABELS, x_mus)}
-    x_keys = list(itertools.product(X_LABELS, repeat=senders))
+    x_keys = _X_KEYS[senders]
     # One variable per photon-number tuple, row-major; relay rows keep only
     # the simplex n + m <= N_CUT and count the rest as tail mass.
     mask = np.indices((N_CUT + 1,) * senders).sum(axis=0) <= N_CUT
@@ -241,7 +246,7 @@ def estimate_bounds(
     if mode not in ("QKD", "MDI"):
         raise ValueError(f"mode must be 'QKD' or 'MDI', got {mode!r}")
     senders = 2 if mode == "MDI" else 1
-    x_keys = list(itertools.product(X_LABELS, repeat=senders))
+    x_keys = _X_KEYS[senders]
     try:
         x_records = [table.entries[(key, "X")] for key in x_keys]
         z_record = table.entries[(("s",) * senders, "Z")]
@@ -259,12 +264,19 @@ def estimate_bounds(
     x_mus = tuple(intensities.mu(label) for label in X_LABELS)
     tails, p1_x, objective, rate_rows, yield_rows, n_monotone = _decoy_lp(senders, x_mus)
 
-    # the rate rows' right-hand sides, as _decoy_lp lays them out: detections in row 0, errors in row 1
+    # the rate rows' right-hand sides as _decoy_lp lays them out, -max(0, lo_k - tail_k) then hi_k per key:
+    # row 0 from the detection rates is the yield LP's (its monotone rows' stay 0), row 1 the error LP's
     lo, hi = _widen_rates(x_records, eps_each)
-    detected_rhs, error_rhs = np.stack([-np.maximum(0.0, lo - tails), hi], axis=2).reshape(2, -1)
+    n_rate = 2 * len(x_keys)
+    rhs = np.zeros((2, n_rate + n_monotone))
+    lower = rhs[:, 0:n_rate:2]
+    np.subtract(lo, tails, out=lower)
+    np.maximum(0.0, lower, out=lower)
+    np.negative(lower, out=lower)
+    rhs[:, 1:n_rate:2] = hi
     try:
-        y1 = solve_bounded_lp(objective, yield_rows, np.concatenate([detected_rhs, np.zeros(n_monotone)]), "min")
-        z1 = solve_bounded_lp(objective, rate_rows, error_rhs, "max")
+        y1 = solve_bounded_lp(objective, yield_rows, rhs[0], "min")
+        z1 = solve_bounded_lp(objective, rate_rows, rhs[1, :n_rate], "max")
     except LpInfeasibleError as exc:
         raise InconsistentCountsError(
             f"counts inconsistent with any photon-number model on link {table.link}"

@@ -20,10 +20,11 @@ from .channel import (
     MDI_MODEL_KEYS,
     X_LABELS,
     ChannelParams,
+    CountRecord,
     IntensitySet,
     mdi_yield_model,
+    outcome_law,
     qkd_yield_model,
-    sample_counts,
     sift_keep,
 )
 from .decoy import CountTable, DecoyBounds, InconsistentCountsError, estimate_bounds
@@ -132,7 +133,7 @@ def entry_budgets(n_pulses: int, intensities: IntensitySet, mode: str) -> dict:
     Keys are ``(labels, basis)``, the Z-basis signal entry first.
     """
     z = intensities.z_basis_prob
-    xp = intensities.x_probs()
+    xp = intensities.x_probs().tolist()
     budgets = {}
     if mode == "QKD":
         budgets[(("s",), "Z")] = round(n_pulses * z)
@@ -159,18 +160,18 @@ def synthesize_table(
     The pulse budget is split across configurations by the basis bias and
     X-intensity weights; slots where the two senders' bases differ on the
     relay link are lost, and each entry keeps its detections with the
-    link's sifting acceptance (:func:`channel.sift_keep`).
+    link's sifting acceptance (:func:`channel.sift_keep`).  One generator
+    seeded with ``seed`` draws every entry's tallies in one multinomial over
+    the entries' stacked :func:`channel.outcome_law` rows: same seed, same
+    table.
     """
+    budgets = sorted(entry_budgets(n_pulses, intensities, mode).items())
+    laws = [outcome_law(model, *map(intensities.mu, key), basis=basis, keep=sift_keep(mode, basis))
+            for (key, basis), _ in budgets]
+    tallies = np.random.default_rng(seed).multinomial([sent for _, sent in budgets], laws).tolist()
     table = CountTable(link=link)
-    budgets = entry_budgets(n_pulses, intensities, mode)
-    seeds = np.random.SeedSequence(seed).generate_state(len(budgets) + 1)
-    for i, ((key, basis), sent) in enumerate(sorted(budgets.items())):
-        mus = [intensities.mu(label) for label in key]
-        rec = sample_counts(
-            model, *mus, n_pulses=sent, seed=int(seeds[i]), basis=basis,
-            gain_factor=sift_keep(mode, basis),
-        )
-        table.add(key, basis, rec)
+    for ((key, basis), sent), (errors, correct, _, _) in zip(budgets, tallies):
+        table.add(key, basis, CountRecord(sent, errors + correct, errors))
     return table
 
 

@@ -218,6 +218,7 @@ _OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
 _STATUS = _highs.HighsModelStatus
+_COLWISE, _MINIMIZE = int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize)
 
 
 class _ThreadState(threading.local):  # one solver per thread: another could take its model between passModel and run
@@ -228,27 +229,34 @@ _THREAD = _ThreadState()
 
 
 class LpRows:
-    """Constraint rows built once for many solves: a read-only copy of ``a``, whether it is
-    finite, and its HiGHS column-wise matrix, nonzeros in scipy's CSC order.  Array-like, so
-    it goes wherever ``a_ub`` does.  A column mask ``upper`` fixes every cold solve's start: masked
-    columns nonbasic at 1, the others at 0, every row basic; dual feasible for an objective that is
-    0 on the masked columns and >= 0 on the others.  Without one, HiGHS starts all-slack."""
+    """Constraint rows built once for many solves: a read-only copy of ``a``, whether it is finite,
+    and the read-only arrays HiGHS loads it from: ``csc`` = (start, index, value), its column-wise
+    matrix with nonzeros in scipy's CSC order, and ``bounds`` = (column lower, column upper, row
+    lower, integrality), the unit box, rows free below and every column continuous.
+    Array-like, so it goes wherever ``a_ub`` does.  A column mask ``upper`` fixes every cold solve's
+    start: masked columns nonbasic at 1, the others at 0, every row basic; dual feasible for an
+    objective that is 0 on the masked columns and >= 0 on the others.  Without one, HiGHS starts
+    all-slack."""
 
     def __init__(self, a, upper=None):
         self.a = np.array(a, dtype=float)
         self.a.flags.writeable = False
         self.finite = bool(np.isfinite(self.a).all())
+        m, n = self.a.shape
         nonzero = self.a.T != 0.0
-        self.matrix = matrix = _highs.HighsSparseMatrix()
-        matrix.format_, (matrix.num_row_, matrix.num_col_) = _highs.MatrixFormat.kColwise, self.a.shape
-        matrix.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
-        matrix.index_, matrix.value_ = np.nonzero(nonzero)[1].tolist(), self.a.T[nonzero].tolist()
+        start = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(nonzero.sum(axis=1), out=start[1:])
+        self.csc = start, np.nonzero(nonzero)[1].astype(np.int32), self.a.T[nonzero]
+        # integrality takes n zeros: an empty array makes passModel fail
+        self.bounds = np.zeros(n), np.ones(n), np.full(m, -math.inf), np.zeros(n, dtype=np.int32)
+        for array in (*self.csc, *self.bounds):
+            array.flags.writeable = False
         self.basis = None
         if upper is not None:
             status = _highs.HighsBasisStatus
             self.basis = basis = _highs.HighsBasis()
             basis.col_status = [status.kUpper if up else status.kLower for up in upper]
-            basis.row_status, basis.valid = [status.kBasic] * self.a.shape[0], True
+            basis.row_status, basis.valid = [status.kBasic] * m, True
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.a, dtype=dtype, copy=copy)
@@ -259,9 +267,10 @@ def linprog(c, a_ub, b_ub):
 
     The objective means something only at ``kOptimal``.  One presolve-off solve on the
     thread's solver, whose ``passModel`` drops the last model and basis, so outside a
-    :func:`reuse_bases` block no value depends on call order.  An :class:`LpRows` ``a_ub``
-    spares rebuilding its matrix and checks, sets its start, if any, on a cold solve, and
-    inside a block is re-solved in place.
+    :func:`reuse_bases` block no value depends on call order.  A cold solve loads the model
+    from the rows' arrays (HiGHS's array ``passModel``), bit for bit the model a ``HighsLp``
+    built from lists gives.  An :class:`LpRows` ``a_ub`` spares rebuilding those arrays and
+    checks, sets its start, if any, on a cold solve, and inside a block is re-solved in place.
     """
     c, a, b = (np.asarray(v, dtype=float) for v in (c, a_ub, b_ub))
     a = a.reshape(0, c.size) if a.size == 0 else a
@@ -283,17 +292,13 @@ def linprog(c, a_ub, b_ub):
         if status in (_STATUS.kOptimal, _STATUS.kInfeasible):
             return status, highs.getObjectiveValue()
         key = None  # solved cold once below, and kept by no key
-    n, m = c.size, b.size
-    lp = _highs.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), [0.0] * n, [1.0] * n
-    lp.row_lower_, lp.row_upper_ = [-math.inf] * m, b.tolist()
-    lp.a_matrix_ = rows.matrix
     highs = _THREAD.highs
     if highs is None:
         highs = _THREAD.highs = _highs._Highs()
         highs.passOptions(_OPTIONS)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    (start, index, value), (col_lower, col_upper, row_lower, integrality) = rows.csc, rows.bounds
+    if highs.passModel(c.size, b.size, value.size, _COLWISE, _MINIMIZE, 0.0, c, col_lower, col_upper,
+                       row_lower, b, start, index, value, integrality) == _highs.HighsStatus.kError:
         return _STATUS.kModelError, math.nan
     if rows.basis is not None:
         highs.setBasis(rows.basis)

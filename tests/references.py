@@ -2,7 +2,12 @@
 
 import math
 
-from qkdnet.channel import CountRecord
+import numpy as np
+
+from qkdnet import mathkit
+from qkdnet.channel import CountRecord, YieldModel, outcome_law, sift_keep
+from qkdnet.decoy import CountTable
+from qkdnet.keyrate import entry_budgets
 
 
 def widen_counts(record: CountRecord, eps: float, numerator: str = "detected") -> tuple[float, float]:
@@ -26,5 +31,65 @@ def widen_counts(record: CountRecord, eps: float, numerator: str = "detected") -
 
 
 def colwise(rows) -> tuple:
-    """An ``LpRows``' HiGHS matrix as ``(start, index, value)`` tuples."""
-    return tuple(rows.matrix.start_), tuple(rows.matrix.index_), tuple(rows.matrix.value_)
+    """An ``LpRows``' column-wise matrix, the CSC arrays HiGHS loads, as ``(start, index, value)`` tuples."""
+    return tuple(tuple(array.tolist()) for array in rows.csc)
+
+
+def sample_counts(
+    model: YieldModel,
+    mu: float,
+    nu: float | None = None,
+    n_pulses: int = 0,
+    seed: int = 0,
+    basis: str = "X",
+    gain_factor: float = 1.0,
+) -> CountRecord:
+    """Draw a finitely-sampled :class:`CountRecord` for one configuration.
+
+    One multinomial draw of ``n_pulses`` over :func:`outcome_law` with
+    ``keep=gain_factor`` (the sifting acceptance, :func:`sift_keep`), from a
+    generator seeded with ``seed``: same seed, same record.
+    """
+    if n_pulses < 0:
+        raise ValueError("n_pulses must be >= 0")
+    law = outcome_law(model, mu, nu, basis, keep=gain_factor)
+    if n_pulses == 0:
+        return CountRecord(0, 0, 0)
+    errors, correct, _, _ = np.random.default_rng(seed).multinomial(n_pulses, law).tolist()
+    return CountRecord(sent=int(n_pulses), detected=errors + correct, errors=errors)
+
+
+def synthesize_per_entry(model, intensities, n_pulses: int, mode: str, link: str, seed: int) -> CountTable:
+    """The count table ``keyrate.synthesize_table`` draws, from the same law, drawn entry by entry:
+    one :func:`sample_counts` generator per entry, seeded from ``SeedSequence(seed).generate_state``."""
+    table = CountTable(link=link)
+    budgets = entry_budgets(n_pulses, intensities, mode)
+    seeds = np.random.SeedSequence(seed).generate_state(len(budgets) + 1)
+    for i, ((key, basis), sent) in enumerate(sorted(budgets.items())):
+        mus = [intensities.mu(label) for label in key]
+        rec = sample_counts(
+            model, *mus, n_pulses=sent, seed=int(seeds[i]), basis=basis,
+            gain_factor=sift_keep(mode, basis),
+        )
+        table.add(key, basis, rec)
+    return table
+
+
+def list_built_linprog(c, rows, b) -> tuple:
+    """``(status, value, simplex iterations)`` of ``mathkit.linprog``'s cold solve of ``rows`` (an ``LpRows``),
+    its model built as a ``HighsLp`` from Python lists on a fresh solver, with the rows' start if they have one."""
+    n, m = len(c), len(b)
+    matrix = mathkit._highs.HighsSparseMatrix()
+    matrix.format_, matrix.num_row_, matrix.num_col_ = mathkit._highs.MatrixFormat.kColwise, m, n
+    matrix.start_, matrix.index_, matrix.value_ = colwise(rows)
+    lp = mathkit._highs.HighsLp()
+    lp.num_col_, lp.num_row_, lp.a_matrix_ = n, m, matrix
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = list(c), [0.0] * n, [1.0] * n
+    lp.row_lower_, lp.row_upper_ = [-math.inf] * m, list(b)
+    highs = mathkit._highs._Highs()
+    highs.passOptions(mathkit._OPTIONS)
+    highs.passModel(lp)
+    if rows.basis is not None:
+        highs.setBasis(rows.basis)
+    highs.run()
+    return highs.getModelStatus(), highs.getObjectiveValue(), highs.getInfo().simplex_iteration_count

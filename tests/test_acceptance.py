@@ -14,7 +14,6 @@ from qkdnet.channel import (
     IntensitySet,
     mdi_yield_model,
     qkd_yield_model,
-    sample_counts,
 )
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import CountTable, estimate_bounds
@@ -31,6 +30,7 @@ from qkdnet.qds import (
     thresholds,
     timing_report,
 )
+from references import sample_counts
 
 EPS_H = 2e-11
 P_REP = 0.5e-10

@@ -18,13 +18,13 @@ from qkdnet.channel import (
     mdi_yield_model,
     outcome_law,
     qkd_yield_model,
-    sample_counts,
     sift_keep,
 )
 from qkdnet.experiments import expected_table
 from qkdnet.keyrate import synthesize_table
 from qkdnet.mathkit import poisson_pmf
 from qkdnet.netsim import CONFIG_OF, _outcome_table
+from references import sample_counts
 
 
 def single_entry_model(y1=0.1):

@@ -249,8 +249,8 @@ class TestSimulate:
 
 #: sha256 of each preset command's stdout: CSV and a table, both at 6 significant digits
 PRESET_STDOUT_DIGESTS = {
-    ("sweep", "hw-qkd-sweep"): "34312932909779554c3dea1e87126312ab292db9b619acbb9b7c06f8bce3b883",
-    ("sweep", "hw-mdi-sweep"): "293a53ba161b63d22e7c154bf9cbcdbbd74c650f94f53b3131ee2f3700cbf34f",
+    ("sweep", "hw-qkd-sweep"): "d1f8cc322d85c9dbd41f0c696a65d1f02af63d4a6b2960285cb4463eca363b64",
+    ("sweep", "hw-mdi-sweep"): "b8f549ece083634d35ccd106077e2226baf353f77bb2fe01c836877de10984b0",
     ("qds", "paper-mdi"): "80f978ca2c9711eb327935a1c88fdc8726201ace1f4421d7aa15eb68c134636c",
     ("qds", "paper-qkd"): "3c962975db1bd903ecee4b782390063af689c14c63433bb5dbe33441e249fa80",
 }

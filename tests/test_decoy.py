@@ -26,7 +26,7 @@ from qkdnet.decoy import (
 )
 from qkdnet.keyrate import synthesize_table
 from qkdnet.mathkit import poisson_weights, reuse_bases, solve_bounded_lp
-from references import colwise, widen_counts
+from references import colwise, synthesize_per_entry, widen_counts
 
 X_SINGLE = ("u", "v", "w")
 
@@ -200,9 +200,10 @@ class TestCountTable:
         assert CountTable.from_json(json.dumps({"link": "AC", "entries": [row]})).z_entry() == CountRecord(10**7, 10, 0)
 
     def test_json_bytes_unchanged(self):
-        # serialised by the asdict-based writer this one replaced
+        # serialised by the asdict-based writer this one replaced; the tables are the entry-by-entry draw's,
+        # so these bytes pin the serializer, not the sampler
         side = ChannelParams(distance_km=15)
-        table = synthesize_table(qkd_yield_model(side), IntensitySet(), 10**10, "QKD", "AC", seed=3)
+        table = synthesize_per_entry(qkd_yield_model(side), IntensitySet(), 10**10, "QKD", "AC", seed=3)
         assert table.to_json() == (
             '{"entries": [{"basis": "Z", "detected": 204122824, "errors": 1025542, "intensity": "s", '
             '"sent": 8000000000}, {"basis": "X", "detected": 3473249, "errors": 17816, "intensity": "u", '
@@ -210,7 +211,7 @@ class TestCountTable:
             '"sent": 666666667}, {"basis": "X", "detected": 705, "errors": 370, "intensity": "w", '
             '"sent": 666666667}], "link": "AC"}'
         )
-        relay = synthesize_table(mdi_yield_model(side, side), IntensitySet(), 10**12, "MDI", "AB", seed=3)
+        relay = synthesize_per_entry(mdi_yield_model(side, side), IntensitySet(), 10**12, "MDI", "AB", seed=3)
         digest = hashlib.sha256(relay.to_json().encode()).hexdigest()
         assert digest == "fa2c16e4733a1ad22d772a47d7839abeb09bf1c77f7ec3056665be7b298b4fee"
 
@@ -351,7 +352,7 @@ class TestLpCache:
             tails, p1_x, objective, rate_rows, yield_rows, _ = decoy._decoy_lp(senders, (0.2, 0.05, 0.0))
             arrays = [tails, objective]
             for rows in (rate_rows, yield_rows):
-                arrays += [rows.a, np.asarray(rows)]
+                arrays += [rows.a, np.asarray(rows), *rows.csc, *rows.bounds]
                 assert colwise(rows) == colwise(mathkit.LpRows(rows.a))  # the matrix is its read-only rows'
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):

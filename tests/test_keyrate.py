@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from qkdnet import cli, keyrate, mathkit
-from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
+from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, outcome_law, qkd_yield_model, sift_keep
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import DecoyBounds, estimate_bounds
 from qkdnet.experiments import expected_table
@@ -16,6 +18,7 @@ from qkdnet.keyrate import (
     sweep_to_csv,
     synthesize_table,
 )
+from references import synthesize_per_entry
 
 NO_OVERHEAD = SecurityParams(eps_sec=21.0, eps_cor=2.0, f_ec=1.16)
 
@@ -185,3 +188,59 @@ class TestEntryBudgets:
         assert set(sampled.entries) == set(expected.entries)
         for key, rec in sampled.entries.items():
             assert expected.entries[key].sent == rec.sent, key
+
+
+#: (mode, link, km, pulses) of the synthesis law tests
+SYNTHESIS_CASES = [("QKD", "AC", 15, 10**10), ("MDI", "AB", 10, 10**12)]
+
+
+class TestSynthesizeTable:
+    """One generator and one multinomial per table draw the law of independent per-entry multinomials."""
+
+    @staticmethod
+    def _tallies(mode, link, km, n_pulses, synthesize, seeds):
+        """(entry keys, per-entry sent and law, tallies): tallies[seed, entry] is (errors, correct)."""
+        side = ChannelParams(distance_km=km)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        intensities = IntensitySet()
+        budgets = keyrate.entry_budgets(n_pulses, intensities, mode)
+        keys = sorted(budgets)
+        tallies = []
+        for seed in seeds:
+            entries = synthesize(model, intensities, n_pulses, mode, link, seed).entries
+            tallies.append([(entries[k].errors, entries[k].detected - entries[k].errors) for k in keys])
+        sent = np.array([budgets[k] for k in keys], dtype=float)
+        laws = np.array([outcome_law(model, *(intensities.mu(label) for label in key), basis=basis,
+                                     keep=sift_keep(mode, basis))[:2] for key, basis in keys])
+        return keys, sent, laws, np.array(tallies, dtype=float)
+
+    @pytest.mark.parametrize("mode, link, km, n_pulses", SYNTHESIS_CASES, ids=lambda x: str(x))
+    def test_tallies_follow_each_entrys_law(self, mode, link, km, n_pulses):
+        seeds = range(200)
+        keys, sent, laws, tallies = self._tallies(mode, link, km, n_pulses, synthesize_table, seeds)
+        _, _, _, reference = self._tallies(mode, link, km, n_pulses, synthesize_per_entry, seeds)
+        assert len(keys) == (4 if mode == "QKD" else 10)
+        trials = np.broadcast_to(sent[:, None], laws.shape)
+
+        def within_5_sigma(counts, n):
+            # a tally of n trials is Binomial(n, p): neither tail beyond it is rarer than a normal's 5-sigma tail.
+            # Exact, as the relay link's vacuum entries expect 0.004 counts a table, where no normal fits
+            tail = np.minimum(stats.binom.cdf(counts, n, laws), stats.binom.sf(counts - 1, n, laws))
+            return (tail >= stats.norm.sf(5.0)).all()
+
+        assert (laws > 0).all()
+        # every draw within 5 sigma of sent x its entry's law, and so is the seeds' sum, Binomial(200 sent, p)
+        assert all(within_5_sigma(draw, trials) for draw in tallies)
+        assert within_5_sigma(tallies.sum(axis=0), len(seeds) * trials)
+        # each tally's 200 draws and the entry-by-entry draw's 200 come from one distribution
+        for entry in range(len(keys)):
+            for tally in range(2):
+                result = stats.ks_2samp(tallies[:, entry, tally], reference[:, entry, tally], method="asymp")
+                assert result.pvalue > 1e-4, (keys[entry], tally, result)
+
+    @pytest.mark.parametrize("mode, link, km, n_pulses", SYNTHESIS_CASES, ids=lambda x: str(x))
+    def test_same_seed_same_table(self, mode, link, km, n_pulses):
+        side = ChannelParams(distance_km=km)
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+        texts = [synthesize_table(model, IntensitySet(), n_pulses, mode, link, seed).to_json() for seed in (5, 5, 6)]
+        assert texts[0] == texts[1] != texts[2]

@@ -41,7 +41,7 @@ from qkdnet.mathkit import (
     serfling_deviation,
     solve_bounded_lp,
 )
-from references import colwise
+from references import colwise, list_built_linprog
 
 
 def _exact_entropy(p: float):
@@ -521,14 +521,30 @@ class TestHighsShim:
             assert all(np.array_equal(x, y) for x, y in zip(cached[:3], fresh[:3]))
             assert cached[3:] == fresh[3:]
 
+    @pytest.mark.parametrize("mode, kms", [("QKD", (5, 15, 30)), ("MDI", (2, 10, 25))])
+    def test_array_load_equals_list_built_model(self, mode, kms):
+        # linprog loads each model from the rows' arrays; a HighsLp built from lists, as the shim once
+        # built it, is the same model: same status, value and simplex iterations, started or all-slack
+        rng = np.random.default_rng(4)
+        plain = [mathkit.LpRows(rng.uniform(-1, 1, (m, 5)) * (rng.random((m, 5)) < 0.6)) for m in (0, 1, 4, 7)]
+        lps = [(c if sense == "min" else -c, rows, b) for c, rows, b, sense in _decoy_lps(mode, kms)]
+        lps += [(rng.uniform(-1, 1, 5), rows, rng.uniform(-0.5, 2.0, rows.a.shape[0])) for rows in plain]
+        for c, rows, b in lps:
+            status, value = mathkit.linprog(c, rows, b)
+            assert (status, value, mathkit._THREAD.highs.getInfo().simplex_iteration_count) == list_built_linprog(
+                c, rows, b)
+
     def test_lp_rows_are_a_read_only_copy(self):
         a = np.array([[1.0, 0.0], [0.0, -2.0], [3.0, 4.0]])
         rows = mathkit.LpRows(a)
         a[0, 0] = 9.0
         assert np.array_equal(np.asarray(rows), [[1.0, 0.0], [0.0, -2.0], [3.0, 4.0]])
         assert colwise(rows) == ((0, 2, 4), (0, 2, 1, 2), (1.0, 3.0, -2.0, 4.0))
-        with pytest.raises(ValueError, match="read-only"):
-            np.asarray(rows)[0, 0] = 9.0
+        assert [array.dtype for array in rows.csc] == [np.int32, np.int32, float]
+        assert [array.tolist() for array in rows.bounds] == [[0.0, 0.0], [1.0, 1.0], [-math.inf] * 3, [0, 0]]
+        for array in (np.asarray(rows), *rows.csc, *rows.bounds):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9
         value = solve_bounded_lp([1.0, 1.0], rows, [0.5, 1.0, 4.0], "max")
         assert value == solve_bounded_lp([1.0, 1.0], rows.a.copy(), [0.5, 1.0, 4.0], "max")
         assert value == pytest.approx(1.125, rel=1e-9)
@@ -705,9 +721,9 @@ def counted(monkeypatch):
             super().__init__()
             counts["built"] += 1
 
-        def passModel(self, lp):
+        def passModel(self, *args):
             counts["loads"] += 1
-            return super().passModel(lp)
+            return super().passModel(*args)
 
         def run(self):
             counts["runs"] += 1

@@ -6,6 +6,7 @@ import argparse
 
 from qkdnet.cli import load_network, load_preset
 from qkdnet.experiments import relay_chain
+from qkdnet.mathkit import ConfigError
 from qkdnet.netsim import run_plan, schedule
 
 
@@ -17,14 +18,17 @@ def main():
     args = parser.parse_args()
 
     intensities, models = load_network(config)
-    plan = schedule(args.slots, config["weights"], intensities=intensities, seed=args.seed)
-    result = run_plan(plan, models, seed=args.seed)
+    try:  # a negative slot count, or too few slots to fill every count-table entry, is a usage error
+        plan = schedule(args.slots, config["weights"], intensities=intensities, seed=args.seed)
+        result = run_plan(plan, models, seed=args.seed)
+        chain = relay_chain(result, intensities, config["weights"], args.seed)
+    except (ConfigError, KeyError) as exc:
+        parser.error(exc.args[0])
     for link, table in sorted(result.tables.items()):
         detected = sum(r.detected for r in table.entries.values())
         print(f"link {link}: {len(table.entries)} entries, {detected} detections, "
               f"z-pool {len(result.z_pools[link])}")
 
-    chain = relay_chain(result, intensities, config["weights"], args.seed)
     print(f"relay key: {chain.key.secure_bits} bits ({chain.key.rate_bps:.3g} bps in-session)")
     report = chain.report
     if report is None:

@@ -26,7 +26,7 @@ from .mathkit import ConfigError, check_real
 from .netsim import run_plan, schedule
 from .qds import InsecureChannelError, QdsParams, distill_report
 
-__all__ = ["load_network", "main"]
+__all__ = ["load_network", "load_preset", "main"]
 
 
 def _load_config(path: str, name: str) -> dict:

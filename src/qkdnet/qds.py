@@ -455,7 +455,7 @@ def distill_report(
     check_real(s1_sig_lower, "s1_sig_lower", 0.0, params.c_sig)  # at most the block it bounds
     eph_sig_upper = check_real(eph_sig_upper, "eph_sig_upper", 0.0, 0.5)
     e_test = check_real(e_test, "e_test", 0.0, 1.0)
-    pool_size = check_count(pool_size, "pool_size")
+    pool_size = check_count(pool_size, "pool_size", low=params.c_test + params.c_sig)  # a test sample and one block
     total_time_s = check_real(total_time_s, "total_time_s", 0.0)
     duty_fraction = check_real(duty_fraction, "duty_fraction", 0.0, 1.0, low_open=True)
     epsilon_inherited = check_real(epsilon_inherited, "epsilon_inherited", 0.0)

@@ -567,10 +567,12 @@ class TestQds:
             ({"e_test": "inf"}, "qds.e_test"),
             ({"c_sig": 2500000.5}, "qds.c_sig"),
             ({"s1_sig_lower": 3_000_000}, "qds.s1_sig_lower"),
+            ({"pool_size": 10}, "qds.pool_size"),
+            ({"c_sig": 10**12}, "qds.pool_size"),
         ],
         ids=("s1-not-an-integer", "pool-not-an-integer", "time-is-a-string", "time-infinite",
              "epsilon-is-a-string", "s1-is-a-string", "duty-zero", "e_test-is-a-string", "c_sig-not-an-integer",
-             "s1-above-c_sig"),
+             "s1-above-c_sig", "pool-below-one-block", "c_sig-above-pool"),
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, change, path):
         cfg = {"qds": {**load_preset("paper-mdi")["qds"], **change}}

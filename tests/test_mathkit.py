@@ -1036,7 +1036,17 @@ class TestBindingLoad:
         )
         assert _python(code).splitlines()[-1] == "False"
 
-    @pytest.mark.parametrize("first, second", [("scipy.optimize", "qkdnet"), ("qkdnet", "scipy.optimize")])
+    def test_package_import_loads_no_submodule_numpy_or_scipy(self):
+        code = (
+            "import sys\n"
+            "import qkdnet\n"
+            "print([m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy') or m.startswith('qkdnet.')])\n"
+        )
+        assert _python(code).splitlines()[-1] == "[]"
+
+    # ids name which of scipy and the package loads first
+    @pytest.mark.parametrize("first, second", [("scipy.optimize", "qkdnet"), ("qkdnet.mathkit", "scipy.optimize")],
+                             ids=("scipy.optimize-qkdnet", "qkdnet-scipy.optimize"))
     def test_binding_loads_once_in_either_import_order(self, first, second):
         code = (
             f"import {first}\nimport {second}\n"

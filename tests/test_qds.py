@@ -497,13 +497,13 @@ class TestHonestAcceptanceFrequency:
 
 
 class TestDistillReport:
-    def relay_report(self):
+    def relay_report(self, pool_size=4_936_714_426):
         params = QdsParams(c_sig=MDI["c_sig"], c_test=MDI["c_test"])
         return distill_report(
             s1_sig_lower=MDI["s1"],
             eph_sig_upper=MDI["eph"],
             e_test=MDI["e_test"],
-            pool_size=4_936_714_426,
+            pool_size=pool_size,
             params=params,
             total_time_s=90_000.0,
             duty_fraction=500 / 502,
@@ -560,6 +560,13 @@ class TestDistillReport:
     def test_params_reject_failure_budget_outside_unit_interval(self, p_fail_total):
         with pytest.raises(ValueError, match="p_fail_total"):
             QdsParams(c_sig=10, c_test=10, p_fail_total=p_fail_total)
+
+    def test_pool_must_hold_a_test_sample_and_one_block(self):
+        smallest = MDI["c_test"] + MDI["c_sig"]
+        assert self.relay_report(smallest).n_signatures == 1
+        for pool_size in (smallest - 1, 10, 0):
+            with pytest.raises(ConfigError, match=f"^pool_size: expected an integer >= {smallest}, got {pool_size}$"):
+                self.relay_report(pool_size)
 
     def test_insecure_channel_raises(self):
         params = QdsParams(c_sig=10_000, c_test=10_000, eps_h=1e-10)

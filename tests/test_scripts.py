@@ -50,3 +50,18 @@ def test_multisig_gain_refuses_a_fractional_budget(monkeypatch, capsys):
         load(path).main()
     assert exit_info.value.code == 2
     assert "n_pulses_total: expected an integer >= 1, got 250000000.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slots, message", [
+    ("-5", "slots: expected an integer >= 0, got -5"),
+    ("0", "table has no (intensity, basis) entry (('u', 'u'), 'X')"),
+    ("100", "table has no (intensity, basis) entry (('v', 'v'), 'X')"),
+], ids=("negative", "zero", "too-few-for-every-entry"))
+def test_run_network_demo_refuses_too_few_slots(slots, message, monkeypatch, capsys):
+    (path,) = [p for p in SCRIPTS if p.name == "run_network_demo.py"]
+    monkeypatch.setattr("sys.argv", ["run_network_demo.py", "--slots", slots])
+    with pytest.raises(SystemExit) as exit_info:
+        load(path).main()
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: {message}\n") and captured.out == ""

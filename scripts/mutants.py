@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run one-line mutants of the security chain against tier-1 and report what catches each.
+"""Run one-line mutants of the security chain and of the simulator's draw against tier-1 and report what catches each.
 
 A mutant is one named text edit of one file: an exact string, which must
 occur there once, and its replacement.  For each mutant the script copies
@@ -60,6 +60,9 @@ MUTANTS = [
     ("pool-size-unchecked", "src/qkdnet/qds.py",
      'check_count(pool_size, "pool_size", low=params.c_test + params.c_sig)',
      'check_count(pool_size, "pool_size")'),
+    ("schedule-edge-cells-unrefined", "src/qkdnet/netsim.py",
+     "    table[top[top < 65536].astype(int)] = EDGE\n", ""),
+    ("schedule-edge-never-reached", "src/qkdnet/netsim.py", "(r >= frac)", "(r > frac)"),
 ]
 
 #: tests that compare a pinned number (a published value, a digest or a fixed count); an id
@@ -79,6 +82,11 @@ PINNED = {
     "tests.test_qds.TestDistillReport::test_full_relay_chain",
     "tests.test_qds.TestMinFeasibleAcquisition::test_comparison_probes_the_full_acquisition_once",
     "tests.test_mathkit.TestReuseBases::test_criterion_10_loads_each_lp_family_once",
+    # digests of the plans, the runs and the desk network's output files, and the first entry a too-short run misses
+    "tests.test_netsim.TestPlanDigests::test_plan_arrays_are_pinned",
+    "tests.test_netsim.TestPlanDigests::test_run_outputs_are_pinned",
+    "tests.test_cli.TestSimulate::test_desk_preset_reproduces_the_hand_built_network",
+    "tests.test_scripts::test_run_network_demo_refuses_too_few_slots[too-few-for-every-entry]",
     # the multisig workload checks criterion 10's 108/18 and the published presets' counts
     "perfbench.tests.test_smoke::test_workload_reports_every_metric[multisig-0]",
     "perfbench.tests.test_smoke::test_workload_reports_every_metric[multisig-1]",

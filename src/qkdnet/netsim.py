@@ -13,6 +13,7 @@ session simply pins the inactive sender to vacuum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +35,17 @@ __all__ = [
 SESSION_NAMES = ("MDI_AB", "QKD_AC", "QKD_BC")
 LINKS = ("AB", "AC", "BC")  # the link each session code runs
 
-#: slots handled per vectorised step of schedule and run_plan
+#: slots handled per vectorised step of run_plan
 DEFAULT_CHUNK = 1 << 20
-_BLOCK = 1 << 16  # slots per cache-sized pass of schedule's comparisons; no draw depends on it
+_BLOCK = 1 << 16  # slots per cache-sized pass of schedule's table reads; no draw depends on it
 
 BASIS = "ZXXX"  # each intensity class's basis: the signal class is sent in Z, the decoys in X
 
 # Slot configurations: rows 0-15 are the relay link's (class a, class b)
 # pairs, ordered by (basis a, basis b, class a, class b); rows 16-19 and
-# 20-23 the AC and BC links' sender class.  CONFIG_OF maps a slot's
-# (session, class a, class b), packed into 6 bits as
-# session << 4 | class a << 2 | class b, to its row.
+# 20-23 the AC and BC links' sender class.  A slot's code packs its
+# (session, class a, class b) into 6 bits as session << 4 | class a << 2 |
+# class b; CONFIG_OF maps a code to its row, and CODES lists the 24 codes.
 N_CONFIGS = 24
 RELAY_CLASSES = sorted(np.ndindex(4, 4), key=lambda c: (c[0] > 0, c[1] > 0, c))  # Z before X
 _relay_row = {c: row for row, c in enumerate(RELAY_CLASSES)}
@@ -56,6 +57,9 @@ TABLE_ROWS = {
        for row, (a, b) in enumerate(RELAY_CLASSES) if BASIS[a] == BASIS[b]},
     **{16 + 4 * k + i: (link, (LABELS[i],), BASIS[i]) for k, link in enumerate(("AC", "BC")) for i in range(4)},
 }
+CODES = np.array([s << 4 | a << 2 | b for s, a, b in np.ndindex(3, 4, 4)
+                  if s == 0 or (s == 1 and b == 3) or (s == 2 and a == 3)], dtype=np.int8)
+EDGE = -1  # schedule's table value for a cell an edge falls in; no code is negative
 
 
 @dataclass
@@ -95,6 +99,16 @@ class RunResult:
     diagnostics: dict
 
 
+def _config_law(weights: tuple, intensities: IntensitySet) -> np.ndarray:
+    """Cumulative law of :data:`CODES`, p_session · p_class_a · p_class_b with a point-to-point
+    session's inactive sender at vacuum.  Each partial sum is rounded once and divided by the
+    total, so the law ends at 1.0 and a configuration of probability 0 spans no interval."""
+    z, p_session = intensities.z_basis_prob, np.divide(weights, math.fsum(weights))
+    p_class = np.array([z, *(1.0 - z) * intensities.x_probs()])
+    law = [*p_session[0] * np.outer(p_class, p_class).ravel(), *p_session[1] * p_class, *p_session[2] * p_class]
+    return np.array([math.fsum(law[: k + 1]) for k in range(N_CONFIGS)]) / math.fsum(law)
+
+
 def schedule(
     slots: int,
     weights=(500, 1, 1),
@@ -109,6 +123,14 @@ def schedule(
     the inactive sender to the vacuum class.  The Z-basis probability is
     the intensity set's ``z_basis_prob``; a ``z_prob`` given as well must
     equal it.
+
+    A slot's code is the k-th of :data:`CODES`, k the number of joint edges
+    (:func:`_config_law`) at or below u = (h + r) / 2^16.  One 16-bit word h
+    of raw output per slot picks a cell of a 65,536-cell table; only in the
+    at most 23 cells an edge falls in is r = ``random()`` drawn, from a
+    stream of its own so that no draw depends on the block size.  Each edge
+    counts with its exact probability on the 2^-69 grid (an edge at 1.0
+    never counts; one at 0.0 always does).
     """
     slots = check_count(slots, "slots")
     seed = check_count(seed, "seed")
@@ -117,50 +139,28 @@ def schedule(
     if check_real(z_prob, "z_prob", 0.0, 1.0) != intensities.z_basis_prob:
         raise ConfigError(f"z_prob: {z_prob!r} differs from intensities.z_basis_prob "
                           f"{intensities.z_basis_prob!r}; set only intensities.z_basis_prob")
-    w = np.asarray(check_weights(weights, "weights"))
+    edges = _config_law(check_weights(weights, "weights"), intensities)[:-1]
+    top, frac = np.divmod(edges * 65536.0, 1.0)  # exact: the scaling is a power of two
+    # configuration k fills cells top[k-1] + 1 .. top[k]; a cell an edge falls in is marked
+    table = np.repeat(CODES, np.diff(np.minimum(top, 65535), prepend=-1, append=65535).astype(int))
+    table[top[top < 65536].astype(int)] = EDGE
     rng = np.random.default_rng(seed)
-    # One uniform per slot picks the session and one per sender its
-    # intensity: below z_prob the signal class, above it u, v or w by x_probs.
-    # The class is the number of edges <= u, u = (h + r) / 2^16: h is 16
-    # random bits, and r = rng.random() is drawn only where h equals an
-    # edge's top 16 bits, so each edge counts with its exact probability
-    # (an edge at 1.0, top 65536, never counts; one at 0.0 always does).
-    session_edges = np.cumsum(w / w.sum())[:2]
-    sender_edges = z_prob + (1.0 - z_prob) * np.cumsum([0.0, *intensities.x_probs()[:2]])
+    edge_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])  # run_plan's is child 0
     # One block for the three code arrays: as three separate arrays, a loop of
     # 10^7-slot plans whose basis views were read took about 4,500 page faults
     # a plan, as glibc returned the freed heap top and faulted it back in.
     session, intensity_a, intensity_b = np.empty((3, slots), np.int8)
-    draws = ((session, session_edges), (intensity_a, sender_edges), (intensity_b, sender_edges))
-    hit, tie = np.empty(_BLOCK, bool), np.empty(_BLOCK, bool)
-    pin = np.empty(min(slots, DEFAULT_CHUNK), np.int8)
-    for start in range(0, slots, DEFAULT_CHUNK):
-        sl = slice(start, min(slots, start + DEFAULT_CHUNK))
-        n = sl.stop - sl.start
-        # one little-endian 64-bit word carries four draws on any host
-        bits = rng.bit_generator.random_raw(-(-3 * n // 4)).astype("<u8", copy=False).view("<u2")
-        for (out, edges), h in zip(draws, bits[: 3 * n].reshape(3, n)):
-            top, frac = np.divmod(edges * 65536.0, 1.0)  # exact: the scaling is a power of two
-            first, *rest = top.astype(int).tolist()
-            cls, ties = out[sl], []
-            for b in range(0, n, _BLOCK):
-                hb, cb = h[b : b + _BLOCK], cls[b : b + _BLOCK]
-                np.greater(hb, first, out=cb.view(bool))
-                np.equal(hb, first, out=tie[: hb.size])
-                for t in rest:
-                    cb += np.greater(hb, t, out=hit[: hb.size]).view(np.int8)
-                    tie[: hb.size] |= np.equal(hb, t, out=hit[: hb.size])
-                ties.append(b + np.flatnonzero(tie[: hb.size]))
-            tied = np.concatenate(ties)  # in slot order: one tie uniform per tie, as one pass would
-            r = rng.random((tied.size, 1))
-            cls[tied] += ((h[tied, None] == top) & (r >= frac)).sum(axis=1, dtype=np.int8)
-        # Vacuum switch: the party not sending in a point-to-point session.
-        # Classes are below 4, so OR with 3 sets the vacuum class, without
-        # the branches a masked copy takes on a dense random mask.
-        for out, k in ((intensity_b, 1), (intensity_a, 2)):
-            np.equal(session[sl], k, out=pin[:n].view(bool))
-            np.multiply(pin[:n], 3, out=pin[:n])
-            np.bitwise_or(out[sl], pin[:n], out=out[sl])
+    block = _BLOCK - _BLOCK % 4  # whole 64-bit words, read little-endian: four slots' words each on any host
+    for start in range(0, slots, block):
+        sl = slice(start, min(slots, start + block))
+        h = rng.bit_generator.random_raw(-(-(sl.stop - start) // 4)).astype("<u8", copy=False).view("<u2")
+        code = np.take(table, h[: sl.stop - start])
+        edge = np.flatnonzero(code == EDGE)
+        he, r = h[edge, None], edge_rng.random((edge.size, 1))
+        code[edge] = CODES[((top < he) | (top == he) & (r >= frac)).sum(axis=1)]
+        np.right_shift(code, 4, out=session[sl])
+        np.bitwise_and(np.right_shift(code, 2, out=intensity_a[sl]), 3, out=intensity_a[sl])
+        np.bitwise_and(code, 3, out=intensity_b[sl])
     return SessionPlan(slots, intensities, seed, session, intensity_a, intensity_b)
 
 
@@ -205,7 +205,7 @@ def run_plan(
     :class:`channel.TailBoundError`.  A pool's bits are uniform and its
     error flags sit at uniformly random positions, which is the law of
     per-slot draws given the row's tallies.  The draws come from a child
-    stream of ``seed``'s sequence, independent of the stream
+    stream of ``seed``'s sequence, independent of the streams
     :func:`schedule` drew the plan from under the same seed.  Deterministic
     under ``seed``.
     """

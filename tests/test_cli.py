@@ -238,10 +238,10 @@ class TestSimulate:
         # digests of the tables the desk network gave when each caller built it by hand,
         # and of the manifest, which carries the pool sizes and the diagnostics
         digests = {
-            "counts_AB.json": "ceeec2d4605c31b01a420371cec6000986cea3726da28a2061acc32872e54d69",
-            "counts_AC.json": "cc4883bfac4328ced399d722a5bd8013411866fcb84dee1345c4df8b5860ae69",
-            "counts_BC.json": "80f34bb3b0f37ae1f63dcc43295b76e2ff04c63b37656b11eb07f90062a6b890",
-            "manifest.json": "a859e5eee5f6aeeb35a09b156faf6db9c3702c4aacb9ccc1e558c339a0b982a7",
+            "counts_AB.json": "ca828ffdfb14877f51fc53c24a80f76ba31fc24f4fb50b4dbd79847328de9ec6",
+            "counts_AC.json": "81dbca5daaa843330e742ae9bac6e69dbf2820de784a7d0968fd4fa81c44e807",
+            "counts_BC.json": "b5d3d7db54eb720ba031d31d09e0593b68915220e686224eba8558e066677111",
+            "manifest.json": "5deddf044a744f17f63e3f9d6fd6aef5602f68c1f70afe787d8b226375042e27",
         }
         for name, digest in digests.items():
             assert hashlib.sha256((desk_run / name).read_bytes()).hexdigest() == digest, name
@@ -390,7 +390,7 @@ class TestKeyrate:
         capsys.readouterr()
         rc = main(["keyrate", "--config", str(PRESETS / "desk.json"), "--counts", str(desk_run / "counts_AB.json")])
         assert rc == 0
-        assert capsys.readouterr().out.splitlines()[1] == "AB,MDI,358148,0.136656,100131,51656,277,0,0"
+        assert capsys.readouterr().out.splitlines()[1] == "AB,MDI,358422,0.13658,100286,51690,277,0,0"
 
     def test_malformed_elapsed_s_is_refused_before_the_bounds(self, desk_run, tmp_path, capsys):
         args = ["keyrate", "--config", write_config(tmp_path, SIM_CONFIG), "--counts", str(desk_run / "counts_AB.json")]

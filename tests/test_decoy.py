@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -471,6 +473,84 @@ class TestAnalyticOracleQkd:
         with reuse_bases():  # warm, each from the last table's bases
             for table in tables:
                 self.check(table, intensities, eps)
+
+
+def _recorded_bounds(table, intensities, eps_total, mode):
+    """``estimate_bounds``' result and the values of its two LPs, yield then error gain."""
+    solved = []
+
+    def recorded(c, a_ub, b_ub, sense):
+        solved.append(solve_bounded_lp(c, a_ub, b_ub, sense))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoy, "solve_bounded_lp", recorded)
+        bounds = estimate_bounds(table, intensities, eps_total, mode)
+    return bounds, solved
+
+
+def _exact_tail(table, intensities, eps_total, mode, y1, z1):
+    """``estimate_bounds``' tail after its LPs, in 50-digit arithmetic: ``(s1_lower, eph_upper)``
+    from the LP values ``y1`` and ``z1``, each floor taken exactly and the Serfling term recomputed."""
+    senders = 2 if mode == "MDI" else 1
+    x_keys = list(itertools.product(X_SINGLE, repeat=senders))
+    with mpmath.workdps(50):
+        def p1(key):  # single-photon probability of a key's senders
+            return mpmath.fprod(mpmath.mpf(intensities.mu(l)) * mpmath.exp(-mpmath.mpf(intensities.mu(l))) for l in key)
+
+        y1, z1 = (min(mpmath.mpf(1), max(mpmath.mpf(0), mpmath.mpf(v))) for v in (y1, z1))
+        z_record = table.entries[(("s",) * senders, "Z")]
+        s1 = min(int(mpmath.floor(z_record.sent * p1(("s",) * senders) * y1)), z_record.detected)
+        n_x1 = int(mpmath.floor(mpmath.fsum(table.entries[(key, "X")].sent * p1(key) for key in x_keys) * y1))
+        if y1 <= 0 or s1 < 1 or n_x1 < 1:
+            return s1, mpmath.mpf(0.5)
+        eps_serf = min(mpmath.mpf(1), mpmath.mpf(eps_total) / (2 * len(x_keys) + 1))
+        serfling = mpmath.sqrt((s1 + 1) * mpmath.mpf(s1 + n_x1) * -mpmath.log(eps_serf) / (2 * n_x1 * mpmath.mpf(s1) ** 2))
+        return s1, min(mpmath.mpf(0.5), min(mpmath.mpf(0.5), z1 / y1) + serfling)
+
+
+#: tables whose phase-error bound stays below 0.5, so its Serfling term shows:
+#: (mode, link, distance in km, intensities, pulses, total failure budget)
+TAIL_TABLES = [
+    ("QKD", "AC", 15.0, IntensitySet(), 10**10, 1e-10),
+    ("QKD", "AC", 25.0, IntensitySet(), 10**10, 1e-10),
+    ("MDI", "AB", 0.0, IntensitySet(s=0.5, u=0.3, v=0.1, w=0.0), 10**12, 1e-3),
+]
+
+
+def _tail_table(mode, link, km, intensities, pulses):
+    side = ChannelParams(distance_km=km)
+    model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
+    return synthesize_table(model, intensities, pulses, mode, link, 3)
+
+
+class TestBoundsTail:
+    """The conversion after the LPs may round only towards the conservative side: no more
+    single-photon counts, and no smaller phase-error bound, than exact arithmetic gives."""
+
+    @pytest.mark.parametrize("mode, link, km, intensities, pulses, eps_total", TAIL_TABLES)
+    def test_tail_is_no_looser_than_exact_arithmetic(self, mode, link, km, intensities, pulses, eps_total):
+        table = _tail_table(mode, link, km, intensities, pulses)
+        bounds, (y1, z1) = _recorded_bounds(table, intensities, eps_total, mode)
+        s1, eph = _exact_tail(table, intensities, eps_total, mode, y1, z1)
+        assert 0 < s1 and eph < 0.5  # the Serfling term is in play
+        assert bounds.s1_lower <= s1
+        assert bounds.eph_upper >= eph - 1e-14  # float rounding; a count of 1 more in n_x1 moves it by >= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(detected_share=st.floats(0.0, 1.0), error_share=st.floats(0.0, 1.0))
+    def test_single_photon_counts_never_exceed_the_detections(self, detected_share, error_share):
+        # the X entries fix s1_lower's uncapped value (84,618,887 here); the Z entry's own
+        # detections cap it, wherever they lie in [0, sent]
+        mode, link, km, intensities, pulses, eps_total = TAIL_TABLES[0]
+        base = _tail_table(mode, link, km, intensities, pulses)
+        table = CountTable(link=link)
+        for (key, basis), rec in base.entries.items():
+            if basis == "Z":
+                detected = math.floor(detected_share * rec.sent)
+                rec = CountRecord(rec.sent, detected, math.floor(error_share * detected))
+            table.add(key, basis, rec)
+        assert estimate_bounds(table, intensities, eps_total, mode).s1_lower <= table.z_entry().detected
 
 
 class TestRestrictToBlock:

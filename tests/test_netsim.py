@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -150,17 +151,39 @@ def class_probs(edges):
     return np.diff([0.0, *np.clip(edges, 0.0, 1.0), 1.0])
 
 
-def scripted_schedule(monkeypatch, h, ties, weights, intensities):
-    """``schedule`` over one chunk with its random draws scripted.
+def joint_law(weights, intensities):
+    """Each slot configuration's code, session << 4 | class a << 2 | class b, in increasing
+    order, with its exact probability: p_session * p_class_a * p_class_b, the inactive
+    sender of a point-to-point session sending vacuum (class 3) with probability 1."""
+    w = [Fraction(x) for x in weights]
+    z = Fraction(intensities.z_basis_prob)
+    xw = [Fraction(x) for x in intensities.x_weights]
+    p_class = [z] + [(1 - z) * x / sum(xw) for x in xw]
+    law = {}
+    for s, a, b in itertools.product(range(3), range(4), range(4)):
+        if s == 0:
+            law[s << 4 | a << 2 | b] = w[0] / sum(w) * p_class[a] * p_class[b]
+        elif (s == 1 and b == 3) or (s == 2 and a == 3):
+            law[s << 4 | a << 2 | b] = w[s] / sum(w) * p_class[a if s == 1 else b]
+    return law
 
-    ``h`` holds the 16-bit draws of the session, sender a and sender b
-    (shape (3, n)); ``ties`` the uniforms handed out, in order, whenever
-    ``schedule`` asks for them.
+
+def config_edges(weights, intensities):
+    """The 23 joint edges ``schedule`` draws against: its cumulative configuration law, less the final 1.0."""
+    return netsim._config_law(tuple(map(float, weights)), intensities)[:-1].tolist()
+
+
+def scripted_schedule(monkeypatch, h, ties, weights, intensities):
+    """``schedule`` over one block with the draws of both its streams scripted.
+
+    ``h`` holds each slot's 16-bit word; ``ties`` the uniforms handed out,
+    in order, whenever ``schedule`` asks for them.  Returns each slot's
+    configuration code, session << 4 | class a << 2 | class b.
     """
     h = np.asarray(h, dtype="<u2")
-    n = h.shape[1]
-    words = np.zeros(-(-3 * n // 4) * 4, dtype="<u2")
-    words[: 3 * n] = h.ravel()
+    n = h.size
+    words = np.zeros(-(-n // 4) * 4, dtype="<u2")
+    words[:n] = h
     ties = iter(ties)
     rng = SimpleNamespace(
         bit_generator=SimpleNamespace(random_raw=lambda size: words.view("<u8")[:size].copy()),
@@ -169,7 +192,7 @@ def scripted_schedule(monkeypatch, h, ties, weights, intensities):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
     plan = schedule(n, weights=weights, intensities=intensities, seed=0)
     assert next(ties, None) is None, "schedule left scripted tie uniforms unread"
-    return plan
+    return (plan.session.astype(int) << 4 | plan.intensity_a.astype(int) << 2 | plan.intensity_b).tolist()
 
 
 def tie_cases(edges):
@@ -190,36 +213,73 @@ def tie_cases(edges):
     return cases
 
 
-def exact_class(h, r, edges):
-    """Number of edges <= u = (h + r) / 2^16, in exact arithmetic."""
+def exact_code(h, r, edges, codes):
+    """Code of the configuration holding u = (h + r) / 2^16, in exact arithmetic:
+    ``codes[k]``, where ``k`` is the number of ``edges`` at or below u."""
     u = (Fraction(h) + Fraction(r or 0.0)) / 65536
-    return sum(u >= Fraction(float(e)) for e in edges)
+    return codes[sum(u >= Fraction(e) for e in edges)]
+
+
+#: session weights and sender class weights with zero entries
+SESSION_WEIGHTS = [(500, 1, 1), (0, 0, 1), (1, 1, 0), (3, 0, 1)]
+X_WEIGHTS = [(0.6, 0.25, 0.15), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (1, 1, 1)]
+#: bound on a joint edge's distance from the exact cumulative law, to first order: a
+#: configuration's float probability carries at most 14 roundings of relative size 2^-53,
+#: so a partial sum and the total, each rounded once more, are within 15 of them, and
+#: the edge, their rounded quotient, within 31
+EDGE_TOLERANCE = Fraction(31, 2**53)
+
+
+def draw_cases():
+    """(weights, intensities) pairs: every session weighting against every class weighting, at two basis biases."""
+    return [
+        pytest.param(w, IntensitySet(s=0.8, u=0.5, v=0.15, z_basis_prob=z, x_weights=x), id=f"{w}-{x}-{z:.2f}")
+        for w, x, z in itertools.product(SESSION_WEIGHTS, X_WEIGHTS, (0.65, 1 / 3))
+    ]
 
 
 class TestScheduleDraw:
-    @pytest.mark.parametrize("weights", [(500, 1, 1), (0, 0, 1), (1, 1, 0), (3, 0, 1)])
-    def test_session_ties_resolve_exactly(self, monkeypatch, weights):
-        edges = session_edges(weights)
+    @staticmethod
+    def check_ties(monkeypatch, weights, intensities):
+        edges, codes = config_edges(weights, intensities), list(joint_law(weights, intensities))
         cases = tie_cases(edges)
-        h = np.zeros((3, len(cases)), dtype=np.uint16)
-        h[0] = [hh for hh, _ in cases]
-        h[1:] = 65535  # above every sender edge's top bits: no sender ties
         ties = [r for _, r in cases if r is not None]
-        plan = scripted_schedule(monkeypatch, h, ties, weights, NETWORK_INTENSITIES)
-        assert plan.session.tolist() == [exact_class(hh, r, edges) for hh, r in cases]
+        drawn = scripted_schedule(monkeypatch, [h for h, _ in cases], ties, weights, intensities)
+        assert drawn == [exact_code(h, r, edges, codes) for h, r in cases]
 
-    @pytest.mark.parametrize("x_weights", [(0.6, 0.25, 0.15), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (1, 1, 1)])
+    @pytest.mark.parametrize("weights", SESSION_WEIGHTS)
+    def test_session_ties_resolve_exactly(self, monkeypatch, weights):
+        self.check_ties(monkeypatch, weights, NETWORK_INTENSITIES)
+
+    @pytest.mark.parametrize("x_weights", X_WEIGHTS)
     @pytest.mark.parametrize("z_prob", [0.65, 1 / 3])
     def test_sender_ties_resolve_exactly(self, monkeypatch, x_weights, z_prob):
         intensities = IntensitySet(s=0.8, u=0.5, v=0.15, z_basis_prob=z_prob, x_weights=x_weights)
-        edges = sender_edges(intensities)
-        cases = tie_cases(edges)
-        h = np.zeros((3, len(cases)), dtype=np.uint16)
-        h[1] = h[2] = [hh for hh, _ in cases]
-        ties = [r for _, r in cases if r is not None]
-        plan = scripted_schedule(monkeypatch, h, ties * 2, (1, 0, 0), intensities)
-        want = [exact_class(hh, r, edges) for hh, r in cases]
-        assert plan.intensity_a.tolist() == plan.intensity_b.tolist() == want
+        self.check_ties(monkeypatch, (500, 1, 1), intensities)
+
+    @pytest.mark.parametrize("weights, intensities", draw_cases())
+    def test_every_word_draws_its_configuration(self, monkeypatch, weights, intensities):
+        # r = 0 in every edge cell: u = h / 2^16 exactly, so a slot's configuration is
+        # the number of edges <= h / 2^16, by exact float comparison
+        law, edges = joint_law(weights, intensities), config_edges(weights, intensities)
+        edge_cells = {math.floor(e * 65536) for e in edges if e < 1.0}
+        h = np.arange(65536)
+        drawn = scripted_schedule(monkeypatch, h, [0.0] * len(edge_cells), weights, intensities)
+        assert drawn == np.array(list(law))[np.searchsorted(edges, h / 65536, side="right")].tolist()
+        assert all(law[code] > 0 for code in set(drawn))
+
+    @pytest.mark.parametrize("weights, intensities", draw_cases())
+    def test_joint_edges_follow_the_exact_law(self, weights, intensities):
+        # Each edge counts with its exact probability on the 2^-69 grid of u = (h + r) / 2^16
+        # (the tie tests above), so a configuration is drawn with the difference of its two
+        # edges' grid points: close to the product law, and 0 where the law is 0.
+        law, edges = joint_law(weights, intensities), config_edges(weights, intensities)
+        for e, exact in zip(edges, itertools.accumulate(law.values())):
+            assert abs(Fraction(e) - exact) <= EDGE_TOLERANCE
+        grid = [0, *(Fraction(math.ceil(Fraction(e) * 2**69), 2**69) for e in edges), 1]
+        for lo, hi, p in zip(grid, grid[1:], law.values()):
+            assert abs((hi - lo) - p) <= 2 * EDGE_TOLERANCE + Fraction(2, 2**69)
+            assert hi == lo or p > 0, "a configuration of probability 0 is drawn"
 
     def test_boundary_edges(self):
         # an edge at 0.0 always counts and one at 1.0 never does; zero-weight
@@ -269,40 +329,40 @@ FIELDS = ("session", "intensity_a", "intensity_b")
 #: sha256 of the three plan arrays, in FIELDS order, for seeds 1-3 on the desk intensities
 PLAN_DIGESTS = {
     (7, (500, 1, 1)): (
-        "c7e59452bbb2197f2162a62ffeddfcd19dda287ec8c085d8341b6e4a4b1e4815",
-        "3838370b28fa25f76e99efef99cc9901f16b071e4a2c4b9cf2c93599fb4efae0",
-        "70f13ca7d3301d3f0688b64df5b78de0b27d61012c0fea77f36a2adaace17e4a",
+        "1b7fcba9c916b618044bc2997ded6c9cf96fbed7154e5515110ec1a63a4e1ec7",
+        "61373ea40e542836e64d1c666f6ea44b5aeb9e7a5cc2f33fcb4a7a61068200ce",
+        "76de1f204c267f470b5a6ccdf2a5d3ed9ba8962d93cc5a716d73910f7eb719a4",
     ),
     (7, (1, 1, 1)): (
-        "5984eaf53ca1aecbf6bc5390004b0844f92ce3eb067042dd8851cb983ba8b288",
-        "9440a6c5c475ec640d329a3c713a5c875cce6c701c558b8c7da39b20ed52a018",
-        "3431371012b03cbfef35d99a68cf294513805bc86aebd99fffb8af2d4472087a",
+        "57640c55a3bce0ed135da5fccd0c2e97e1711ddba05e5f1633ba2fc5ffbd2fc2",
+        "691740ca4ed2efc49c98c2a961e35c4733b715109d4ad628e14a4a1c21e81889",
+        "511f2a77f2652844a852547658f8c182a90c7d9a114e9f2136ec7ce85977bae1",
     ),
     (65_537, (500, 1, 1)): (
-        "bf4554ae60e0550eee7e2deb380291faf091095a9acd8579eef30410f35d9c55",
-        "a28d95fb8d619c4324bf3a1df7d27b8f24f112c46610ccf688a7b0ece6cff4de",
-        "bf4ba233b2055f53e8cd2db3efe574c721c75b0d78acd657c48a706a2e9ad81a",
+        "2ddeadfbebd690f889a0fc6b22c03bd7020ee61d009f19320bea82f7f827b7b8",
+        "dd7de6e5e277e02ceacc93a741645ebfd5131430296f4f9d98d55c5775be6f22",
+        "af96a744960d5a841086c27fc60429fe2cdb2ba03e7a503bc7a72158933299d7",
     ),
     (65_537, (1, 1, 1)): (
-        "f954ec80599130e8fb32a0478dcbd9e54136e477ddab11d84103733ca7f345e5",
-        "47dd1325b388944078903eea68fed6f2693c66f5fd11d4db7c71d8fa41ac3633",
-        "e6026e9b9332e1be3b20db4e9b4fb76495c8e5e8c7fb4f30ce48e31f8c57ded2",
+        "f13f2b970403c1e2f6503c02bb96beefe3659bea16eb512ec18b275027523d81",
+        "144f331c35af146c768de2a1ca7505ca0cc11d6894f088451f401d1985bf8b95",
+        "1feea3336be46b74204a83dff8c0536b8cb9bce6e5ff0170812f69eaecbe737a",
     ),
     (DEFAULT_CHUNK + 12_345, (500, 1, 1)): (
-        "d8d70c5667b3e8b2aa543e953e48583d8a446a978eb900dba724fe30fb96b112",
-        "9139e9e2bbbbdb3cbb5b650865cee6aad0f68b856ab6ce81dc9a3a2556a7870b",
-        "3c40325ab387e90333569fb0901782ae24bbc13a9f5efc525295d85b375a9b02",
+        "ac346fbdf0ff30ba3428ef27c16effb8429a9e1cd561e7dbf4a46764db01b977",
+        "b451117dee90ae189a23601a70e7251f8e6fc7e85e96899afdeb4b46ed19cf63",
+        "c2a4059b0d77190257a43913eb0a2a4355f0b3274712dbc754dad005ed3f73dd",
     ),
     (DEFAULT_CHUNK + 12_345, (1, 1, 1)): (
-        "1786410d16004fd305c1888fd3f9eca25493da7efe3ea7b24bb2d5ed11729fb9",
-        "c255790e5815689f42b2da26f059bb91932a233a0b03f00eea08d8b28503801f",
-        "e823e32d720bd75d1d339d7281358040c77da35b846fca392eb4fdd5827716b8",
+        "7e861c7d6b8e3d7459b741ec3f53ab61f8652847ab0f0fbaab9acfe9cd0f0e2c",
+        "9ccf509ad7280590a6d35a97eaf5a3b8c6cbe59c2dbcd0525b937d189212c54d",
+        "327b692f0c8873b22568377fc01a7298be098ff93a98f999f09de56dc4a79236",
     ),
 }
 #: sha256 of run_plan's tables, pools and diagnostics on the seed-3 plan of DEFAULT_CHUNK + 12,345 slots
 RUN_DIGESTS = {
-    (1, 1, 1): "727aaa117310d38b95e3a669d70564f1e0b335d1da981c0cbf4ab5c4075a63c1",
-    (500, 1, 1): "24745e527b8c9e3fcdf5975cbbc58335576c3ca215c85fd75b57c8d41284eff8",
+    (1, 1, 1): "28a2636f34042bb643b4213b44ca47fe208021e0211110cc127c70e5e7bfae57",
+    (500, 1, 1): "0b47f0ffb9b570c05b3185817d198550f1c63d04491e4caf6fba5988aa2c20e1",
 }
 
 

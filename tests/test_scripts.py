@@ -55,7 +55,7 @@ def test_multisig_gain_refuses_a_fractional_budget(monkeypatch, capsys):
 @pytest.mark.parametrize("slots, message", [
     ("-5", "slots: expected an integer >= 0, got -5"),
     ("0", "table has no (intensity, basis) entry (('u', 'u'), 'X')"),
-    ("100", "table has no (intensity, basis) entry (('v', 'v'), 'X')"),
+    ("100", "table has no (intensity, basis) entry (('u', 'v'), 'X')"),
 ], ids=("negative", "zero", "too-few-for-every-entry"))
 def test_run_network_demo_refuses_too_few_slots(slots, message, monkeypatch, capsys):
     (path,) = [p for p in SCRIPTS if p.name == "run_network_demo.py"]

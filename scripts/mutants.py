@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run one-line mutants of the security chain and of the simulator's draw against tier-1 and report what catches each.
+"""Run one-line mutants of the security chain, the count model and the simulator's draw against tier-1, and report
+what catches each.
 
 A mutant is one named text edit of one file: an exact string, which must
 occur there once, and its replacement.  For each mutant the script copies
@@ -63,6 +64,10 @@ MUTANTS = [
     ("schedule-edge-cells-unrefined", "src/qkdnet/netsim.py",
      "    table[top[top < 65536].astype(int)] = EDGE\n", ""),
     ("schedule-edge-never-reached", "src/qkdnet/netsim.py", "(r >= frac)", "(r > frac)"),
+    ("entry-budget-x-share-once", "src/qkdnet/keyrate.py",
+     '"X": n_pulses * (1.0 - z) ** senders}', '"X": n_pulses * (1.0 - z)}'),
+    ("error-mix-without-dark-share", "src/qkdnet/channel.py",
+     "_error_mix(0.5 * y0 + ", "_error_mix(y0 + "),
 ]
 
 #: tests that compare a pinned number (a published value, a digest or a fixed count); an id
@@ -87,6 +92,9 @@ PINNED = {
     "tests.test_netsim.TestPlanDigests::test_run_outputs_are_pinned",
     "tests.test_cli.TestSimulate::test_desk_preset_reproduces_the_hand_built_network",
     "tests.test_scripts::test_run_network_demo_refuses_too_few_slots[too-few-for-every-entry]",
+    # the bytes of two synthesized tables, and the relay pool sizes that three short seed-3 runs leave
+    "tests.test_decoy.TestCountTable::test_json_bytes_unchanged",
+    "tests.test_qds.TestRelayChain::test_too_small_a_pool_has_no_positive_rate",
     # the multisig workload checks criterion 10's 108/18 and the published presets' counts
     "perfbench.tests.test_smoke::test_workload_reports_every_metric[multisig-0]",
     "perfbench.tests.test_smoke::test_workload_reports_every_metric[multisig-1]",

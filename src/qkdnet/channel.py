@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,11 @@ N_CUT = 12
 #: intensity class labels, signal first; every other class is X-basis only
 LABELS = ("s", "u", "v", "w")
 X_LABELS = LABELS[1:]
+
+#: a link's count-table entry keys ``(labels, basis)`` for 1 or 2 senders: the Z-basis signal entry, then
+#: the X-basis entries in product order, the order of every per-entry sum, array and LP row
+ENTRY_KEYS = {senders: ((("s",) * senders, "Z"), *((key, "X") for key in itertools.product(X_LABELS, repeat=senders)))
+              for senders in (1, 2)}
 
 #: probability that a point-to-point receiver's passive analyzer takes the X
 #: branch (the Z branch takes the rest); :func:`sift_keep` is its one reader
@@ -177,6 +183,11 @@ def _eta_n(eta: float, n: np.ndarray) -> np.ndarray:
     return 1.0 - (1.0 - eta) ** n
 
 
+def _error_mix(errored: np.ndarray, yields: np.ndarray) -> np.ndarray:
+    """Detection-weighted error rate errored / yields, clipped to [0, 1]; 0 where nothing is detected."""
+    return np.clip(np.divide(errored, yields, out=np.zeros_like(yields), where=yields > 0.0), 0.0, 1.0)
+
+
 def qkd_yield_model(channel: ChannelParams) -> YieldModel:
     """Point-to-point yield model.
 
@@ -194,13 +205,8 @@ def qkd_yield_model(channel: ChannelParams) -> YieldModel:
     n = np.arange(N_CUT + 1)
     eta_n = _eta_n(eta, n)
     yields = y0 + eta_n - y0 * eta_n
-    with np.errstate(invalid="ignore"):
-        errors = np.where(
-            yields > 0.0,
-            (0.5 * y0 + channel.misalignment * eta_n * (1.0 - y0)) / np.where(yields > 0, yields, 1.0),
-            0.0,
-        )
-    return YieldModel(kind="QKD", yields=yields, error_rates=np.clip(errors, 0, 1))
+    errors = _error_mix(0.5 * y0 + channel.misalignment * eta_n * (1.0 - y0), yields)
+    return YieldModel(kind="QKD", yields=yields, error_rates=errors)
 
 
 def mdi_yield_model(
@@ -244,20 +250,11 @@ def mdi_yield_model(
     e11 = min(0.5, mis_eff + (1.0 - hom_visibility) / 2.0)
     e_x = np.where((nn + mm) > 2, x_multiphoton_floor, e11)
     e_z = np.full_like(e_x, mis_eff, dtype=float)
-
-    def mix(e_signal):
-        with np.errstate(invalid="ignore"):
-            return np.where(
-                yields > 0.0,
-                (0.5 * dark_floor + e_signal * signal) / np.where(yields > 0, yields, 1.0),
-                0.0,
-            )
-
     return YieldModel(
         kind="MDI",
         yields=yields,
-        error_rates=np.clip(mix(e_x), 0, 1),
-        z_error_rates=np.clip(mix(e_z), 0, 1),
+        error_rates=_error_mix(0.5 * dark_floor + e_x * signal, yields),
+        z_error_rates=_error_mix(0.5 * dark_floor + e_z * signal, yields),
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import re
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import N_CUT, X_LABELS, CountRecord, IntensitySet
+from .channel import ENTRY_KEYS, N_CUT, X_LABELS, CountRecord, IntensitySet
 from .mathkit import (
     LpInfeasibleError,
     LpRows,
@@ -86,10 +85,7 @@ class CountTable:
         return self.link == "AB"
 
     def z_entry(self) -> CountRecord:
-        for (key, basis), rec in self.entries.items():
-            if basis == "Z":
-                return rec
-        raise KeyError("table has no Z-basis entry")
+        return self.entries[ENTRY_KEYS[1 + self.is_pair][0]]
 
     # -- serialization ----------------------------------------------------
 
@@ -184,17 +180,13 @@ def _widen_rates(records, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(0.0, p_hat - delta), np.minimum(1.0, p_hat + delta)
 
 
-#: the X-basis entry keys of a link with 1 or 2 senders, in the order of every per-key array and row
-_X_KEYS = {senders: tuple(itertools.product(X_LABELS, repeat=senders)) for senders in (1, 2)}
-
-
 @functools.lru_cache(maxsize=16)
 def _decoy_lp(senders: int, x_mus: tuple) -> tuple:
     """Every part of both decoy LPs fixed by ``senders`` and the X-class
     intensities ``x_mus``, built once per intensity set; arrays are read-only
-    and per-key entries follow ``_X_KEYS[senders]``."""
+    and per-key entries follow the X entries of ``ENTRY_KEYS[senders]``."""
     pmf = {label: poisson_weights(mu, N_CUT)[0] for label, mu in zip(X_LABELS, x_mus)}
-    x_keys = _X_KEYS[senders]
+    x_keys = [key for key, _ in ENTRY_KEYS[senders][1:]]
     # One variable per photon-number tuple, row-major; relay rows keep only
     # the simplex n + m <= N_CUT and count the rest as tail mass.
     mask = np.indices((N_CUT + 1,) * senders).sum(axis=0) <= N_CUT
@@ -246,14 +238,14 @@ def estimate_bounds(
     if mode not in ("QKD", "MDI"):
         raise ValueError(f"mode must be 'QKD' or 'MDI', got {mode!r}")
     senders = 2 if mode == "MDI" else 1
-    x_keys = _X_KEYS[senders]
+    z_entry, *x_entries = ENTRY_KEYS[senders]
     try:
-        x_records = [table.entries[(key, "X")] for key in x_keys]
-        z_record = table.entries[(("s",) * senders, "Z")]
+        x_records = [table.entries[entry] for entry in x_entries]
+        z_record = table.entries[z_entry]
     except KeyError as exc:
         raise KeyError(f"table has no (intensity, basis) entry {exc.args[0]}") from None
 
-    n_shares = 2 * len(x_keys) + 1  # gain + error per entry, + the Z transfer
+    n_shares = 2 * len(x_entries) + 1  # gain + error per entry, + the Z transfer
     eps_each = eps_total / n_shares
     if not 0.0 < eps_each <= 2.0:
         raise ValueError(f"per-quantity budget {eps_each} outside (0, 2]")
@@ -267,7 +259,7 @@ def estimate_bounds(
     # the rate rows' right-hand sides as _decoy_lp lays them out, -max(0, lo_k - tail_k) then hi_k per key:
     # row 0 from the detection rates is the yield LP's (its monotone rows' stay 0), row 1 the error LP's
     lo, hi = _widen_rates(x_records, eps_each)
-    n_rate = 2 * len(x_keys)
+    n_rate = 2 * len(x_entries)
     rhs = np.zeros((2, n_rate + n_monotone))
     lower = rhs[:, 0:n_rate:2]
     np.subtract(lo, tails, out=lower)

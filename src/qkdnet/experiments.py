@@ -86,11 +86,12 @@ def _block_report(bounds, n_z, e_test, params, total_time_s=1.0, duty_fraction=1
 
 @dataclass(frozen=True)
 class RelayChain:
-    """With no positive signature rate, ``report`` is None, ``verdicts`` empty and ``insecure`` the reason."""
+    """With no positive signature rate, ``report`` is None, ``verdicts`` empty and ``insecure`` the reason;
+    ``e_test`` is None when the pool is too small for a test sample and a block."""
 
     bounds: DecoyBounds
     key: KeyRateResult
-    e_test: float
+    e_test: float | None
     report: QdsReport | None
     verdicts: dict
     insecure: str = ""
@@ -108,11 +109,14 @@ def relay_chain(result, intensities: IntensitySet, weights, seed: int) -> RelayC
     table, pool = result.tables["AB"], result.z_pools["AB"]
     bounds = estimate_bounds(table, intensities, RELAY_EPS, "MDI")
     z_rec = table.z_entry()  # its detections are the pool
-    key = secure_key_length(bounds, z_rec.detected, z_rec.errors / z_rec.detected,
+    qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
+    key = secure_key_length(bounds, z_rec.detected, qber_z,
                             SecurityParams(eps_sec=RELAY_EPS, eps_cor=RELAY_EPS_COR), elapsed_s=slots / 1e9)
     n_z = len(pool)
     c_sig = int(n_z * RELAY_SIG_FRACTION)
     c_test = n_z - c_sig - RELAY_SPARE
+    if min(c_sig, c_test) < 1:
+        return RelayChain(bounds, key, None, None, {}, f"pool of {n_z} bits is too small for a test sample and a block")
     (test_idx, _), blocks = extract_blocks(pool.bits, c_test, c_sig, seed=seed)
     e_test = float(pool.error_flags[test_idx].mean())
     params = QdsParams(c_sig=c_sig, c_test=c_test, eps_h=RELAY_EPS,

@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (
+    ENTRY_KEYS,
+    LABELS,
     MDI_MODEL_KEYS,
-    X_LABELS,
     ChannelParams,
     CountRecord,
     IntensitySet,
@@ -130,20 +131,20 @@ def secure_key_length(
 def entry_budgets(n_pulses: int, intensities: IntensitySet, mode: str) -> dict:
     """Per-entry sent counts when a pulse budget is split by basis bias.
 
-    Keys are ``(labels, basis)``, the Z-basis signal entry first.
+    Keys are :data:`channel.ENTRY_KEYS` in order, for one sender in "QKD" mode and two otherwise.  With s
+    senders, z = ``z_basis_prob`` and p = ``x_probs``, the Z entry gets round(n z^s) and an X entry
+    round(n (1 - z)^s p_a [p_b]), each product taken left to right.
     """
+    senders = 1 if mode == "QKD" else 2
     z = intensities.z_basis_prob
-    xp = intensities.x_probs().tolist()
+    share = dict(zip(LABELS, (z, *intensities.x_probs().tolist())))
+    start = {"Z": n_pulses * 1.0, "X": n_pulses * (1.0 - z) ** senders}
     budgets = {}
-    if mode == "QKD":
-        budgets[(("s",), "Z")] = round(n_pulses * z)
-        for label, p in zip(X_LABELS, xp):
-            budgets[((label,), "X")] = round(n_pulses * (1.0 - z) * p)
-    else:
-        budgets[(("s", "s"), "Z")] = round(n_pulses * z * z)
-        for la, pa in zip(X_LABELS, xp):
-            for lb, pb in zip(X_LABELS, xp):
-                budgets[((la, lb), "X")] = round(n_pulses * (1.0 - z) ** 2 * pa * pb)
+    for key, basis in ENTRY_KEYS[senders]:
+        sent = start[basis]
+        for label in key:
+            sent *= share[label]
+        budgets[key, basis] = round(sent)
     return budgets
 
 

@@ -267,32 +267,15 @@ def run_plan(
     return RunResult(tables=tables, z_pools=z_pools, diagnostics=diag)
 
 
-class UnknownPartyError(KeyError):
-    """A message names a party that was never registered."""
-
-
 class MessageBus:
-    """Ordered, reliable, authenticated-by-assumption classical channel.
-
-    Delivery is FIFO per (sender, receiver) pair and every message is
-    logged, so a session can be replayed message-for-message.
-    """
+    """Ordered, reliable, authenticated-by-assumption classical channel: each
+    (sender, receiver) pair's messages are received in the order sent."""
 
     def __init__(self):
-        self._parties = set()
         self._queues = {}
-        self.log = []
-
-    def register(self, party: str):
-        self._parties.add(party)
 
     def send(self, sender: str, receiver: str, payload):
-        if sender not in self._parties:
-            raise UnknownPartyError(f"unknown sender {sender!r}")
-        if receiver not in self._parties:
-            raise UnknownPartyError(f"unknown receiver {receiver!r}")
         self._queues.setdefault((sender, receiver), []).append(payload)
-        self.log.append((len(self.log), sender, receiver, payload))
 
     def receive(self, receiver: str, sender: str):
         queue = self._queues.get((sender, receiver), [])

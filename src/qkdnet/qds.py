@@ -412,8 +412,6 @@ def run_signing_session(
     """
     if message_bit not in (0, 1):
         raise ValueError("message_bit must be 0 or 1")
-    for party in (signer, direct, forwarded):
-        bus.register(party)
     bus.send(signer, direct, {"type": "declare", "bit": message_bit, "keys": alice_keys})
     declaration = bus.receive(direct, signer)
     direct_verdict = _check(declaration["keys"], holdings.get("direct", []), s_auth, l)

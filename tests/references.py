@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qkdnet import mathkit
-from qkdnet.channel import CountRecord, YieldModel, outcome_law, sift_keep
+from qkdnet.channel import X_LABELS, CountRecord, YieldModel, outcome_law, sift_keep
 from qkdnet.decoy import CountTable
 from qkdnet.keyrate import entry_budgets
 
@@ -57,6 +57,23 @@ def sample_counts(
         return CountRecord(0, 0, 0)
     errors, correct, _, _ = np.random.default_rng(seed).multinomial(n_pulses, law).tolist()
     return CountRecord(sent=int(n_pulses), detected=errors + correct, errors=errors)
+
+
+def entry_budgets_per_mode(n_pulses: int, intensities, mode: str) -> dict:
+    """``keyrate.entry_budgets`` written out for each mode: the Z-basis signal entry, then the X entries."""
+    z = intensities.z_basis_prob
+    xp = intensities.x_probs().tolist()
+    budgets = {}
+    if mode == "QKD":
+        budgets[(("s",), "Z")] = round(n_pulses * z)
+        for label, p in zip(X_LABELS, xp):
+            budgets[((label,), "X")] = round(n_pulses * (1.0 - z) * p)
+    else:
+        budgets[(("s", "s"), "Z")] = round(n_pulses * z * z)
+        for la, pa in zip(X_LABELS, xp):
+            for lb, pb in zip(X_LABELS, xp):
+                budgets[((la, lb), "X")] = round(n_pulses * (1.0 - z) ** 2 * pa * pb)
+    return budgets
 
 
 def synthesize_per_entry(model, intensities, n_pulses: int, mode: str, link: str, seed: int) -> CountTable:

@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qkdnet import cli, keyrate, mathkit
-from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, outcome_law, qkd_yield_model, sift_keep
+from qkdnet.channel import (ENTRY_KEYS, ChannelParams, IntensitySet, mdi_yield_model, outcome_law, qkd_yield_model,
+                            sift_keep)
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import DecoyBounds, estimate_bounds
 from qkdnet.experiments import expected_table
@@ -18,7 +22,7 @@ from qkdnet.keyrate import (
     sweep_to_csv,
     synthesize_table,
 )
-from references import synthesize_per_entry
+from references import entry_budgets_per_mode, synthesize_per_entry
 
 NO_OVERHEAD = SecurityParams(eps_sec=21.0, eps_cor=2.0, f_ec=1.16)
 
@@ -175,7 +179,34 @@ class TestRateSweep:
             rate_sweep(ChannelParams(distance_km=0), IntensitySet(), [], "QKD", SecurityParams())
 
 
+#: a link's budget split: a pulse count up to 10^14.5, the Z-basis probability and any X-class weights
+BUDGET_SPLITS = dict(
+    n_pulses=st.integers(1, int(10**14.5)),
+    z=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    x_weights=st.tuples(*[st.floats(0.0, 1e300)] * 3).filter(lambda w: 0.0 < sum(w) < math.inf),
+    mode=st.sampled_from(["QKD", "MDI"]),
+)
+
+
 class TestEntryBudgets:
+    @settings(max_examples=400, deadline=None)
+    @given(**BUDGET_SPLITS)
+    def test_equals_the_split_written_out_per_mode(self, n_pulses, z, x_weights, mode):
+        intensities = IntensitySet(z_basis_prob=z, x_weights=x_weights)
+        budgets = keyrate.entry_budgets(n_pulses, intensities, mode)
+        assert list(budgets.items()) == list(entry_budgets_per_mode(n_pulses, intensities, mode).items())
+
+    @settings(max_examples=400, deadline=None)
+    @given(**BUDGET_SPLITS)
+    def test_entries_share_the_budget_by_basis(self, n_pulses, z, x_weights, mode):
+        # each of s senders picks Z with probability z: the entries send n (z^s + (1 - z)^s), as each
+        # rounds its share of it to the nearest pulse
+        senders = 1 if mode == "QKD" else 2
+        budgets = keyrate.entry_budgets(n_pulses, IntensitySet(z_basis_prob=z, x_weights=x_weights), mode)
+        assert list(budgets) == list(ENTRY_KEYS[senders])
+        share = Fraction(z) ** senders + (1 - Fraction(z)) ** senders
+        assert abs(sum(budgets.values()) - n_pulses * share) <= len(budgets)
+
     @pytest.mark.parametrize("mode", ["QKD", "MDI"])
     @pytest.mark.parametrize("n_pulses", [1000, 123_457, 26_701_985, 10**12])
     def test_expected_and_sampled_tables_split_alike(self, mode, n_pulses):

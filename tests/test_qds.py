@@ -8,15 +8,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from qkdnet import experiments, mathkit, qds
+from qkdnet.channel import ChannelParams, mdi_yield_model, qkd_yield_model
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import estimate_bounds
 from qkdnet.experiments import expected_table, min_feasible_acquisition
 from qkdnet.keyrate import entry_budgets
 from qkdnet.mathkit import ConfigError
-from qkdnet.netsim import MessageBus
+from qkdnet.netsim import MessageBus, run_plan, schedule
 from qkdnet.qds import (
     Holding,
     InsecureChannelError,
@@ -415,6 +418,18 @@ class TestSignAndVerify:
             self.session(self.keys["AB"], self.keys["AB"], message_bit=2)
 
 
+class RecordingBus(MessageBus):
+    """A message bus that records each message's (sender, receiver, type) as it is sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def send(self, sender, receiver, payload):
+        self.sent.append((sender, receiver, payload["type"]))
+        super().send(sender, receiver, payload)
+
+
 class TestSigningSession:
     def test_session_over_bus_matches_direct_verification(self):
         rng = np.random.default_rng(21)
@@ -426,13 +441,13 @@ class TestSigningSession:
             "direct": [Holding("AB", half, keys["AB"][half])],
             "forwarded": [Holding("AC", half, keys["AC"][half])],
         }
-        bus = MessageBus()
+        bus = RecordingBus()
         verdicts = run_signing_session(
             bus, "alice", "bob", "charlie", 1, keys, holdings, 0.02, 0.05, len(half)
         )
         assert verdicts["direct"].accepted
         assert verdicts["forwarded"].accepted
-        assert len(bus.log) == 2  # declaration + transfer
+        assert bus.sent == [("alice", "bob", "declare"), ("bob", "charlie", "transfer")]
 
     def test_recipient_with_fewer_than_l_positions_rejected(self):
         rng = np.random.default_rng(22)
@@ -471,12 +486,12 @@ class TestSigningSession:
             "direct": [Holding("AB", np.arange(500), forged)],
             "forwarded": [Holding("AB", np.arange(500), keys["AB"])],
         }
-        bus = MessageBus()
+        bus = RecordingBus()
         verdicts = run_signing_session(
             bus, "alice", "bob", "charlie", 0, keys, holdings, 0.02, 0.05, 500
         )
         assert not verdicts["direct"].accepted
-        assert len(bus.log) == 1  # the declaration only
+        assert bus.sent == [("alice", "bob", "declare")]  # the declaration only
         assert not verdicts["forwarded"].accepted
         assert verdicts["forwarded"].checked == 0
         assert "direct recipient rejected" in verdicts["forwarded"].reason
@@ -524,6 +539,28 @@ class TestDistillReport:
         report = self.relay_report()
         total = report.p_rep + report.p_hab + report.p_for + report.epsilon_spent
         assert total <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps_h=st.floats(1e-20, 0.5), inherited=st.floats(0.0, 1.0), s1_share=st.floats(0.2, 1.0),
+           eph=st.floats(0.0, 0.1), e_test=st.floats(0.0, 0.01))
+    def test_epsilon_spent_adds_the_hashing_bound(self, eps_h, inherited, s1_share, eph, e_test):
+        params = QdsParams(c_sig=MDI["c_sig"], c_test=MDI["c_test"], eps_h=eps_h)
+        try:
+            report = distill_report(int(s1_share * MDI["c_sig"]), eph, e_test, 4_936_714_426, params, 90_000.0,
+                                    1.0, epsilon_inherited=inherited)
+        except InsecureChannelError:
+            reject()
+        assert report.epsilon_spent == inherited + eps_h
+
+    @settings(max_examples=200, deadline=None)
+    @given(shares=st.tuples(*[st.floats(0.0, 0.5)] * 4), p_fail_total=st.floats(1e-15, 0.5))
+    def test_secure_only_within_the_failure_budget(self, shares, p_fail_total):
+        # the relay report is ordered and fits its block, so its four failure terms decide
+        report = self.relay_report()
+        p_rep, p_hab, p_for, spent = (share * p_fail_total for share in shares)
+        budgeted = dataclasses.replace(report, p_rep=p_rep, p_hab=p_hab, p_for=p_for, epsilon_spent=spent,
+                                       params={**report.params, "p_fail_total": p_fail_total})
+        assert budgeted.secure == (p_rep + p_hab + p_for + spent <= p_fail_total)
 
     def test_ordering_invariant(self):
         report = self.relay_report()
@@ -580,6 +617,22 @@ class TestDistillReport:
                 total_time_s=100.0,
                 duty_fraction=0.5,
             )
+
+
+class TestRelayChain:
+    @pytest.mark.parametrize("km, pool", [(100, 0), (80, 3), (60, 21)])
+    def test_too_small_a_pool_has_no_positive_rate(self, km, pool):
+        # 10^6 desk slots at seed 3 leave the relay link 0 detections (no QBER), a pool of 3 bits (a
+        # negative test sample) and one of 21 bits (an empty test sample)
+        config = load_preset("desk")["simulate"]
+        intensities, _ = load_network(config)
+        side = ChannelParams(distance_km=km)
+        models = {"AB": mdi_yield_model(side, side), "AC": qkd_yield_model(side), "BC": qkd_yield_model(side)}
+        result = run_plan(schedule(10**6, config["weights"], intensities=intensities, seed=3), models, seed=3)
+        assert len(result.z_pools["AB"]) == result.tables["AB"].z_entry().detected == pool
+        chain = experiments.relay_chain(result, intensities, config["weights"], 3)
+        assert (chain.report, chain.e_test, chain.verdicts, chain.key.secure_bits) == (None, None, {}, 0)
+        assert chain.insecure == f"pool of {pool} bits is too small for a test sample and a block"
 
 
 class TestMinFeasibleAcquisition:

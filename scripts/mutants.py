@@ -86,6 +86,9 @@ PINNED = {
     "tests.test_cli.TestQds::test_reference_point_to_point_preset",
     "tests.test_qds.TestDistillReport::test_full_relay_chain",
     "tests.test_qds.TestMinFeasibleAcquisition::test_comparison_probes_the_full_acquisition_once",
+    # the budgets at which the desk and biased intensities first send pulses in every X entry
+    "tests.test_qds.TestMultisigComparison::test_budget_must_send_pulses_in_every_x_entry",
+    "tests.test_qds.TestMultisigComparison::test_baseline_starts_where_every_x_entry_is_sent",
     "tests.test_mathkit.TestReuseBases::test_criterion_10_loads_each_lp_family_once",
     # digests of the plans, the runs and the desk network's output files, and the first entry a too-short run misses
     "tests.test_netsim.TestPlanDigests::test_plan_arrays_are_pinned",

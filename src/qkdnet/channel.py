@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathkit import ConfigError, check_probability, check_real, check_weights, poisson_weights
+from .mathkit import ConfigError, check_real, check_weights, poisson_weights
 
 __all__ = [
     "ChannelParams",
@@ -47,6 +47,11 @@ X_LABELS = LABELS[1:]
 ENTRY_KEYS = {senders: ((("s",) * senders, "Z"), *((key, "X") for key in itertools.product(X_LABELS, repeat=senders)))
               for senders in (1, 2)}
 
+#: a link's sender count: the relay link AB has two senders, the point-to-point links one
+LINK_SENDERS = {"AB": 2, "AC": 1, "BC": 1}
+#: the mode a caller names a link with s senders by, ``MODES[s]``; below the API edge only the count is passed
+MODES = {1: "QKD", 2: "MDI"}
+
 #: probability that a point-to-point receiver's passive analyzer takes the X
 #: branch (the Z branch takes the rest); :func:`sift_keep` is its one reader
 PASSIVE_BASIS_FACTOR = 0.5
@@ -54,6 +59,21 @@ PASSIVE_BASIS_FACTOR = 0.5
 
 class TailBoundError(ConfigError):
     """Mean photon number too large for the photon-number cutoff ``N_CUT``."""
+
+
+def parse_mode(mode) -> int:
+    """The sender count of a caller's ``mode``, "QKD" (1) or "MDI" (2); anything else is a ConfigError."""
+    for senders, name in MODES.items():
+        if isinstance(mode, str) and mode == name:
+            return senders
+    raise ConfigError(f"mode: expected 'QKD' or 'MDI', got {mode!r}")
+
+
+def check_senders(senders) -> int:
+    """``senders``, a link's sender count 1 or 2; anything else is a ConfigError naming ``senders``."""
+    if isinstance(senders, bool) or senders not in (1, 2):
+        raise ConfigError(f"senders: expected 1 or 2, got {senders!r}")
+    return senders
 
 
 @dataclass(frozen=True)
@@ -136,9 +156,9 @@ class CountRecord:
 class YieldModel:
     """Per-photon-number detection and error probabilities.
 
-    ``yields`` and the error maps are 1-D arrays indexed by photon number n
-    for a point-to-point (QKD) link, or 2-D arrays indexed by the photon
-    pair (n, m) for the relay (MDI) link, with n, m in 0..N_CUT.
+    ``yields`` is indexed by photon number n for a point-to-point link, or by
+    the photon pair (n, m) for the relay link, n, m in 0..N_CUT: its dimension
+    is the model's sender count ``senders``, and the error maps share its shape.
 
     ``error_rates`` is the test-basis (X) error map consumed by the decoy
     estimation; ``z_error_rates`` is the key-basis map used when sampling
@@ -149,26 +169,25 @@ class YieldModel:
     never go stale.  A model is an object, not a value: it equals only itself.
     """
 
-    kind: str  # "QKD" | "MDI"
     yields: np.ndarray
     error_rates: np.ndarray
     z_error_rates: np.ndarray = None
     _laws: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("QKD", "MDI"):
-            raise ValueError(f"kind must be 'QKD' or 'MDI', got {self.kind!r}")
         if self.z_error_rates is None:
             object.__setattr__(self, "z_error_rates", self.error_rates)
         for name in ("yields", "error_rates", "z_error_rates"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-            expected = (N_CUT + 1,) if self.kind == "QKD" else (N_CUT + 1,) * 2
-            if arr.shape != expected:
-                raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
+            if arr.shape not in ((N_CUT + 1,), (N_CUT + 1,) * 2) or arr.shape != self.yields.shape:
+                raise ValueError(f"{name} must have shape ({N_CUT + 1},) or ({N_CUT + 1}, {N_CUT + 1}) as yields does, "
+                                 f"got {arr.shape}")
             if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # false for a NaN entry too
                 raise ValueError(f"{name} entries must be probabilities")
+
+    senders = property(lambda self: self.yields.ndim)
 
     def errors_for_basis(self, basis: str) -> np.ndarray:
         if basis == "X":
@@ -206,7 +225,7 @@ def qkd_yield_model(channel: ChannelParams) -> YieldModel:
     eta_n = _eta_n(eta, n)
     yields = y0 + eta_n - y0 * eta_n
     errors = _error_mix(0.5 * y0 + channel.misalignment * eta_n * (1.0 - y0), yields)
-    return YieldModel(kind="QKD", yields=yields, error_rates=errors)
+    return YieldModel(yields=yields, error_rates=errors)
 
 
 def mdi_yield_model(
@@ -251,7 +270,6 @@ def mdi_yield_model(
     e_x = np.where((nn + mm) > 2, x_multiphoton_floor, e11)
     e_z = np.full_like(e_x, mis_eff, dtype=float)
     return YieldModel(
-        kind="MDI",
         yields=yields,
         error_rates=_error_mix(0.5 * dark_floor + e_x * signal, yields),
         z_error_rates=_error_mix(0.5 * dark_floor + e_z * signal, yields),
@@ -273,21 +291,19 @@ def _photon_law(mu: float, name: str = "mu") -> np.ndarray:
     return pmf
 
 
-def sift_keep(kind: str, basis: str, other_basis: str | None = None) -> float:
+def sift_keep(senders: int, basis: str, other_basis: str | None = None) -> float:
     """Probability that a detection in ``basis`` is recorded, not discarded.
 
-    On the relay link ("MDI") a coincidence is recorded exactly when the
-    senders' bases match (``other_basis`` defaults to ``basis``).  On a
-    point-to-point link ("QKD") a detection is recorded when the passive
-    analyzer takes the sender's basis: X with ``PASSIVE_BASIS_FACTOR``.
+    On the relay link (two senders) a coincidence is recorded exactly when
+    the senders' bases match (``other_basis`` defaults to ``basis``).  On a
+    point-to-point link (one sender) a detection is recorded when the
+    passive analyzer takes the sender's basis: X with ``PASSIVE_BASIS_FACTOR``.
     """
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    if kind == "MDI":
+    if check_senders(senders) == 2:
         return 1.0 if other_basis in (None, basis) else 0.0
-    if kind == "QKD":
-        return PASSIVE_BASIS_FACTOR if basis == "X" else 1.0 - PASSIVE_BASIS_FACTOR
-    raise ValueError(f"kind must be 'QKD' or 'MDI', got {kind!r}")
+    return PASSIVE_BASIS_FACTOR if basis == "X" else 1.0 - PASSIVE_BASIS_FACTOR
 
 
 def expected_gain_and_qber(
@@ -302,8 +318,8 @@ def expected_gain_and_qber(
     whose Poisson mass beyond ``N_CUT`` exceeds ``TAIL_LIMIT`` raises
     :class:`TailBoundError`.
     """
-    if (nu is None) != (model.kind == "QKD"):
-        raise ValueError("nu must be given exactly when the model kind is MDI")
+    if (nu is None) != (model.senders == 1):
+        raise ValueError("nu must be given exactly when the model has two senders")
     weights = _photon_law(mu)
     if nu is not None:
         weights = np.outer(weights, _photon_law(nu, "nu"))
@@ -329,7 +345,7 @@ def outcome_law(
     link's sifting, :func:`sift_keep`) and discarded otherwise.  The law is
     computed once per model and arguments, and returned read-only.
     """
-    check_probability(keep, "keep")
+    check_real(keep, "keep", 0.0, 1.0)
     key = mu, nu, basis, keep
     law = model._laws.get(key)
     if law is None:

@@ -19,7 +19,7 @@ import typing
 from importlib import resources
 from pathlib import Path
 
-from .channel import IntensitySet, mdi_yield_model, qkd_yield_model
+from .channel import MODES, IntensitySet, mdi_yield_model, qkd_yield_model
 from .decoy import CountTable, TableFormatError, estimate_bounds
 from .keyrate import SecurityParams, rate_sweep, secure_key_length, sweep_to_csv
 from .mathkit import ConfigError, check_real
@@ -146,10 +146,7 @@ def cmd_simulate(args) -> int:
 
     _, models = load_network(config)
     plan = _call("simulate", schedule, _arguments(schedule, config, "simulate", ("links",)))
-    missing = sorted(plan.active_links() - set(models))
-    if missing:
-        raise ConfigError(f"simulate.links: plan schedules {missing} but no channel was configured")
-    result = run_plan(plan, models, seed=plan.seed)
+    result = _call("simulate.links", run_plan, {"plan": plan, "models": models, "seed": plan.seed})
 
     outputs = []
     for link, table in sorted(result.tables.items()):
@@ -179,7 +176,7 @@ def cmd_keyrate(args) -> int:
     security = SecurityParams(**flags)  # a flag is named by its key, as elapsed_s is
     elapsed = {} if args.elapsed_s is None else {"elapsed_s": check_real(args.elapsed_s, "elapsed_s", 0.0)}
     table = _read_table(args.counts)
-    mode = "MDI" if table.is_pair else "QKD"
+    mode = MODES[table.senders]
     bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
     z_rec = table.z_entry()
     qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0

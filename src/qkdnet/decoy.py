@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ENTRY_KEYS, N_CUT, X_LABELS, CountRecord, IntensitySet
+from .channel import ENTRY_KEYS, LINK_SENDERS, N_CUT, X_LABELS, CountRecord, IntensitySet, parse_mode
 from .mathkit import (
     LpInfeasibleError,
     LpRows,
@@ -56,15 +56,15 @@ class TableFormatError(ValueError):
 class CountTable:
     """Per-link tallies keyed by (intensity label(s), basis).
 
-    Labels are single strings for a point-to-point link and ordered pairs
-    for the relay link.  Z-basis entries exist only for the signal class.
+    Labels are single strings for a point-to-point link and ordered pairs for
+    the relay link, one per sender (``senders``).  Z-basis entries exist only for the signal class.
     """
 
     link: str  # AB | AC | BC
     entries: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
-        if self.link not in ("AB", "AC", "BC"):
+        if self.link not in LINK_SENDERS:
             raise ValueError(f"link must be AB, AC or BC, got {self.link!r}")
 
     def add(self, label, basis: str, record: CountRecord):
@@ -74,18 +74,16 @@ class CountTable:
         allowed = ("s",) if basis == "Z" else X_LABELS
         if any(l not in allowed for l in key):
             raise ValueError(f"{basis}-basis entries carry only {'/'.join(allowed)}, got {key}")
-        if len(key) != 1 + self.is_pair:
+        if len(key) != self.senders:
             raise ValueError(f"label {key} has the wrong arity for link {self.link}")
         if (key, basis) in self.entries:
             raise ValueError(f"duplicate entry for {key} in basis {basis}")
         self.entries[(key, basis)] = record
 
-    @property
-    def is_pair(self) -> bool:
-        return self.link == "AB"
+    senders = property(lambda self: LINK_SENDERS[self.link])
 
     def z_entry(self) -> CountRecord:
-        return self.entries[ENTRY_KEYS[1 + self.is_pair][0]]
+        return self.entries[ENTRY_KEYS[self.senders][0]]
 
     # -- serialization ----------------------------------------------------
 
@@ -229,15 +227,12 @@ def estimate_bounds(
 ) -> DecoyBounds:
     """Decoy-state bounds for the Z-basis signal class of one link.
 
-    Widens every X-basis gain and error rate (even epsilon split), solves
-    the yield-minimisation and error-maximisation LPs over the widened
-    Poisson-mixture constraints, converts the single-photon yield to a
-    Z-basis count, and transfers the X-basis error bound to Z with a
-    Serfling penalty over the two single-photon sample sizes.
+    ``mode``, "QKD" or "MDI", gives the link's sender count (anything else is a ConfigError).  Widens every
+    X-basis gain and error rate (even epsilon split), solves the yield-minimisation and error-maximisation
+    LPs over the widened Poisson-mixture constraints, converts the single-photon yield to a Z-basis count,
+    and transfers the X-basis error bound to Z with a Serfling penalty over the two single-photon sample sizes.
     """
-    if mode not in ("QKD", "MDI"):
-        raise ValueError(f"mode must be 'QKD' or 'MDI', got {mode!r}")
-    senders = 2 if mode == "MDI" else 1
+    senders = parse_mode(mode)
     z_entry, *x_entries = ENTRY_KEYS[senders]
     try:
         x_records = [table.entries[entry] for entry in x_entries]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CountRecord, IntensitySet, outcome_law, sift_keep
+from .channel import MODES, CountRecord, IntensitySet, outcome_law, parse_mode, sift_keep
 from .decoy import CountTable, DecoyBounds, estimate_bounds, restrict_to_block
 from .keyrate import KeyRateResult, SecurityParams, entry_budgets, secure_key_length
 from .mathkit import ConfigError, check_count, check_real, reuse_bases
@@ -27,17 +27,17 @@ __all__ = ["MultisigComparison", "RelayChain", "expected_table", "min_feasible_a
            "multisig_comparison", "relay_chain"]
 
 
-def expected_table(model, intensities: IntensitySet, n_pulses: int, mode: str, link: str) -> CountTable:
-    """Deterministic count table at the expected values (no sampling noise).
+def expected_table(model, intensities: IntensitySet, n_pulses: int, link: str) -> CountTable:
+    """Deterministic count table of ``link`` at the expected values (no sampling noise).
 
-    Splits the pulse budget and reads the outcome law exactly as
-    :func:`keyrate.synthesize_table` does.  Entries are rounded to integers,
-    so the table is not monotone in the pulse budget.
+    Splits the pulse budget for the link's sender count and reads the outcome
+    law exactly as :func:`keyrate.synthesize_table` does.  Entries are rounded
+    to integers, so the table is not monotone in the pulse budget.
     """
     table = CountTable(link=link)
-    for (key, basis), sent in entry_budgets(n_pulses, intensities, mode).items():
+    for (key, basis), sent in entry_budgets(n_pulses, intensities, table.senders).items():
         mus = [intensities.mu(label) for label in key]
-        err, correct, _, _ = outcome_law(model, *mus, basis=basis, keep=sift_keep(mode, basis))
+        err, correct, _, _ = outcome_law(model, *mus, basis=basis, keep=sift_keep(table.senders, basis))
         detected = round(sent * (err + correct))
         errors = round(detected * err / (err + correct)) if detected else 0
         table.add(key, basis, CountRecord(sent, detected, errors))
@@ -107,7 +107,7 @@ def relay_chain(result, intensities: IntensitySet, weights, seed: int) -> RelayC
     slots = sum(result.diagnostics["slots_per_session"].values())
     duty = weights[0] / sum(weights)
     table, pool = result.tables["AB"], result.z_pools["AB"]
-    bounds = estimate_bounds(table, intensities, RELAY_EPS, "MDI")
+    bounds = estimate_bounds(table, intensities, RELAY_EPS, MODES[table.senders])
     z_rec = table.z_entry()  # its detections are the pool
     qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
     key = secure_key_length(bounds, z_rec.detected, qber_z,
@@ -175,22 +175,23 @@ def multisig_comparison(
     with every later probe's right-hand sides, so a bound may differ from a cold solve's
     in its last bits.  The baseline's bisection starts at the larger of 1,000 pulses and the
     smallest budget that sends pulses in every X-basis entry; ConfigError when
-    ``n_pulses_total`` does not.
+    ``n_pulses_total`` does not, or when ``mode`` is not "QKD" or "MDI".
     """
+    senders = parse_mode(mode)
     n_pulses_total = check_count(n_pulses_total, "n_pulses_total", 1)
     eps_decoy = check_real(eps_decoy, "eps_decoy", 0, 1, low_open=True, high_open=True)
 
     def fills_x(n_pulses: int) -> bool:  # monotone: each entry is a rounded multiple of n_pulses
-        return all(sent for (_, basis), sent in entry_budgets(n_pulses, intensities, mode).items() if basis == "X")
+        return all(sent for (_, basis), sent in entry_budgets(n_pulses, intensities, senders).items() if basis == "X")
 
     b_fill = min_feasible_acquisition(fills_x, 1, n_pulses_total)  # the smallest such budget
     if b_fill is None:
         raise ConfigError(f"n_pulses_total: {n_pulses_total} pulses leave an X-basis entry with none sent")
-    link = "AB" if mode == "MDI" else "AC"
+    link = "AB" if senders == 2 else "AC"
 
     def pool_stats(n_pulses: int):
         """Decoy bounds, Z pool size and test QBER of one acquisition."""
-        table = expected_table(model, intensities, n_pulses, mode, link)
+        table = expected_table(model, intensities, n_pulses, link)
         z_rec = table.z_entry()
         e_test = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
         return estimate_bounds(table, intensities, eps_decoy, mode), z_rec.detected, e_test

@@ -23,8 +23,10 @@ from .channel import (
     ChannelParams,
     CountRecord,
     IntensitySet,
+    check_senders,
     mdi_yield_model,
     outcome_law,
+    parse_mode,
     qkd_yield_model,
     sift_keep,
 )
@@ -128,14 +130,14 @@ def secure_key_length(
     )
 
 
-def entry_budgets(n_pulses: int, intensities: IntensitySet, mode: str) -> dict:
+def entry_budgets(n_pulses: int, intensities: IntensitySet, senders: int) -> dict:
     """Per-entry sent counts when a pulse budget is split by basis bias.
 
-    Keys are :data:`channel.ENTRY_KEYS` in order, for one sender in "QKD" mode and two otherwise.  With s
+    Keys are :data:`channel.ENTRY_KEYS` of ``senders`` (1 or 2, else a ConfigError) in order.  With s
     senders, z = ``z_basis_prob`` and p = ``x_probs``, the Z entry gets round(n z^s) and an X entry
     round(n (1 - z)^s p_a [p_b]), each product taken left to right.
     """
-    senders = 1 if mode == "QKD" else 2
+    senders = check_senders(senders)
     z = intensities.z_basis_prob
     share = dict(zip(LABELS, (z, *intensities.x_probs().tolist())))
     start = {"Z": n_pulses * 1.0, "X": n_pulses * (1.0 - z) ** senders}
@@ -164,10 +166,11 @@ def synthesize_table(
     link's sifting acceptance (:func:`channel.sift_keep`).  One generator
     seeded with ``seed`` draws every entry's tallies in one multinomial over
     the entries' stacked :func:`channel.outcome_law` rows: same seed, same
-    table.
+    table.  ``mode`` ("QKD" or "MDI") gives the sender count; anything else is a ConfigError.
     """
-    budgets = sorted(entry_budgets(n_pulses, intensities, mode).items())
-    laws = [outcome_law(model, *map(intensities.mu, key), basis=basis, keep=sift_keep(mode, basis))
+    senders = parse_mode(mode)
+    budgets = list(entry_budgets(n_pulses, intensities, senders).items())
+    laws = [outcome_law(model, *map(intensities.mu, key), basis=basis, keep=sift_keep(senders, basis))
             for (key, basis), _ in budgets]
     tallies = np.random.default_rng(seed).multinomial([sent for _, sent in budgets], laws).tolist()
     table = CountTable(link=link)
@@ -207,8 +210,7 @@ def rate_sweep(
         raise ConfigError(f"distances: expected a non-empty list of numbers, got {distances!r}")
     for dist in distances:
         check_real(dist, "distances", 0.0)
-    if mode not in ("QKD", "MDI"):
-        raise ConfigError(f"mode: expected 'QKD' or 'MDI', got {mode!r}")
+    senders = parse_mode(mode)
     duty = check_real(duty, "duty", 0.0, 1.0, low_open=True)
     seed = check_count(seed, "seed")
     n_pulses = check_count(n_pulses, "n_pulses")
@@ -223,12 +225,9 @@ def rate_sweep(
     with reuse_bases():
         for i, dist in enumerate(distances):
             try:
-                if mode == "QKD":
-                    model = qkd_yield_model(replace(channel, distance_km=dist))
-                else:
-                    side = replace(channel, distance_km=dist / 2.0)
-                    model = mdi_yield_model(side, side, **mdi_model)
-                table = synthesize_table(model, intensities, n_pulses, mode, "AB" if mode == "MDI" else "AC",
+                side = replace(channel, distance_km=dist / senders)
+                model = qkd_yield_model(side) if senders == 1 else mdi_yield_model(side, side, **mdi_model)
+                table = synthesize_table(model, intensities, n_pulses, mode, "AB" if senders == 2 else "AC",
                                          int(point_seeds[i]))
                 bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
                 z_rec = table.z_entry()

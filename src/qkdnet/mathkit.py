@@ -47,7 +47,6 @@ __all__ = [
     "solve_bounded_lp",
     "reuse_bases",
     "ConfigError",
-    "check_probability",
     "check_count",
     "check_real",
     "check_weights",
@@ -55,13 +54,6 @@ __all__ = [
 
 #: absolute tolerance of the inverse-entropy bisection
 INV_ENTROPY_TOL = 1e-9
-
-
-def check_probability(value: float, name: str = "probability") -> float:
-    """Validate that ``value`` lies in [0, 1] and return it."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return float(value)
 
 
 class ConfigError(ValueError):
@@ -113,7 +105,7 @@ def _entropy(p: float) -> float:
 
 def binary_entropy(p: float) -> float:
     """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0."""
-    return _entropy(check_probability(p, "p"))
+    return _entropy(check_real(p, "p", 0.0, 1.0))
 
 
 def inv_binary_entropy(y: float) -> float:

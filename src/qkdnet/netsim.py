@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LABELS, CountRecord, IntensitySet, outcome_law, sift_keep
+from .channel import LABELS, LINK_SENDERS, CountRecord, IntensitySet, outcome_law, sift_keep
 from .decoy import CountTable
 from .mathkit import ConfigError, check_count, check_real, check_weights
 
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 SESSION_NAMES = ("MDI_AB", "QKD_AC", "QKD_BC")
-LINKS = ("AB", "AC", "BC")  # the link each session code runs
+LINKS = tuple(LINK_SENDERS)  # the link each session code runs: AB, AC, BC
 
 #: slots handled per vectorised step of run_plan
 DEFAULT_CHUNK = 1 << 20
@@ -76,9 +76,6 @@ class SessionPlan:
     # each sender's basis per slot, 0 = Z and 1 = X, derived from its class
     basis_a = property(lambda self: (self.intensity_a > 0).view(np.int8))
     basis_b = property(lambda self: (self.intensity_b > 0).view(np.int8))
-
-    def active_links(self) -> set:
-        return {link for k, link in enumerate(LINKS) if np.count_nonzero(self.session == k)}
 
 
 @dataclass
@@ -175,11 +172,11 @@ def _outcome_table(models: dict, intensities: IntensitySet) -> np.ndarray:
     law = np.zeros((N_CONFIGS, 4))
     if "AB" in models:
         for row, (a, b) in enumerate(RELAY_CLASSES):
-            law[row] = outcome_law(models["AB"], mu[a], mu[b], BASIS[a], sift_keep("MDI", BASIS[a], BASIS[b]))
+            law[row] = outcome_law(models["AB"], mu[a], mu[b], BASIS[a], sift_keep(2, BASIS[a], BASIS[b]))
     for start, link in ((16, "AC"), (20, "BC")):
         if link in models:
             for row, i in enumerate(range(4), start):
-                law[row] = outcome_law(models[link], mu[i], None, BASIS[i], sift_keep("QKD", BASIS[i]))
+                law[row] = outcome_law(models[link], mu[i], None, BASIS[i], sift_keep(1, BASIS[i]))
     return law
 
 
@@ -189,6 +186,9 @@ def run_plan(
     seed: int = 0,
 ) -> RunResult:
     """Simulate a session plan against per-link ground-truth models.
+
+    Each link the plan schedules needs a model of its sender count (``model.senders``): a missing or
+    mismatched one is a ConfigError naming the link.
 
     Relay slots record an accepted coincidence under the (intensity pair,
     basis) entry only when the two senders' bases match; mismatched-basis
@@ -234,10 +234,9 @@ def run_plan(
     links = [link for link, count in zip(LINKS, per_session) if count]
     for link in links:
         if link not in models:
-            raise KeyError(f"plan schedules link {link} but no model was given")
-        want = "MDI" if link == "AB" else "QKD"
-        if models[link].kind != want:
-            raise ValueError(f"link {link} needs a {want} model, got {models[link].kind}")
+            raise ConfigError(f"{link}: the plan schedules link {link} but no model was given")
+        if models[link].senders != LINK_SENDERS[link]:
+            raise ConfigError(f"{link}: the link has {LINK_SENDERS[link]} sender(s), its model {models[link].senders}")
 
     law = _outcome_table({link: models[link] for link in links}, plan.intensities)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])

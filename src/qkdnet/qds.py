@@ -26,7 +26,6 @@ import numpy as np
 from .mathkit import (
     binary_entropy,
     check_count,
-    check_probability,
     check_real,
     hoeffding_exponent_bound,
     hoeffding_exponent_log,
@@ -162,7 +161,7 @@ def eve_error_floor(s1_sig_lower: int, c_sig: int, eph_sig_upper: float) -> floa
 
 def qber_upper(e_test: float, c_test: int, c_sig: int, eps_h: float) -> float:
     """QBER bound for a signature block: test rate plus the Serfling term."""
-    check_probability(e_test, "e_test")
+    check_real(e_test, "e_test", 0.0, 1.0)
     return min(1.0, e_test + serfling_deviation(c_sig, c_test, eps_h))
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qkdnet import mathkit
-from qkdnet.channel import X_LABELS, CountRecord, YieldModel, outcome_law, sift_keep
+from qkdnet.channel import X_LABELS, CountRecord, YieldModel, outcome_law, parse_mode, sift_keep
 from qkdnet.decoy import CountTable
 from qkdnet.keyrate import entry_budgets
 
@@ -79,14 +79,14 @@ def entry_budgets_per_mode(n_pulses: int, intensities, mode: str) -> dict:
 def synthesize_per_entry(model, intensities, n_pulses: int, mode: str, link: str, seed: int) -> CountTable:
     """The count table ``keyrate.synthesize_table`` draws, from the same law, drawn entry by entry:
     one :func:`sample_counts` generator per entry, seeded from ``SeedSequence(seed).generate_state``."""
-    table = CountTable(link=link)
-    budgets = entry_budgets(n_pulses, intensities, mode)
+    senders, table = parse_mode(mode), CountTable(link=link)
+    budgets = entry_budgets(n_pulses, intensities, senders)
     seeds = np.random.SeedSequence(seed).generate_state(len(budgets) + 1)
     for i, ((key, basis), sent) in enumerate(sorted(budgets.items())):
         mus = [intensities.mu(label) for label in key]
         rec = sample_counts(
             model, *mus, n_pulses=sent, seed=int(seeds[i]), basis=basis,
-            gain_factor=sift_keep(mode, basis),
+            gain_factor=sift_keep(senders, basis),
         )
         table.add(key, basis, rec)
     return table

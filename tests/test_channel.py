@@ -22,7 +22,7 @@ from qkdnet.channel import (
 )
 from qkdnet.experiments import expected_table
 from qkdnet.keyrate import synthesize_table
-from qkdnet.mathkit import poisson_pmf
+from qkdnet.mathkit import ConfigError, poisson_pmf
 from qkdnet.netsim import CONFIG_OF, _outcome_table
 from references import sample_counts
 
@@ -30,7 +30,7 @@ from references import sample_counts
 def single_entry_model(y1=0.1):
     yields = np.zeros(13)
     yields[1] = y1
-    return YieldModel(kind="QKD", yields=yields, error_rates=np.zeros(13))
+    return YieldModel(yields=yields, error_rates=np.zeros(13))
 
 
 class TestChannelParams:
@@ -244,12 +244,15 @@ class TestOutcomeLaw:
             outcome_law(mdi_yield_model(p, p), 0.1, 5.0)
 
     def test_sift_keep(self):
-        assert sift_keep("MDI", "Z") == sift_keep("MDI", "X", "X") == 1.0
-        assert sift_keep("MDI", "Z", "X") == 0.0
-        assert sift_keep("QKD", "X") == channel.PASSIVE_BASIS_FACTOR
-        assert sift_keep("QKD", "Z") == 1.0 - channel.PASSIVE_BASIS_FACTOR
+        assert sift_keep(2, "Z") == sift_keep(2, "X", "X") == 1.0
+        assert sift_keep(2, "Z", "X") == 0.0
+        assert sift_keep(1, "X") == channel.PASSIVE_BASIS_FACTOR
+        assert sift_keep(1, "Z") == 1.0 - channel.PASSIVE_BASIS_FACTOR
         with pytest.raises(ValueError):
-            sift_keep("QKD", "Y")
+            sift_keep(1, "Y")
+        for senders in (0, 3, "MDI", None, True):
+            with pytest.raises(ConfigError, match="^senders"):
+                sift_keep(senders, "Z")
 
     def test_passive_factor_reaches_every_count_table(self, monkeypatch):
         # an asymmetric passive analyzer: Z and X acceptance must agree across
@@ -258,7 +261,7 @@ class TestOutcomeLaw:
         model = qkd_yield_model(ChannelParams(distance_km=5.0))
         intensities = IntensitySet()
         n_pulses = 10**9
-        expected = expected_table(model, intensities, n_pulses, "QKD", "AC")
+        expected = expected_table(model, intensities, n_pulses, "AC")
         sampled = synthesize_table(model, intensities, n_pulses, "QKD", "AC", seed=3)
         law = _outcome_table({"AC": model}, intensities)
         for (key, basis), rec in expected.entries.items():
@@ -278,7 +281,7 @@ def _law_keys(mode):
     """Every (intensities, basis, keep) a table or a network plan reads from a model of ``mode``."""
     if mode == "QKD":
         return [((mu,), basis, keep) for mu in (0.5, 0.1, 0.02, 0.0)
-                for basis in ("Z", "X") for keep in (sift_keep("QKD", basis), 1.0)]
+                for basis in ("Z", "X") for keep in (sift_keep(1, basis), 1.0)]
     return [((mu, nu), basis, keep) for mu in (0.5, 0.1, 0.0) for nu in (0.5, 0.02)
             for basis in ("Z", "X") for keep in (0.0, 1.0)]
 
@@ -291,7 +294,7 @@ class TestLawMemo:
 
     def test_arrays_are_read_only_copies(self):
         yields = np.zeros(13)
-        model = YieldModel(kind="QKD", yields=yields, error_rates=np.zeros(13))
+        model = YieldModel(yields=yields, error_rates=np.zeros(13))
         yields[1] = 0.5
         assert model.yields[1] == 0.0
         for name in ("yields", "error_rates", "z_error_rates"):
@@ -381,8 +384,25 @@ class TestSampleCounts:
 class TestYieldModelSerialization:
     def test_validation_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            YieldModel(kind="QKD", yields=np.zeros(5), error_rates=np.zeros(5))
+            YieldModel(yields=np.zeros(5), error_rates=np.zeros(5))
         with pytest.raises(ValueError):
-            YieldModel(kind="QKD", yields=np.full(13, 1.5), error_rates=np.zeros(13))
+            YieldModel(yields=np.full(13, 1.5), error_rates=np.zeros(13))
         with pytest.raises(ValueError, match="probabilities"):
-            YieldModel(kind="QKD", yields=np.full(13, np.nan), error_rates=np.zeros(13))
+            YieldModel(yields=np.full(13, np.nan), error_rates=np.zeros(13))
+
+    @pytest.mark.parametrize("yields, errors, z_errors", [
+        (np.zeros((13,) * 3), np.zeros((13,) * 3), None),  # three senders
+        (np.zeros(13), np.zeros((13, 13)), None),  # an error map unlike yields
+        (np.zeros((13, 13)), np.zeros(13), None),
+        (np.zeros((13, 13)), np.zeros((13, 13)), np.zeros(13)),
+        (np.zeros((13, 12)), np.zeros((13, 12)), None),
+    ])
+    def test_error_maps_take_the_shape_of_yields(self, yields, errors, z_errors):
+        with pytest.raises(ValueError, match="shape"):
+            YieldModel(yields=yields, error_rates=errors, z_error_rates=z_errors)
+
+    def test_sender_count_is_the_dimension_of_yields(self):
+        side = ChannelParams(distance_km=10)
+        assert qkd_yield_model(side).senders == 1
+        assert mdi_yield_model(side, side).senders == 2
+        assert not hasattr(qkd_yield_model(side), "kind")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qkdnet import channel, keyrate
-from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model
+from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from qkdnet.cli import load_preset, main
 from qkdnet.decoy import InconsistentCountsError
 from qkdnet.keyrate import SecurityParams, synthesize_table
@@ -83,7 +83,8 @@ class TestSimulate:
         cfg = dict(SIM_CONFIG, links={"AB": SIM_CONFIG["links"]["AB"]})
         rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "links" in capsys.readouterr().err
+        # the plan schedules AC and BC: run_plan refuses the first link without a model
+        assert capsys.readouterr().err.startswith("error: simulate.links.AC: ")
 
     def test_invalid_channel_value_names_key_path(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SIM_CONFIG))
@@ -364,11 +365,13 @@ class TestKeyrate:
         assert captured.err.startswith("error: simulate.intensities.s: ") and message in captured.err
         assert captured.out == "" and not out.exists()
 
-    def test_mode_follows_the_link(self, tmp_path, capsys):
+    @pytest.mark.parametrize("link, mode", [("AB", "MDI"), ("AC", "QKD")])
+    def test_mode_follows_the_link(self, tmp_path, capsys, link, mode):
         # the link fixes the mode (AB is MDI, AC and BC are QKD); there is no flag to contradict it
         side = ChannelParams(distance_km=2)
-        table = synthesize_table(mdi_yield_model(side, side), IntensitySet(), 10**12, "MDI", "AB", 1)
-        counts = tmp_path / "counts_AB.json"
+        model = mdi_yield_model(side, side) if link == "AB" else qkd_yield_model(side)
+        table = synthesize_table(model, IntensitySet(), 10**12, mode, link, 1)
+        counts = tmp_path / f"counts_{link}.json"
         counts.write_text(table.to_json(), encoding="utf-8")
         args = ["keyrate", "--counts", str(counts), "--config", write_config(tmp_path, SIM_CONFIG)]
         with pytest.raises(SystemExit) as exited:
@@ -376,7 +379,9 @@ class TestKeyrate:
         assert exited.value.code == 2
         assert "unrecognized arguments: --mode QKD" in capsys.readouterr().err
         assert main(args) == 0
-        assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == ["AB", "MDI"]
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == [link, mode]
+        assert main([*args, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == mode
 
     def test_intensities_come_from_the_config_not_flags(self, capsys):
         with pytest.raises(SystemExit) as exited:

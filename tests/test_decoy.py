@@ -155,7 +155,7 @@ class TestCountTable:
         with pytest.raises(ValueError, match="arity"):
             table.add(label, basis, CountRecord(100, 10, 1))
         assert table.entries == {}
-        assert table.is_pair == (link == "AB")
+        assert table.senders == (2 if link == "AB" else 1)
 
     def test_csv_duplicate_row_is_format_error(self):
         text = (

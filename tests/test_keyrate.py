@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qkdnet import cli, keyrate, mathkit
-from qkdnet.channel import (ENTRY_KEYS, ChannelParams, IntensitySet, mdi_yield_model, outcome_law, qkd_yield_model,
-                            sift_keep)
+from qkdnet import cli, experiments, keyrate, mathkit
+from qkdnet.channel import (ENTRY_KEYS, MODES, ChannelParams, IntensitySet, mdi_yield_model, outcome_law,
+                            qkd_yield_model, sift_keep)
 from qkdnet.cli import load_network, load_preset
-from qkdnet.decoy import DecoyBounds, estimate_bounds
+from qkdnet.decoy import CountTable, DecoyBounds, estimate_bounds
 from qkdnet.experiments import expected_table
 from qkdnet.keyrate import (
     SecurityParams,
@@ -22,6 +22,7 @@ from qkdnet.keyrate import (
     sweep_to_csv,
     synthesize_table,
 )
+from qkdnet.mathkit import ConfigError
 from references import entry_budgets_per_mode, synthesize_per_entry
 
 NO_OVERHEAD = SecurityParams(eps_sec=21.0, eps_cor=2.0, f_ec=1.16)
@@ -184,28 +185,33 @@ BUDGET_SPLITS = dict(
     n_pulses=st.integers(1, int(10**14.5)),
     z=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     x_weights=st.tuples(*[st.floats(0.0, 1e300)] * 3).filter(lambda w: 0.0 < sum(w) < math.inf),
-    mode=st.sampled_from(["QKD", "MDI"]),
+    senders=st.sampled_from([1, 2]),
 )
 
 
 class TestEntryBudgets:
     @settings(max_examples=400, deadline=None)
     @given(**BUDGET_SPLITS)
-    def test_equals_the_split_written_out_per_mode(self, n_pulses, z, x_weights, mode):
+    def test_equals_the_split_written_out_per_mode(self, n_pulses, z, x_weights, senders):
         intensities = IntensitySet(z_basis_prob=z, x_weights=x_weights)
-        budgets = keyrate.entry_budgets(n_pulses, intensities, mode)
-        assert list(budgets.items()) == list(entry_budgets_per_mode(n_pulses, intensities, mode).items())
+        budgets = keyrate.entry_budgets(n_pulses, intensities, senders)
+        assert list(budgets.items()) == list(entry_budgets_per_mode(n_pulses, intensities, MODES[senders]).items())
 
     @settings(max_examples=400, deadline=None)
     @given(**BUDGET_SPLITS)
-    def test_entries_share_the_budget_by_basis(self, n_pulses, z, x_weights, mode):
+    def test_entries_share_the_budget_by_basis(self, n_pulses, z, x_weights, senders):
         # each of s senders picks Z with probability z: the entries send n (z^s + (1 - z)^s), as each
         # rounds its share of it to the nearest pulse
-        senders = 1 if mode == "QKD" else 2
-        budgets = keyrate.entry_budgets(n_pulses, IntensitySet(z_basis_prob=z, x_weights=x_weights), mode)
+        budgets = keyrate.entry_budgets(n_pulses, IntensitySet(z_basis_prob=z, x_weights=x_weights), senders)
         assert list(budgets) == list(ENTRY_KEYS[senders])
         share = Fraction(z) ** senders + (1 - Fraction(z)) ** senders
         assert abs(sum(budgets.values()) - n_pulses * share) <= len(budgets)
+
+    @pytest.mark.parametrize("senders", [0, 3, "MDI", "QKD", None, True, 1.5])
+    def test_sender_count_must_be_one_or_two(self, senders):
+        # "qkd", None or any mode but "QKD" used to give the relay link's ten-entry split
+        with pytest.raises(ConfigError, match="^senders: "):
+            keyrate.entry_budgets(1000, IntensitySet(), senders)
 
     @pytest.mark.parametrize("mode", ["QKD", "MDI"])
     @pytest.mark.parametrize("n_pulses", [1000, 123_457, 26_701_985, 10**12])
@@ -215,7 +221,7 @@ class TestEntryBudgets:
         intensities, _ = load_network(load_preset("desk")["simulate"])
         link = "AC" if mode == "QKD" else "AB"
         sampled = synthesize_table(model, intensities, n_pulses, mode, link, seed=3)
-        expected = expected_table(model, intensities, n_pulses, mode, link)
+        expected = expected_table(model, intensities, n_pulses, link)
         assert set(sampled.entries) == set(expected.entries)
         for key, rec in sampled.entries.items():
             assert expected.entries[key].sent == rec.sent, key
@@ -234,7 +240,7 @@ class TestSynthesizeTable:
         side = ChannelParams(distance_km=km)
         model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
         intensities = IntensitySet()
-        budgets = keyrate.entry_budgets(n_pulses, intensities, mode)
+        budgets = keyrate.entry_budgets(n_pulses, intensities, CountTable(link).senders)
         keys = sorted(budgets)
         tallies = []
         for seed in seeds:
@@ -242,7 +248,7 @@ class TestSynthesizeTable:
             tallies.append([(entries[k].errors, entries[k].detected - entries[k].errors) for k in keys])
         sent = np.array([budgets[k] for k in keys], dtype=float)
         laws = np.array([outcome_law(model, *(intensities.mu(label) for label in key), basis=basis,
-                                     keep=sift_keep(mode, basis))[:2] for key, basis in keys])
+                                     keep=sift_keep(len(key), basis))[:2] for key, basis in keys])
         return keys, sent, laws, np.array(tallies, dtype=float)
 
     @pytest.mark.parametrize("mode, link, km, n_pulses", SYNTHESIS_CASES, ids=lambda x: str(x))
@@ -275,3 +281,26 @@ class TestSynthesizeTable:
         model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side)
         texts = [synthesize_table(model, IntensitySet(), n_pulses, mode, link, seed).to_json() for seed in (5, 5, 6)]
         assert texts[0] == texts[1] != texts[2]
+
+
+@pytest.mark.parametrize("mode", ["qkd", "mdi", None])
+@pytest.mark.parametrize("call", ["estimate_bounds", "synthesize_table", "multisig_comparison", "rate_sweep"])
+def test_mode_is_refused_before_any_solve_or_draw(monkeypatch, call, mode):
+    # each call that takes a caller's "QKD"/"MDI" parses it on entry: "qkd" used to fail late, or not at all
+    side = ChannelParams(distance_km=5.0)
+    model, intensities = qkd_yield_model(side), IntensitySet()
+    table = synthesize_table(model, intensities, 10**9, "QKD", "AC", seed=1)
+    calls = {
+        "estimate_bounds": lambda: estimate_bounds(table, intensities, 1e-10, mode),
+        "synthesize_table": lambda: synthesize_table(model, intensities, 10**9, mode, "AC", 1),
+        "multisig_comparison": lambda: experiments.multisig_comparison(model, intensities, mode, 10**9),
+        "rate_sweep": lambda: rate_sweep(side, intensities, [5.0], mode, SecurityParams()),
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was solved or a table drawn before the mode was read")
+
+    monkeypatch.setattr(mathkit, "linprog", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ConfigError, match="^mode: expected 'QKD' or 'MDI'"):
+        calls[call]()

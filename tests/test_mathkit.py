@@ -680,7 +680,7 @@ def _probe_lps(sizes):
     """``(c, a_ub, b_ub, sense)`` of each LP ``estimate_bounds`` solves on the desk relay link's
     expected-value table at each pulse count, as the multi-signature bisection probes it."""
     intensities, models = load_network(load_preset("desk")["simulate"])
-    tables = [expected_table(models["AB"], intensities, n, "MDI", "AB") for n in sizes]
+    tables = [expected_table(models["AB"], intensities, n, "AB") for n in sizes]
     return _recorded_lps(tables, intensities, 1e-11, "MDI")
 
 

@@ -22,7 +22,7 @@ from qkdnet.channel import (
 )
 from qkdnet.cli import load_network, load_preset
 from qkdnet import netsim
-from qkdnet.mathkit import poisson_pmf
+from qkdnet.mathkit import ConfigError, poisson_pmf
 from qkdnet.netsim import (
     CONFIG_OF,
     DEFAULT_CHUNK,
@@ -45,7 +45,7 @@ def assert_entries_match_model(result, models, intensities, min_sent=2000):
         for (key, basis), rec in table.entries.items():
             if rec.sent < min_sent:
                 continue
-            keep = sift_keep(models[link].kind, basis)
+            keep = sift_keep(models[link].senders, basis)
             mus = [intensities.mu(label) for label in key]
             gain, qber = expected_gain_and_qber(models[link], *mus, basis=basis)
             assert _within_five_sigma(rec.detected, rec.sent, keep * gain), (link, key, basis)
@@ -65,7 +65,6 @@ class TestSchedule:
     def test_single_session_type(self):
         plan = schedule(1000, weights=(1, 0, 0), seed=1)
         assert np.all(plan.session == 0)
-        assert plan.active_links() == {"AB"}
 
     def test_weighted_fractions_within_five_sigma(self):
         n = 10**6
@@ -411,13 +410,16 @@ class TestRunPlan:
 
     def test_missing_model_rejected(self):
         plan = schedule(100, weights=(1, 1, 1), seed=7)
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="^AC: .*no model"):
             run_plan(plan, {"AB": default_models()["AB"]}, seed=7)
 
-    def test_wrong_model_kind_rejected(self):
-        plan = schedule(100, weights=(1, 0, 0), seed=8)
-        with pytest.raises(ValueError):
-            run_plan(plan, {"AB": default_models()["AC"]}, seed=8)
+    @pytest.mark.parametrize("weights, link, model", [((1, 0, 0), "AB", "AC"), ((0, 1, 0), "AC", "AB"),
+                                                      ((0, 0, 1), "BC", "AB")])
+    def test_wrong_model_kind_rejected(self, weights, link, model):
+        # a one-sender model on the relay link, or a two-sender one on a point-to-point link
+        plan = schedule(100, weights=weights, seed=8)
+        with pytest.raises(ConfigError, match=f"^{link}: .*sender"):
+            run_plan(plan, {link: default_models()[model]}, seed=8)
 
     @pytest.mark.parametrize("field, code", [("session", 4), ("intensity_a", 4), ("intensity_b", 7)])
     def test_out_of_range_plan_codes_rejected(self, field, code):
@@ -516,7 +518,7 @@ class TestRunPlan:
                                              (2, "BC", plan.basis_b, plan.intensity_b)):
             for b in (0, 1):
                 # a Z slot is discarded on the X branch, an X slot on the Z branch
-                discard = 1 - sift_keep("QKD", "ZX"[b])
+                discard = 1 - sift_keep(1, "ZX"[b])
                 for i in range(4):
                     n = np.count_nonzero((plan.session == code) & (basis == b) & (intensity == i))
                     p = discard * expected_gain_and_qber(models[link], mu[i])[0]
@@ -603,7 +605,7 @@ class TestOutcomeTable:
             else:
                 link, basis, i = ("AC", ba, ia) if session == 1 else ("BC", bb, ib)
                 gain, qber = expected_gain_and_qber(models[link], mu[i], basis="ZX"[basis])
-                keep = sift_keep("QKD", "ZX"[basis])
+                keep = sift_keep(1, "ZX"[basis])
                 want = (keep * gain * qber, keep * gain * (1 - qber), (1 - keep) * gain)
             want = (*want, 1.0 - gain)
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-12, err_msg=str(key))

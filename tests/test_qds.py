@@ -704,7 +704,7 @@ class TestMultisigComparison:
         biased = dataclasses.replace(intensities, z_basis_prob=z_basis_prob)
 
         def fills(n):
-            return all(sent for (_, basis), sent in entry_budgets(n, biased, "MDI").items() if basis == "X")
+            return all(sent for (_, basis), sent in entry_budgets(n, biased, 2).items() if basis == "X")
 
         assert not fills(1000) and not fills(filled - 1) and fills(filled)
         comparison = experiments.multisig_comparison(models["AB"], biased, "MDI", n_pulses)

@@ -68,6 +68,8 @@ MUTANTS = [
      '"X": n_pulses * (1.0 - z) ** senders}', '"X": n_pulses * (1.0 - z)}'),
     ("error-mix-without-dark-share", "src/qkdnet/channel.py",
      "_error_mix(0.5 * y0 + ", "_error_mix(y0 + "),
+    ("key-step-whole-eps", "src/qkdnet/keyrate.py",
+     "security.eps_sec / 2.0", "security.eps_sec"),
 ]
 
 #: tests that compare a pinned number (a published value, a digest or a fixed count); an id

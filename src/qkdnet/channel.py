@@ -76,6 +76,15 @@ def check_senders(senders) -> int:
     return senders
 
 
+def check_link(link: str, model=None, senders: int | None = None) -> int:
+    """``link``'s sender count; a ConfigError naming ``mode`` or the link when ``senders`` or ``model``'s differs."""
+    if senders not in (None, LINK_SENDERS[link]):
+        raise ConfigError(f"mode: {MODES[senders]!r} does not name link {link}; expected {MODES[LINK_SENDERS[link]]!r}")
+    if model is not None and model.senders != LINK_SENDERS[link]:
+        raise ConfigError(f"{link}: the link has {LINK_SENDERS[link]} sender(s), its model {model.senders}")
+    return LINK_SENDERS[link]
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Optical channel and detector parameters for one link."""

@@ -19,10 +19,10 @@ import typing
 from importlib import resources
 from pathlib import Path
 
-from .channel import MODES, IntensitySet, mdi_yield_model, qkd_yield_model
-from .decoy import CountTable, TableFormatError, estimate_bounds
-from .keyrate import SecurityParams, rate_sweep, secure_key_length, sweep_to_csv
-from .mathkit import ConfigError, check_real
+from .channel import IntensitySet, mdi_yield_model, qkd_yield_model
+from .decoy import CountTable, TableFormatError
+from .keyrate import SecurityParams, rate_sweep, sweep_to_csv, table_key
+from .mathkit import ConfigError
 from .netsim import run_plan, schedule
 from .qds import InsecureChannelError, QdsParams, distill_report
 
@@ -174,16 +174,12 @@ def cmd_keyrate(args) -> int:
     intensities, _ = load_network(_load_config(args.config, "simulate"))
     flags = {k: v for k, v in vars(args).items() if k in _schema(SecurityParams)[0] and v is not None}
     security = SecurityParams(**flags)  # a flag is named by its key, as elapsed_s is
-    elapsed = {} if args.elapsed_s is None else {"elapsed_s": check_real(args.elapsed_s, "elapsed_s", 0.0)}
+    elapsed = {} if args.elapsed_s is None else {"elapsed_s": args.elapsed_s}
     table = _read_table(args.counts)
-    mode = MODES[table.senders]
-    bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
-    z_rec = table.z_entry()
-    qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
-    result = secure_key_length(bounds, z_rec.detected, qber_z, security, **elapsed)
+    bounds, result = table_key(table, intensities, security, **elapsed)
     record = {
         "link": table.link,
-        "mode": mode,
+        "mode": bounds.mode,
         "s1_lower": bounds.s1_lower,
         "eph_upper": bounds.eph_upper,
         "secure_bits": result.secure_bits,
@@ -197,7 +193,7 @@ def cmd_keyrate(args) -> int:
     else:
         row = (f"{v:.6g}" if isinstance(v, float) else str(v) for v in record.values())
         text = ",".join(record) + "\n" + ",".join(row) + "\n"
-    manifest = {"config": args.config, "counts": args.counts, "mode": mode}
+    manifest = {"config": args.config, "counts": args.counts, "mode": bounds.mode}
     _save(args.out, "keyrate", manifest, f"keyrate.{args.format}", text)
     sys.stdout.write(text)
     return 0

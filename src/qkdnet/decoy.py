@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ENTRY_KEYS, LINK_SENDERS, N_CUT, X_LABELS, CountRecord, IntensitySet, parse_mode
+from .channel import ENTRY_KEYS, LINK_SENDERS, N_CUT, X_LABELS, CountRecord, IntensitySet, check_link, parse_mode
 from .mathkit import (
     LpInfeasibleError,
     LpRows,
@@ -227,12 +227,12 @@ def estimate_bounds(
 ) -> DecoyBounds:
     """Decoy-state bounds for the Z-basis signal class of one link.
 
-    ``mode``, "QKD" or "MDI", gives the link's sender count (anything else is a ConfigError).  Widens every
+    ``mode``, "QKD" or "MDI", names the table's link (anything else is a ConfigError).  Widens every
     X-basis gain and error rate (even epsilon split), solves the yield-minimisation and error-maximisation
     LPs over the widened Poisson-mixture constraints, converts the single-photon yield to a Z-basis count,
     and transfers the X-basis error bound to Z with a Serfling penalty over the two single-photon sample sizes.
     """
-    senders = parse_mode(mode)
+    senders = check_link(table.link, senders=parse_mode(mode))
     z_entry, *x_entries = ENTRY_KEYS[senders]
     try:
         x_records = [table.entries[entry] for entry in x_entries]

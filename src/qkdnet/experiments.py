@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MODES, CountRecord, IntensitySet, outcome_law, parse_mode, sift_keep
+from .channel import CountRecord, IntensitySet, check_link, outcome_law, parse_mode, sift_keep
 from .decoy import CountTable, DecoyBounds, estimate_bounds, restrict_to_block
-from .keyrate import KeyRateResult, SecurityParams, entry_budgets, secure_key_length
+from .keyrate import KeyRateResult, SecurityParams, entry_budgets, table_key
 from .mathkit import ConfigError, check_count, check_real, reuse_bases
 from .netsim import MessageBus
 from .qds import (Holding, InsecureChannelError, QdsParams, QdsReport, distill_report, extract_blocks,
@@ -31,11 +31,11 @@ def expected_table(model, intensities: IntensitySet, n_pulses: int, link: str) -
     """Deterministic count table of ``link`` at the expected values (no sampling noise).
 
     Splits the pulse budget for the link's sender count and reads the outcome
-    law exactly as :func:`keyrate.synthesize_table` does.  Entries are rounded
-    to integers, so the table is not monotone in the pulse budget.
+    law exactly as :func:`keyrate.synthesize_table` does, refusing a ``model`` of another sender count.
+    Entries are rounded to integers, so the table is not monotone in the pulse budget.
     """
     table = CountTable(link=link)
-    for (key, basis), sent in entry_budgets(n_pulses, intensities, table.senders).items():
+    for (key, basis), sent in entry_budgets(n_pulses, intensities, check_link(link, model)).items():
         mus = [intensities.mu(label) for label in key]
         err, correct, _, _ = outcome_law(model, *mus, basis=basis, keep=sift_keep(table.senders, basis))
         detected = round(sent * (err + correct))
@@ -71,7 +71,7 @@ def min_feasible_acquisition(feasible, lo: int, hi: int) -> int | None:
 TEST_FRACTION = 0.1
 
 # The relay chain's budgets, relaxed so that a desk-scale run signs and echoed in each report's params.
-# RELAY_EPS funds the decoy bounds, the key's secrecy, each block-sampling step and the hashing bound.
+# RELAY_EPS funds the decoy bounds, each block-sampling step and the hashing bound; the key's eps_sec is 2 * RELAY_EPS.
 RELAY_EPS, RELAY_EPS_COR, RELAY_P_REP, RELAY_P_FAIL = 1e-4, 1e-6, 0.01, 0.1
 #: share of the relay pool signed as one block; the test sample takes all but RELAY_SPARE of the rest
 RELAY_SIG_FRACTION, RELAY_SPARE = 0.55, 10
@@ -106,12 +106,8 @@ def relay_chain(result, intensities: IntensitySet, weights, seed: int) -> RelayC
     """
     slots = sum(result.diagnostics["slots_per_session"].values())
     duty = weights[0] / sum(weights)
-    table, pool = result.tables["AB"], result.z_pools["AB"]
-    bounds = estimate_bounds(table, intensities, RELAY_EPS, MODES[table.senders])
-    z_rec = table.z_entry()  # its detections are the pool
-    qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
-    key = secure_key_length(bounds, z_rec.detected, qber_z,
-                            SecurityParams(eps_sec=RELAY_EPS, eps_cor=RELAY_EPS_COR), elapsed_s=slots / 1e9)
+    table, pool = result.tables["AB"], result.z_pools["AB"]  # the pool is the Z entry's detections
+    bounds, key = table_key(table, intensities, SecurityParams(2 * RELAY_EPS, RELAY_EPS_COR), slots / 1e9)
     n_z = len(pool)
     c_sig = int(n_z * RELAY_SIG_FRACTION)
     c_test = n_z - c_sig - RELAY_SPARE

@@ -20,9 +20,11 @@ from .channel import (
     ENTRY_KEYS,
     LABELS,
     MDI_MODEL_KEYS,
+    MODES,
     ChannelParams,
     CountRecord,
     IntensitySet,
+    check_link,
     check_senders,
     mdi_yield_model,
     outcome_law,
@@ -40,6 +42,7 @@ __all__ = [
     "leak_ec",
     "finite_size_delta",
     "secure_key_length",
+    "table_key",
     "entry_budgets",
     "synthesize_table",
     "rate_sweep",
@@ -130,6 +133,18 @@ def secure_key_length(
     )
 
 
+def table_key(table: CountTable, intensities: IntensitySet, security: SecurityParams,
+              elapsed_s: float = 0.0) -> tuple[DecoyBounds, KeyRateResult]:
+    """The decoy bounds and key of one link's count table, in the mode its link names.
+
+    Half of ``security.eps_sec`` funds the decoy bounds, the finite-size correction's composition the rest.  The
+    key reads the Z entry's detections and their error rate (0 with none); ``elapsed_s`` is checked before any LP."""
+    elapsed_s = check_real(elapsed_s, "elapsed_s", 0.0)
+    bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, MODES[table.senders])
+    z = table.z_entry()
+    return bounds, secure_key_length(bounds, z.detected, z.errors / max(z.detected, 1), security, elapsed_s)
+
+
 def entry_budgets(n_pulses: int, intensities: IntensitySet, senders: int) -> dict:
     """Per-entry sent counts when a pulse budget is split by basis bias.
 
@@ -163,17 +178,17 @@ def synthesize_table(
     The pulse budget is split across configurations by the basis bias and
     X-intensity weights; slots where the two senders' bases differ on the
     relay link are lost, and each entry keeps its detections with the
-    link's sifting acceptance (:func:`channel.sift_keep`).  One generator
-    seeded with ``seed`` draws every entry's tallies in one multinomial over
-    the entries' stacked :func:`channel.outcome_law` rows: same seed, same
-    table.  ``mode`` ("QKD" or "MDI") gives the sender count; anything else is a ConfigError.
+    link's sifting acceptance (:func:`channel.sift_keep`).  One generator seeded with ``seed`` draws every
+    entry's tallies in one multinomial over the entries' stacked :func:`channel.outcome_law` rows: same seed,
+    same table.  Unless ``mode`` ("QKD" or "MDI") names ``link`` and ``model`` has its sender count, a
+    ConfigError is raised before any draw.
     """
-    senders = parse_mode(mode)
+    table = CountTable(link=link)
+    senders = check_link(link, model, parse_mode(mode))
     budgets = list(entry_budgets(n_pulses, intensities, senders).items())
     laws = [outcome_law(model, *map(intensities.mu, key), basis=basis, keep=sift_keep(senders, basis))
             for (key, basis), _ in budgets]
     tallies = np.random.default_rng(seed).multinomial([sent for _, sent in budgets], laws).tolist()
-    table = CountTable(link=link)
     for ((key, basis), sent), (errors, correct, _, _) in zip(budgets, tallies):
         table.add(key, basis, CountRecord(sent, errors + correct, errors))
     return table
@@ -192,19 +207,13 @@ def rate_sweep(
 ) -> list[SweepPoint]:
     """Secure key rate versus distance for one mode.
 
-    For each distance the channel model is rebuilt (the relay link splits
-    the distance symmetrically between the two senders), a count table is
-    sampled for the pulse budget, the decoy bounds and key length are
-    computed, and the key is divided by the wall-clock-equivalent time
-    ``n_pulses / clock_rate / duty``.  Counts that admit no photon-number
-    model yield a zero-rate point whose note says so; every other error
-    propagates.
-
-    Half of ``security.eps_sec`` funds the decoy estimation; the remainder
-    is carried by the finite-size correction's composition.  ``mdi_model``
-    holds keyword arguments of :func:`channel.mdi_yield_model`.  The distances'
-    LPs run in one ``reuse_bases`` block: each decoy LP is re-solved in place with
-    later distances' right-hand sides, so a bound may differ from a cold solve's in its last bits.
+    For each distance the channel model is rebuilt (the relay link splits the distance symmetrically between
+    the two senders), a count table is sampled for the pulse budget and keyed by :func:`table_key`, and the key
+    is divided by the wall-clock-equivalent time ``n_pulses / clock_rate / duty``.  Counts that admit no
+    photon-number model yield a zero-rate point whose note says so; every other error propagates.
+    ``mdi_model`` holds keyword arguments of :func:`channel.mdi_yield_model`.  The distances' LPs run in one
+    ``reuse_bases`` block: each decoy LP is re-solved in place with later distances' right-hand sides, so a
+    bound may differ from a cold solve's in its last bits.
     """
     if not isinstance(distances, Iterable) or not (distances := list(distances)):
         raise ConfigError(f"distances: expected a non-empty list of numbers, got {distances!r}")
@@ -229,11 +238,8 @@ def rate_sweep(
                 model = qkd_yield_model(side) if senders == 1 else mdi_yield_model(side, side, **mdi_model)
                 table = synthesize_table(model, intensities, n_pulses, mode, "AB" if senders == 2 else "AC",
                                          int(point_seeds[i]))
-                bounds = estimate_bounds(table, intensities, security.eps_sec / 2.0, mode)
-                z_rec = table.z_entry()
-                qber_z = z_rec.errors / z_rec.detected if z_rec.detected else 0.0
-                result = secure_key_length(bounds, z_rec.detected, qber_z, security, elapsed)
-                points.append(SweepPoint(dist, mode, result.secure_bits, elapsed, result.rate_bps))
+                key = table_key(table, intensities, security, elapsed)[1]
+                points.append(SweepPoint(dist, mode, key.secure_bits, elapsed, key.rate_bps))
             except InconsistentCountsError as exc:
                 points.append(SweepPoint(dist, mode, 0, elapsed, 0.0, note=str(exc)))
     return points

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LABELS, LINK_SENDERS, CountRecord, IntensitySet, outcome_law, sift_keep
+from .channel import LABELS, LINK_SENDERS, CountRecord, IntensitySet, check_link, outcome_law, sift_keep
 from .decoy import CountTable
 from .mathkit import ConfigError, check_count, check_real, check_weights
 
@@ -235,8 +235,7 @@ def run_plan(
     for link in links:
         if link not in models:
             raise ConfigError(f"{link}: the plan schedules link {link} but no model was given")
-        if models[link].senders != LINK_SENDERS[link]:
-            raise ConfigError(f"{link}: the link has {LINK_SENDERS[link]} sender(s), its model {models[link].senders}")
+        check_link(link, models[link])
 
     law = _outcome_table({link: models[link] for link in links}, plan.intensities)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])

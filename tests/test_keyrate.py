@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qkdnet.keyrate import (
     synthesize_table,
 )
 from qkdnet.mathkit import ConfigError
+from qkdnet.netsim import run_plan, schedule
 from references import entry_budgets_per_mode, synthesize_per_entry
 
 NO_OVERHEAD = SecurityParams(eps_sec=21.0, eps_cor=2.0, f_ec=1.16)
@@ -297,10 +300,143 @@ def test_mode_is_refused_before_any_solve_or_draw(monkeypatch, call, mode):
         "rate_sweep": lambda: rate_sweep(side, intensities, [5.0], mode, SecurityParams()),
     }
 
+    refuse_solves_and_draws(monkeypatch)
+    with pytest.raises(ConfigError, match="^mode: expected 'QKD' or 'MDI'"):
+        calls[call]()
+
+
+def refuse_solves_and_draws(monkeypatch):
+    """From here on, solving an LP or making a generator fails the test."""
+
     def refuse(*args, **kwargs):
-        raise AssertionError("an LP was solved or a table drawn before the mode was read")
+        raise AssertionError("an LP was solved or a table drawn before the input was checked")
 
     monkeypatch.setattr(mathkit, "linprog", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    with pytest.raises(ConfigError, match="^mode: expected 'QKD' or 'MDI'"):
-        calls[call]()
+
+
+#: call -> (model senders, call arguments after the model or table, refusal message)
+MISMATCHES = {
+    "estimate_bounds-AC-MDI": (1, ("MDI",), "^mode: 'MDI' does not name link AC; expected 'QKD'$"),
+    "estimate_bounds-AB-QKD": (2, ("QKD",), "^mode: 'QKD' does not name link AB; expected 'MDI'$"),
+    "synthesize_table-QKD-AB": (1, ("QKD", "AB"), "^mode: 'QKD' does not name link AB; expected 'MDI'$"),
+    "synthesize_table-MDI-AC": (2, ("MDI", "AC"), "^mode: 'MDI' does not name link AC; expected 'QKD'$"),
+    "synthesize_table-one-sender-model-AB": (1, ("MDI", "AB"), r"^AB: the link has 2 sender\(s\), its model 1$"),
+    "synthesize_table-two-sender-model-BC": (2, ("QKD", "BC"), r"^BC: the link has 1 sender\(s\), its model 2$"),
+    "expected_table-one-sender-model-AB": (1, ("AB",), r"^AB: the link has 2 sender\(s\), its model 1$"),
+    "expected_table-two-sender-model-AC": (2, ("AC",), r"^AC: the link has 1 sender\(s\), its model 2$"),
+    "multisig_comparison-one-sender-model": (1, ("MDI",), r"^AB: the link has 2 sender\(s\), its model 1$"),
+    "multisig_comparison-two-sender-model": (2, ("QKD",), r"^AC: the link has 1 sender\(s\), its model 2$"),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHES)
+def test_mode_model_and_link_must_agree_before_any_solve_or_draw(monkeypatch, case):
+    # a mode or model that does not fit the link used to fail late, with a KeyError for a missing table
+    # entry or a ValueError from the count law, or to draw a table first
+    senders, args, message = MISMATCHES[case]
+    side = ChannelParams(distance_km=5.0)
+    model = qkd_yield_model(side) if senders == 1 else mdi_yield_model(side, side)
+    intensities = IntensitySet()
+    table = expected_table(model, intensities, 10**9, "AC" if senders == 1 else "AB")
+    calls = {
+        "estimate_bounds": lambda: estimate_bounds(table, intensities, 1e-10, *args),
+        "synthesize_table": lambda: synthesize_table(model, intensities, 10**9, *args, 1),
+        "expected_table": lambda: expected_table(model, intensities, 10**9, *args),
+        "multisig_comparison": lambda: experiments.multisig_comparison(model, intensities, *args, 10**9),
+    }
+    refuse_solves_and_draws(monkeypatch)
+    with pytest.raises(ConfigError, match=message):
+        calls[case.split("-")[0]]()
+
+
+def recorded_keys(monkeypatch) -> list:
+    """The (bounds, params) of every key computed from here on, wherever a module binds secure_key_length."""
+    keys, real = [], keyrate.secure_key_length
+
+    def recorded(bounds, n_z, qber_z, params, *args, **kwargs):
+        keys.append((bounds, params))
+        return real(bounds, n_z, qber_z, params, *args, **kwargs)
+
+    for module in (keyrate, cli, experiments):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, recorded)
+    return keys
+
+
+def assert_half_eps_funds_the_bounds(keys, count):
+    # the key is eps_sec-secret only if its decoy bounds' failure probability is paid from eps_sec: half of it
+    assert len(keys) == count
+    for bounds, params in keys:
+        assert bounds.epsilon_spent <= params.eps_sec / 2, (bounds.epsilon_spent, params.eps_sec)
+
+
+class TestKeyBudgetSplit:
+    """Every key the library reports spends at most half its ``eps_sec`` on its decoy bounds."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(mode=st.sampled_from(["QKD", "MDI"]), eps_sec=st.floats(1e-15, 1.0))
+    def test_sweep_points(self, mode, eps_sec):
+        with pytest.MonkeyPatch.context() as patch:
+            keys = recorded_keys(patch)
+            points = rate_sweep(ChannelParams(distance_km=0.0), IntensitySet(), [0.0, 20.0], mode,
+                                SecurityParams(eps_sec=eps_sec), n_pulses=10**10)
+        assert not any(point.note for point in points)
+        assert_half_eps_funds_the_bounds(keys, len(points))
+
+    @pytest.mark.parametrize("link", ["AB", "AC"])
+    @pytest.mark.parametrize("eps_sec", ["1e-10", "0.01"])
+    def test_keyrate_command(self, monkeypatch, tmp_path, capsys, link, eps_sec):
+        config = str(resources.files("qkdnet") / "presets" / "desk.json")
+        intensities, models = load_network(load_preset("desk")["simulate"])
+        counts = tmp_path / "counts.json"
+        table = expected_table(models[link], intensities, 10**9, link)
+        counts.write_text(table.to_json(), encoding="utf-8")
+        keys = recorded_keys(monkeypatch)
+        assert cli.main(["keyrate", "--config", config, "--counts", str(counts), "--eps-sec", eps_sec]) == 0
+        capsys.readouterr()
+        assert_half_eps_funds_the_bounds(keys, 1)
+        assert keys[0][1].eps_sec == float(eps_sec)
+
+    def test_relay_chain(self, monkeypatch):
+        config = load_preset("desk")["simulate"]
+        intensities, models = load_network(config)
+        result = run_plan(schedule(10**6, config["weights"], intensities=intensities, seed=3), models, seed=3)
+        keys = recorded_keys(monkeypatch)
+        chain = experiments.relay_chain(result, intensities, config["weights"], 3)
+        assert_half_eps_funds_the_bounds(keys, 1)
+        assert keys[0][0] is chain.bounds
+
+
+class TestTableKey:
+    @pytest.mark.parametrize("mode, link", [("QKD", "AC"), ("QKD", "BC"), ("MDI", "AB")])
+    @pytest.mark.parametrize("km", [0.0, 20.0])
+    def test_is_the_chain_written_out(self, mode, link, km):
+        # bounds on half of eps_sec in the link's mode, then the key from the Z entry's detections and QBER,
+        # on a sweep preset's channel, intensities and pulse budget
+        kwargs = cli._arguments(rate_sweep, load_preset(f"hw-{mode.lower()}-sweep")["sweep"], "sweep")
+        side, intensities = replace(kwargs["channel"], distance_km=km), kwargs["intensities"]
+        model = qkd_yield_model(side) if mode == "QKD" else mdi_yield_model(side, side, **kwargs["mdi_model"])
+        security = SecurityParams(eps_sec=1e-9, eps_cor=1e-12)
+        table = synthesize_table(model, intensities, kwargs["n_pulses"], mode, link, seed=4)
+        bounds, key = keyrate.table_key(table, intensities, security, 2.5)
+        z_rec = table.z_entry()
+        assert bounds == estimate_bounds(table, intensities, 0.5e-9, mode)
+        assert key == secure_key_length(bounds, z_rec.detected, z_rec.errors / z_rec.detected, security, 2.5)
+        assert key.secure_bits > 0
+
+    def test_no_detections_key_to_zero(self):
+        side = ChannelParams(distance_km=0.0, detector_efficiency=0.0, dark_count_prob=0.0)
+        table = synthesize_table(qkd_yield_model(side), IntensitySet(), 10**9, "QKD", "AC", seed=1)
+        assert table.z_entry().detected == 0
+        bounds, key = keyrate.table_key(table, IntensitySet(), SecurityParams())
+        assert (bounds.s1_lower, bounds.eph_upper, key.secure_bits, key.leak_ec_bits, key.rate_bps) == (0, 0.5, 0, 0, 0.0)
+
+    @pytest.mark.parametrize("elapsed_s, message", [(math.nan, "got nan"), (-1.0, "got -1.0"), (math.inf, "got inf"),
+                                                     (True, "expected a number, got True")])
+    def test_elapsed_is_refused_before_any_solve(self, monkeypatch, elapsed_s, message):
+        table = expected_table(qkd_yield_model(ChannelParams(distance_km=5.0)), IntensitySet(), 10**9, "AC")
+        refuse_solves_and_draws(monkeypatch)
+        with pytest.raises(ConfigError, match=f"^elapsed_s: {message}"):
+            keyrate.table_key(table, IntensitySet(), SecurityParams(), elapsed_s)

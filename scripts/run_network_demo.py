@@ -5,6 +5,7 @@ signature report from the relay link, and run one honest signing session."""
 import argparse
 
 from qkdnet.cli import load_network, load_preset
+from qkdnet.decoy import TableFormatError
 from qkdnet.experiments import relay_chain
 from qkdnet.mathkit import ConfigError
 from qkdnet.netsim import run_plan, schedule
@@ -22,7 +23,7 @@ def main():
         plan = schedule(args.slots, config["weights"], intensities=intensities, seed=args.seed)
         result = run_plan(plan, models, seed=args.seed)
         chain = relay_chain(result, intensities, config["weights"], args.seed)
-    except (ConfigError, KeyError) as exc:
+    except (ConfigError, TableFormatError) as exc:
         parser.error(exc.args[0])
     for link, table in sorted(result.tables.items()):
         detected = sum(r.detected for r in table.entries.values())

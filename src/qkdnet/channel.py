@@ -300,18 +300,18 @@ def _photon_law(mu: float, name: str = "mu") -> np.ndarray:
     return pmf
 
 
-def sift_keep(senders: int, basis: str, other_basis: str | None = None) -> float:
-    """Probability that a detection in ``basis`` is recorded, not discarded.
+def sift_keep(senders: int, basis: str) -> float:
+    """Probability that a detection of a recorded entry (:data:`ENTRY_KEYS`) in ``basis`` is kept, not discarded.
 
-    On the relay link (two senders) a coincidence is recorded exactly when
-    the senders' bases match (``other_basis`` defaults to ``basis``).  On a
-    point-to-point link (one sender) a detection is recorded when the
-    passive analyzer takes the sender's basis: X with ``PASSIVE_BASIS_FACTOR``.
+    On the relay link (two senders) every coincidence of an entry, whose
+    senders' bases match, is kept.  On a point-to-point link (one sender) a
+    detection is kept when the passive analyzer takes the sender's basis: X
+    with ``PASSIVE_BASIS_FACTOR``.
     """
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
     if check_senders(senders) == 2:
-        return 1.0 if other_basis in (None, basis) else 0.0
+        return 1.0
     return PASSIVE_BASIS_FACTOR if basis == "X" else 1.0 - PASSIVE_BASIS_FACTOR
 
 

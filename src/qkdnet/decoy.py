@@ -49,7 +49,7 @@ class InconsistentCountsError(ValueError):
 
 
 class TableFormatError(ValueError):
-    """A serialized count table violates the schema."""
+    """A serialized count table violates the schema, or a table lacks one of its link's entries."""
 
 
 @dataclass
@@ -57,7 +57,8 @@ class CountTable:
     """Per-link tallies keyed by (intensity label(s), basis).
 
     Labels are single strings for a point-to-point link and ordered pairs for
-    the relay link, one per sender (``senders``).  Z-basis entries exist only for the signal class.
+    the relay link, one per sender (``senders``).  A table holds only its link's entries
+    (:data:`channel.ENTRY_KEYS`), each at most once: Z-basis entries exist only for the signal class.
     """
 
     link: str  # AB | AC | BC
@@ -68,17 +69,12 @@ class CountTable:
             raise ValueError(f"link must be AB, AC or BC, got {self.link!r}")
 
     def add(self, label, basis: str, record: CountRecord):
-        key = (label,) if isinstance(label, str) else tuple(label)
-        if basis not in ("Z", "X"):
-            raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-        allowed = ("s",) if basis == "Z" else X_LABELS
-        if any(l not in allowed for l in key):
-            raise ValueError(f"{basis}-basis entries carry only {'/'.join(allowed)}, got {key}")
-        if len(key) != self.senders:
-            raise ValueError(f"label {key} has the wrong arity for link {self.link}")
-        if (key, basis) in self.entries:
-            raise ValueError(f"duplicate entry for {key} in basis {basis}")
-        self.entries[(key, basis)] = record
+        entry = ((label,) if isinstance(label, str) else tuple(label), basis)
+        if entry not in ENTRY_KEYS[self.senders]:
+            raise ValueError(f"link {self.link} has no (intensity, basis) entry {entry}")
+        if entry in self.entries:
+            raise ValueError(f"duplicate entry for {entry[0]} in basis {basis}")
+        self.entries[entry] = record
 
     senders = property(lambda self: LINK_SENDERS[self.link])
 
@@ -238,7 +234,7 @@ def estimate_bounds(
         x_records = [table.entries[entry] for entry in x_entries]
         z_record = table.entries[z_entry]
     except KeyError as exc:
-        raise KeyError(f"table has no (intensity, basis) entry {exc.args[0]}") from None
+        raise TableFormatError(f"table has no (intensity, basis) entry {exc.args[0]}") from None
 
     n_shares = 2 * len(x_entries) + 1  # gain + error per entry, + the Z transfer
     eps_each = eps_total / n_shares

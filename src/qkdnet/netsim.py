@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LABELS, LINK_SENDERS, CountRecord, IntensitySet, check_link, outcome_law, sift_keep
+from .channel import ENTRY_KEYS, LABELS, LINK_SENDERS, CountRecord, IntensitySet, check_link, outcome_law, sift_keep
 from .decoy import CountTable
 from .mathkit import ConfigError, check_count, check_real, check_weights
 
@@ -41,24 +41,21 @@ _BLOCK = 1 << 16  # slots per cache-sized pass of schedule's table reads; no dra
 
 BASIS = "ZXXX"  # each intensity class's basis: the signal class is sent in Z, the decoys in X
 
-# Slot configurations: rows 0-15 are the relay link's (class a, class b)
-# pairs, ordered by (basis a, basis b, class a, class b); rows 16-19 and
-# 20-23 the AC and BC links' sender class.  A slot's code packs its
-# (session, class a, class b) into 6 bits as session << 4 | class a << 2 |
-# class b; CONFIG_OF maps a code to its row, and CODES lists the 24 codes.
-N_CONFIGS = 24
-RELAY_CLASSES = sorted(np.ndindex(4, 4), key=lambda c: (c[0] > 0, c[1] > 0, c))  # Z before X
-_relay_row = {c: row for row, c in enumerate(RELAY_CLASSES)}
-CONFIG_OF = np.array([_relay_row[a, b] if s == 0 else 16 + a if s == 1 else 20 + b
-                      for s, a, b in np.ndindex(3, 4, 4)], dtype=np.int16)
-#: recorded rows of each link's count table: row -> (link, intensity label(s), basis)
-TABLE_ROWS = {
-    **{row: ("AB", (LABELS[a], LABELS[b]), BASIS[a])
-       for row, (a, b) in enumerate(RELAY_CLASSES) if BASIS[a] == BASIS[b]},
-    **{16 + 4 * k + i: (link, (LABELS[i],), BASIS[i]) for k, link in enumerate(("AC", "BC")) for i in range(4)},
+# A slot's configuration is its code, session << 4 | class a << 2 | class b, and every
+# per-configuration array is indexed by it.  A point-to-point session pins its idle
+# sender to the vacuum class 3, so 24 of the N_CODES codes occur.
+N_CODES = len(LINKS) << 4
+#: each code that occurs -> (link, its sender(s)' intensity label(s), first sender's basis)
+CONFIGS = {
+    **{a << 2 | b: ("AB", (LABELS[a], LABELS[b]), BASIS[a]) for a, b in np.ndindex(4, 4)},
+    **{1 << 4 | a << 2 | 3: ("AC", (LABELS[a],), BASIS[a]) for a in range(4)},
+    **{2 << 4 | 3 << 2 | b: ("BC", (LABELS[b],), BASIS[b]) for b in range(4)},
 }
-CODES = np.array([s << 4 | a << 2 | b for s, a, b in np.ndindex(3, 4, 4)
-                  if s == 0 or (s == 1 and b == 3) or (s == 2 and a == 3)], dtype=np.int8)
+CODES = np.array(list(CONFIGS), dtype=np.int8)
+#: the codes a count table records, those whose (labels, basis) is an entry of their link (channel.ENTRY_KEYS)
+RECORDED = {code: c for code, c in CONFIGS.items() if c[1:] in ENTRY_KEYS[LINK_SENDERS[c[0]]]}
+#: the order of run_plan's multinomial draws: by session, Z-basis classes before X-basis ones
+DRAW_ORDER = np.array(sorted(CONFIGS, key=lambda code: (code >> 4, code & 12 > 0, code & 3 > 0, code)))
 EDGE = -1  # schedule's table value for a cell an edge falls in; no code is negative
 
 
@@ -103,7 +100,7 @@ def _config_law(weights: tuple, intensities: IntensitySet) -> np.ndarray:
     z, p_session = intensities.z_basis_prob, np.divide(weights, math.fsum(weights))
     p_class = np.array([z, *(1.0 - z) * intensities.x_probs()])
     law = [*p_session[0] * np.outer(p_class, p_class).ravel(), *p_session[1] * p_class, *p_session[2] * p_class]
-    return np.array([math.fsum(law[: k + 1]) for k in range(N_CONFIGS)]) / math.fsum(law)
+    return np.array([math.fsum(law[: k + 1]) for k in range(len(law))]) / math.fsum(law)
 
 
 def schedule(
@@ -162,21 +159,17 @@ def schedule(
 
 
 def _outcome_table(models: dict, intensities: IntensitySet) -> np.ndarray:
-    """Outcome law of each configuration row, shape (N_CONFIGS, 4).
+    """Outcome law of each configuration, indexed by code: shape (N_CODES, 4).
 
-    Row r is configuration r's :func:`channel.outcome_law`, kept by the
-    link's sifting (:func:`channel.sift_keep`).  Rows of links without a
-    model stay zero.
+    A code's row is its :func:`channel.outcome_law`, kept by the link's sifting (:func:`channel.sift_keep`)
+    if the code is recorded and discarded whole if not.  Rows of links without a model, and of codes that
+    never occur, stay zero.
     """
-    mu = [intensities.mu(label) for label in LABELS]
-    law = np.zeros((N_CONFIGS, 4))
-    if "AB" in models:
-        for row, (a, b) in enumerate(RELAY_CLASSES):
-            law[row] = outcome_law(models["AB"], mu[a], mu[b], BASIS[a], sift_keep(2, BASIS[a], BASIS[b]))
-    for start, link in ((16, "AC"), (20, "BC")):
+    law = np.zeros((N_CODES, 4))
+    for code, (link, labels, basis) in CONFIGS.items():
         if link in models:
-            for row, i in enumerate(range(4), start):
-                law[row] = outcome_law(models[link], mu[i], None, BASIS[i], sift_keep(1, BASIS[i]))
+            keep = sift_keep(len(labels), basis) if code in RECORDED else 0.0
+            law[code] = outcome_law(models[link], *map(intensities.mu, labels), basis=basis, keep=keep)
     return law
 
 
@@ -190,24 +183,21 @@ def run_plan(
     Each link the plan schedules needs a model of its sender count (``model.senders``): a missing or
     mismatched one is a ConfigError naming the link.
 
-    Relay slots record an accepted coincidence under the (intensity pair,
-    basis) entry only when the two senders' bases match; mismatched-basis
-    coincidences land in the diagnostics tally.  Point-to-point slots record
-    a detection when the passive analyzer branch matches the sender's basis.
-    Z-basis signal detections form the link's undisclosed pool of (bit,
-    error-flag) pairs.
+    A slot is recorded under its configuration's (labels, basis) when that is one of its link's
+    entries (:data:`RECORDED`): a relay slot whose senders' bases differ is not, and its
+    coincidences land in the diagnostics tally.  Point-to-point slots record a detection when the
+    passive analyzer branch matches the sender's basis.  Z-basis signal detections form the link's
+    undisclosed pool of (bit, error-flag) pairs.
 
-    The plan enters only through how many slots fall in each configuration
-    row (:data:`CONFIG_OF`).  Slots of one row are i.i.d. draws of its
-    outcome law (:func:`_outcome_table`, photon numbers marginalised
-    exactly), so one multinomial per row gives every outcome tally; an
-    intensity class beyond the law's tail limit raises
-    :class:`channel.TailBoundError`.  A pool's bits are uniform and its
-    error flags sit at uniformly random positions, which is the law of
-    per-slot draws given the row's tallies.  The draws come from a child
-    stream of ``seed``'s sequence, independent of the streams
-    :func:`schedule` drew the plan from under the same seed.  Deterministic
-    under ``seed``.
+    The plan enters only through how many slots carry each code; a code outside :data:`CODES` (a
+    point-to-point slot whose idle sender is not at vacuum) is a ValueError before any draw.  Slots
+    of one code are i.i.d. draws of its outcome law (:func:`_outcome_table`, photon numbers
+    marginalised exactly), so one multinomial per code, in :data:`DRAW_ORDER`, gives every outcome
+    tally; an intensity class beyond the law's tail limit raises :class:`channel.TailBoundError`.
+    A pool's bits are uniform and its error flags sit at uniformly random positions, which is the
+    law of per-slot draws given the code's tallies.  The draws come from a child stream of
+    ``seed``'s sequence, independent of the streams :func:`schedule` drew the plan from under the
+    same seed.  Deterministic under ``seed``.
     """
     pairs = np.zeros(1 << 16, dtype=np.int64)
     columns = (plan.session, plan.intensity_a, plan.intensity_b)
@@ -227,10 +217,11 @@ def run_plan(
             key[m:n] |= code[m:] << shift
         pairs += np.bincount(key.view(np.uint16), minlength=1 << 16)
     by_byte = pairs.reshape(256, 256)  # each key byte counts once, on either byte order
-    slots_per_key = (by_byte.sum(0) + by_byte.sum(1))[: CONFIG_OF.size]
-    sent = np.zeros(N_CONFIGS, dtype=np.int64)
-    np.add.at(sent, CONFIG_OF, slots_per_key)
-    per_session = np.add.reduceat(sent, [0, 16, 20]).tolist()
+    sent = (by_byte.sum(0) + by_byte.sum(1))[:N_CODES]
+    stray = [code for code in np.flatnonzero(sent).tolist() if code not in CONFIGS]
+    if stray:
+        raise ValueError(f"plan codes outside CODES: {stray}; a point-to-point slot's idle sender is class 3")
+    per_session = sent.reshape(len(LINKS), 16).sum(1).tolist()
     links = [link for link, count in zip(LINKS, per_session) if count]
     for link in links:
         if link not in models:
@@ -239,24 +230,25 @@ def run_plan(
 
     law = _outcome_table({link: models[link] for link in links}, plan.intensities)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    hist = rng.multinomial(sent, law)
+    hist = np.zeros((N_CODES, 4), dtype=np.int64)
+    hist[DRAW_ORDER] = rng.multinomial(sent[DRAW_ORDER], law[DRAW_ORDER])
     records = np.c_[sent, hist[:, 0] + hist[:, 1], hist[:, 0]]
     diag = {
-        "basis_mismatch_slots": int(hist[1:7].sum()),  # relay rows with one sender in Z, one in X
+        "basis_mismatch_slots": int(sent.sum() - sent[list(RECORDED)].sum()),  # the unrecorded codes' slots
         "cross_branch_discarded": int(hist[:16, 2].sum()),
         "branch_mismatch_discarded": int(hist[16:, 2].sum()),
         "slots_per_session": dict(zip(SESSION_NAMES, per_session)),
     }
-    tables = {link: CountTable(link=link) for link in LINKS}
-    for row, (link, label, basis) in TABLE_ROWS.items():
-        if sent[row]:
-            tables[link].add(label, basis, CountRecord(*records[row].tolist()))
-    # A link's pool is its Z-basis signal row's recorded detections.  The
-    # first sender's bit is uniform; the second sender's preparation
-    # realises the error flag through the flip rule.
-    z_pools = {}
-    for link, row in zip(LINKS, (0, 16, 20)):
-        errors, correct = hist[row, :2].tolist()
+    tables, z_pools = {link: CountTable(link=link) for link in LINKS}, {}
+    for code, (link, labels, basis) in RECORDED.items():
+        if sent[code]:
+            tables[link].add(labels, basis, CountRecord(*records[code].tolist()))
+        if basis != "Z":
+            continue
+        # A link's pool is its Z-basis signal entry's recorded detections.  The
+        # first sender's bit is uniform; the second sender's preparation
+        # realises the error flag through the flip rule.
+        errors, correct = hist[code, :2].tolist()
         size = errors + correct
         bits = rng.integers(0, 2, size=size, dtype=np.int8)
         flags = np.zeros(size, bool)

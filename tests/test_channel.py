@@ -23,7 +23,7 @@ from qkdnet.channel import (
 from qkdnet.experiments import expected_table
 from qkdnet.keyrate import synthesize_table
 from qkdnet.mathkit import ConfigError, poisson_pmf
-from qkdnet.netsim import CONFIG_OF, _outcome_table
+from qkdnet.netsim import _outcome_table
 from references import sample_counts
 
 
@@ -244,8 +244,7 @@ class TestOutcomeLaw:
             outcome_law(mdi_yield_model(p, p), 0.1, 5.0)
 
     def test_sift_keep(self):
-        assert sift_keep(2, "Z") == sift_keep(2, "X", "X") == 1.0
-        assert sift_keep(2, "Z", "X") == 0.0
+        assert sift_keep(2, "Z") == sift_keep(2, "X") == 1.0
         assert sift_keep(1, "X") == channel.PASSIVE_BASIS_FACTOR
         assert sift_keep(1, "Z") == 1.0 - channel.PASSIVE_BASIS_FACTOR
         with pytest.raises(ValueError):
@@ -272,9 +271,9 @@ class TestOutcomeLaw:
             drawn = sampled.entries[(key, basis)]
             sigma = math.sqrt(drawn.sent * accept * (1 - accept))
             assert abs(drawn.detected - drawn.sent * accept) < 5 * sigma, (key, basis)
-            # session AC and sender A's intensity class, which fixes its basis
-            slot = 1 << 4 | LABELS.index(label) << 2
-            assert law[CONFIG_OF[slot], :2].sum() == pytest.approx(accept, rel=1e-12)
+            # session AC, sender A's intensity class, which fixes its basis, and B idle at vacuum
+            code = 1 << 4 | LABELS.index(label) << 2 | 3
+            assert law[code, :2].sum() == pytest.approx(accept, rel=1e-12)
 
 
 def _law_keys(mode):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkdnet import channel, keyrate
+from qkdnet import channel, keyrate, mathkit
 from qkdnet.channel import ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from qkdnet.cli import load_preset, main
 from qkdnet.decoy import InconsistentCountsError
@@ -314,7 +314,7 @@ class TestKeyrate:
         "rows, message",
         [
             ("AC,s,Z,100,10,0\nAC,u,X,50,5,0\nAC,u,X,50,7,1\n", "row 4: duplicate"),
-            ("AC,s,Z,100,10,0\nAC,u:v,X,50,5,0\n", "row 3: label ('u', 'v') has the wrong arity"),
+            ("AC,s,Z,100,10,0\nAC,u:v,X,50,5,0\n", "row 3: link AC has no (intensity, basis) entry (('u', 'v'), 'X')"),
         ],
     )
     def test_duplicate_or_wrong_arity_row_is_format_error(self, tmp_path, capsys, rows, message):
@@ -396,6 +396,28 @@ class TestKeyrate:
         rc = main(["keyrate", "--config", str(PRESETS / "desk.json"), "--counts", str(desk_run / "counts_AB.json")])
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1] == "AB,MDI,358422,0.13658,100286,51690,277,0,0"
+
+    @pytest.mark.parametrize("name, entry", [("counts_AC.json", "(('w',), 'X')"), ("counts_AB.csv", "(('u', 'v'), 'X')")])
+    def test_table_without_one_of_its_link_entries_is_format_error(self, desk_run, tmp_path, capsys, monkeypatch,
+                                                                   name, entry):
+        # the desk counts with the last JSON entry, or the AB,u:v,X CSV row, deleted
+        text = (desk_run / name).read_text()
+        if name.endswith(".json"):
+            doc = json.loads(text)
+            del doc["entries"][-1]
+            text = json.dumps(doc)
+        else:
+            text = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("AB,u:v,X,"))
+        (tmp_path / name).write_text(text)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LP was solved for an incomplete table")
+
+        monkeypatch.setattr(mathkit, "linprog", refuse)
+        capsys.readouterr()
+        assert main(["keyrate", "--config", str(PRESETS / "desk.json"), "--counts", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: table has no (intensity, basis) entry {entry}\n" and captured.out == ""
 
     def test_malformed_elapsed_s_is_refused_before_the_bounds(self, desk_run, tmp_path, capsys):
         args = ["keyrate", "--config", write_config(tmp_path, SIM_CONFIG), "--counts", str(desk_run / "counts_AB.json")]

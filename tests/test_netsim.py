@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from qkdnet.channel import (
+    ENTRY_KEYS,
     LABELS,
+    LINK_SENDERS,
     N_CUT,
     ChannelParams,
+    CountRecord,
     IntensitySet,
     TailBoundError,
     expected_gain_and_qber,
@@ -22,12 +25,14 @@ from qkdnet.channel import (
 )
 from qkdnet.cli import load_network, load_preset
 from qkdnet import netsim
+from qkdnet.decoy import CountTable
 from qkdnet.mathkit import ConfigError, poisson_pmf
 from qkdnet.netsim import (
-    CONFIG_OF,
+    CODES,
+    CONFIGS,
     DEFAULT_CHUNK,
-    N_CONFIGS,
-    TABLE_ROWS,
+    N_CODES,
+    RECORDED,
     MessageBus,
     _outcome_table,
     run_plan,
@@ -394,9 +399,9 @@ class TestPlanDigests:
 
 
 def naive_sent(plan):
-    """Slots per configuration row, each slot's key built on its own in int64."""
-    key = sum(getattr(plan, field).astype(np.int64) << shift for field, shift in zip(FIELDS, (4, 2, 0)))
-    return np.bincount(CONFIG_OF[key], minlength=N_CONFIGS)
+    """Slots per code, each slot's code built on its own in int64."""
+    code = sum(getattr(plan, field).astype(np.int64) << shift for field, shift in zip(FIELDS, (4, 2, 0)))
+    return np.bincount(code, minlength=48)
 
 
 class TestRunPlan:
@@ -435,15 +440,18 @@ class TestRunPlan:
         plan = schedule(slots, weights=(1, 1, 1), intensities=NETWORK_INTENSITIES, seed=27)
         result = run_plan(plan, default_models(), seed=27)
         sent = naive_sent(plan)
-        entries = {row: result.tables[link].entries.get((label, basis)) for row, (link, label, basis) in TABLE_ROWS.items()}
-        assert {row: rec.sent for row, rec in entries.items() if rec} == {row: sent[row] for row in TABLE_ROWS if sent[row]}
-        per_session = [sent[:16].sum(), sent[16:20].sum(), sent[20:].sum()]
+        entries = {code: result.tables[link].entries.get((label, basis))
+                   for code, (link, label, basis) in RECORDED.items()}
+        assert {code: rec.sent for code, rec in entries.items() if rec} == {code: sent[code] for code in RECORDED
+                                                                            if sent[code]}
+        per_session = [sent[:16].sum(), sent[16:32].sum(), sent[32:].sum()]
         assert list(result.diagnostics["slots_per_session"].values()) == per_session
         assert sum(per_session) == slots
 
     def test_every_configuration_row_is_reachable(self):
         plan = schedule(100_000, weights=(1, 1, 1), intensities=NETWORK_INTENSITIES, seed=29)
-        assert np.all(naive_sent(plan) > 0)
+        sent = naive_sent(plan)
+        assert np.all(sent[CODES] > 0) and sent.sum() == sent[CODES].sum() == plan.slots
 
     @pytest.mark.parametrize("field, code", [("session", 3), ("intensity_a", 4)])
     @pytest.mark.parametrize("slot", [8 * 3 + 2, 8 * 1_250 + 3, DEFAULT_CHUNK + 1],
@@ -452,6 +460,19 @@ class TestRunPlan:
         plan = schedule(8 * 1_250 + 5 if slot < DEFAULT_CHUNK else DEFAULT_CHUNK + 3, weights=(1, 0, 0), seed=19)
         getattr(plan, field)[slot] = code
         with pytest.raises(ValueError, match="plan codes outside"):
+            run_plan(plan, default_models(), seed=19)
+
+    @pytest.mark.parametrize("weights, field, code", [((0, 1, 0), "intensity_b", 0), ((0, 0, 1), "intensity_a", 1)])
+    def test_idle_sender_off_vacuum_rejected(self, monkeypatch, weights, field, code):
+        # a point-to-point slot whose idle sender is not at vacuum is no configuration: refused before any draw
+        plan = schedule(1000, weights=weights, seed=19)
+        getattr(plan, field)[500] = code
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_plan drew before refusing the plan")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(ValueError, match="plan codes outside CODES"):
             run_plan(plan, default_models(), seed=19)
 
     def test_deterministic(self):
@@ -593,12 +614,15 @@ class TestOutcomeTable:
         intensities = IntensitySet()
         models = default_models(distance)
         law = _outcome_table(models, intensities)
-        assert law.shape == (N_CONFIGS, 4) == (24, 4)
+        assert law.shape == (N_CODES, 4) == (48, 4)
         mu = [intensities.mu(label) for label in LABELS]
         for key in range(48):
             session, ia, ib = key >> 4, key >> 2 & 3, key & 3
             ba, bb = int(ia > 0), int(ib > 0)  # the basis follows the class
-            row = law[CONFIG_OF[key]]
+            row = law[key]
+            if session and (ia, ib)[2 - session] != 3:  # the idle sender off vacuum: no slot carries the code
+                assert not row.any(), key
+                continue
             if session == 0:
                 gain, qber = expected_gain_and_qber(models["AB"], mu[ia], mu[ib], basis="ZX"[ba])
                 want = (gain * qber, gain * (1 - qber), 0.0) if ba == bb else (0.0, 0.0, gain)
@@ -617,8 +641,8 @@ class TestOutcomeTable:
         pmf = [poisson_pmf(1.0, n) for n in range(N_CUT)]
         law = np.append(pmf, 1.0 - sum(pmf))
         truncated = np.append(pmf, poisson_pmf(1.0, N_CUT)) @ model.yields
-        row = _outcome_table({"AC": model}, IntensitySet(s=1.0))[CONFIG_OF[1 << 4]]
-        # session AC, sender A with the signal class, in Z: all detections
+        row = _outcome_table({"AC": model}, IntensitySet(s=1.0))[1 << 4 | 3]
+        # session AC, sender A with the signal class and B idle at vacuum, in Z: all detections
         assert row[:3].sum() == pytest.approx(law @ model.yields, abs=1e-13)
         assert law @ model.yields - truncated > 1e-11
 
@@ -627,6 +651,45 @@ class TestOutcomeTable:
         # handed to run_plan can carry it
         with pytest.raises(TailBoundError):
             IntensitySet(s=8.0)
+
+
+class TestEntryKeys:
+    """channel.ENTRY_KEYS is the one rule of what a link records, in a count table and in the simulator."""
+
+    @pytest.mark.parametrize("link", list(LINK_SENDERS))
+    def test_count_table_admits_exactly_its_link_entries(self, link):
+        record = CountRecord(100, 10, 1)
+        for label, basis in itertools.product([*LABELS, *itertools.product(LABELS, repeat=2)], "ZX"):
+            entry, table = ((label,) if isinstance(label, str) else label, basis), CountTable(link=link)
+            if entry in ENTRY_KEYS[LINK_SENDERS[link]]:
+                table.add(label, basis, record)
+                with pytest.raises(ValueError, match="duplicate"):
+                    table.add(label, basis, record)
+                assert table.entries == {entry: record}
+            else:
+                with pytest.raises(ValueError, match=rf"^link {link} has no \(intensity, basis\) entry"):
+                    table.add(label, basis, record)
+                assert table.entries == {}, entry
+
+    @pytest.mark.parametrize("link", list(LINK_SENDERS))
+    def test_simulator_records_exactly_its_link_entries(self, link):
+        recorded = [(labels, basis) for name, labels, basis in RECORDED.values() if name == link]
+        assert sorted(recorded) == sorted(ENTRY_KEYS[LINK_SENDERS[link]])
+        assert len(set(recorded)) == len(recorded)
+
+    def test_codes_are_the_configurations_and_only_mismatched_relay_pairs_go_unrecorded(self):
+        occurring = []
+        for code in range(48):
+            session, a, b = code >> 4, code >> 2 & 3, code & 3
+            if session == 0:
+                occurring.append((code, ("AB", (LABELS[a], LABELS[b]), "ZX"[a > 0])))
+            elif (a, b)[2 - session] == 3:  # a point-to-point session's idle sender at vacuum
+                active = (a, b)[session - 1]
+                occurring.append((code, (("AC", "BC")[session - 1], (LABELS[active],), "ZX"[active > 0])))
+        assert list(CONFIGS.items()) == occurring and CODES.tolist() == list(CONFIGS)
+        for code in set(CONFIGS) - set(RECORDED):
+            assert code >> 4 == 0 and (code >> 2 & 3 > 0) != (code & 3 > 0), code
+        assert len(CONFIGS) - len(RECORDED) == 6
 
 
 class TestMessageBus:

@@ -6,10 +6,14 @@ A mutant is one named text edit of one file: an exact string, which must
 occur there once, and its replacement.  For each mutant the script copies
 ``src/``, ``tests/``, ``perfbench/``, ``scripts/``, ``pyproject.toml`` and
 ``BENCHMARK.json`` (which the benchmark's smoke tests read) to a temporary
-directory, applies the edit, runs the whole tier-1 suite there
-and lists every failing test.  A failing test named in ``PINNED`` compares a
-pinned number; any other failing test checks a property.  A mutant whose
-string no longer occurs exactly once is reported as stale, without a run.
+directory and applies the edit.  A test named in ``PINNED`` compares a
+pinned number; any other test checks a property.  Each mutant first runs
+tier-1 without the ``PINNED`` tests, stopping at the first failure (``-x``;
+this file is the pytest plugin that deselects them): a failure there
+catches the mutant, and the table names that test.  Only a mutant that
+passes that run gets the whole suite, whose failing tests are listed and
+tell "pins only" from "survives".  A mutant whose string no longer occurs
+exactly once is reported as stale, without a run.
 
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
@@ -18,7 +22,8 @@ The unedited copy runs first: it must pass, and run every test in
 ``PINNED``.  Exit status 0 means every mutant run failed at least one
 property test; 1 means one was stale, survived, failed only pins, or timed
 out; 2 means the unedited copy failed or ``PINNED`` is out of date.
-Each run takes as long as tier-1 does, one run at a time.
+A whole-suite run takes as long as tier-1 does, one run at a time; a
+property-first run ends at its first failure.
 """
 
 import argparse
@@ -70,6 +75,10 @@ MUTANTS = [
      "_error_mix(0.5 * y0 + ", "_error_mix(y0 + "),
     ("key-step-whole-eps", "src/qkdnet/keyrate.py",
      "security.eps_sec / 2.0", "security.eps_sec"),
+    ("relay-sifted-passively", "src/qkdnet/channel.py",
+     "keep = 1.0 if model.senders == 2 else PASSIVE", "keep = PASSIVE"),
+    ("passive-branches-swapped", "src/qkdnet/channel.py",
+     'PASSIVE_BASIS_FACTOR if basis == "X" else', 'PASSIVE_BASIS_FACTOR if basis == "Z" else'),
 ]
 
 #: tests that compare a pinned number (a published value, a digest or a fixed count); an id
@@ -110,19 +119,37 @@ def is_pin(test: str) -> bool:
     return test in PINNED or test.split("[")[0] in PINNED
 
 
-def tier1(tree: Path) -> tuple:
-    """The ids (``module.Class::test[param]``) of the tier-1 tests that ran in ``tree``, and of those that failed."""
+def junit_id(nodeid: str) -> str:
+    """The id a JUnit report gives a pytest node (``tests/test_x.py::Class::test[param]`` ->
+    ``tests.test_x.Class::test[param]``), the form ``PINNED`` names tests in."""
+    path, bracket, params = nodeid.partition("[")
+    module, *scope = path.split("::")
+    return ".".join([module.removesuffix(".py").replace("/", "."), *scope[:-1]]) + f"::{scope[-1]}{bracket}{params}"
+
+
+def pytest_collection_modifyitems(config, items):
+    """As a pytest plugin (``-p mutants``), deselect the tests in ``PINNED``."""
+    pinned = [item for item in items if is_pin(junit_id(item.nodeid))]
+    if pinned:
+        config.hook.pytest_deselected(items=pinned)
+        items[:] = [item for item in items if item not in pinned]
+
+
+def tier1(tree: Path, properties_only: bool = False) -> tuple:
+    """The ids (``module.Class::test[param]``) of the tier-1 tests that ran in ``tree``, and of those that failed.
+    ``properties_only`` leaves out the ``PINNED`` tests and stops at the first failure."""
     report = tree / "junit.xml"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    path = [str(tree / "src"), *([str(tree / "scripts")] if properties_only else []), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-                    f"--junitxml={report}"], cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                   timeout=TIMEOUT_S)
+                    *(["-x", "-p", "mutants"] if properties_only else []), f"--junitxml={report}"],
+                   cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
     cases = list(ET.parse(report).iter("testcase"))
     ids = [f"{case.get('classname')}::{case.get('name')}" for case in cases]
     return ids, [i for i, case in zip(ids, cases) if case.find("failure") is not None or case.find("error") is not None]
 
 
-def run(edit=None) -> tuple:
+def run(edit=None, properties_only: bool = False) -> tuple:
     """:func:`tier1` on a fresh copy of the tree with ``edit`` (file, old, new) applied."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
@@ -135,7 +162,7 @@ def run(edit=None) -> tuple:
             path, old, new = edit
             target = tree / path
             target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        return tier1(tree)
+        return tier1(tree, properties_only)
 
 
 def main():
@@ -154,28 +181,32 @@ def main():
     if missing:
         print("PINNED names tests that no longer run:", *sorted(missing), sep="\n  ")
         return 2
-    print("| mutant | file | failing tests | pinned | property | verdict |")
-    print("|---|---|---|---|---|---|")
+    print("| mutant | file | first failing property test | verdict |")
+    print("|---|---|---|---|")
     details, all_caught = [], True
     for name, path, old, new in MUTANTS:
         if args.names and name not in args.names:
             continue
         occurrences = (ROOT / path).read_text(encoding="utf-8").count(old)
         if occurrences != 1:
-            print(f"| {name} | {path} | - | - | - | stale: its text occurs {occurrences} times |")
+            print(f"| {name} | {path} | - | stale: its text occurs {occurrences} times |")
             all_caught = False
             continue
         try:
-            _, failing = run((path, old, new))
+            _, failing = run((path, old, new), properties_only=True)
+            if not failing:
+                _, failing = run((path, old, new))
         except subprocess.TimeoutExpired:
-            print(f"| {name} | {path} | - | - | - | timed out after {TIMEOUT_S} s |")
+            print(f"| {name} | {path} | - | timed out after {TIMEOUT_S} s |")
             all_caught = False
             continue
-        pins = sum(map(is_pin, failing))
-        verdict = "caught" if pins < len(failing) else "pins only" if failing else "survives"
-        all_caught &= verdict == "caught"
-        print(f"| {name} | {path} | {len(failing)} | {pins} | {len(failing) - pins} | {verdict} |")
-        details.append((name, [f"{test} (pin)" if is_pin(test) else test for test in failing]))
+        properties = [test for test in failing if not is_pin(test)]
+        if properties:
+            print(f"| {name} | {path} | {properties[0]} | caught |")
+            continue
+        all_caught = False
+        print(f"| {name} | {path} | - | {f'pins only ({len(failing)} fail)' if failing else 'survives'} |")
+        details.append((name, failing))
     for name, failing in details:
         print(f"\n{name}:", *failing or ["(none)"], sep="\n  ")
     return 0 if all_caught else 1

@@ -26,7 +26,6 @@ __all__ = [
     "TailBoundError",
     "qkd_yield_model",
     "mdi_yield_model",
-    "sift_keep",
     "expected_gain_and_qber",
     "outcome_law",
 ]
@@ -53,7 +52,7 @@ LINK_SENDERS = {"AB": 2, "AC": 1, "BC": 1}
 MODES = {1: "QKD", 2: "MDI"}
 
 #: probability that a point-to-point receiver's passive analyzer takes the X
-#: branch (the Z branch takes the rest); :func:`sift_keep` is its one reader
+#: branch (the Z branch takes the rest); :func:`outcome_law` is its one reader
 PASSIVE_BASIS_FACTOR = 0.5
 
 
@@ -300,21 +299,6 @@ def _photon_law(mu: float, name: str = "mu") -> np.ndarray:
     return pmf
 
 
-def sift_keep(senders: int, basis: str) -> float:
-    """Probability that a detection of a recorded entry (:data:`ENTRY_KEYS`) in ``basis`` is kept, not discarded.
-
-    On the relay link (two senders) every coincidence of an entry, whose
-    senders' bases match, is kept.  On a point-to-point link (one sender) a
-    detection is kept when the passive analyzer takes the sender's basis: X
-    with ``PASSIVE_BASIS_FACTOR``.
-    """
-    if basis not in ("Z", "X"):
-        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    if check_senders(senders) == 2:
-        return 1.0
-    return PASSIVE_BASIS_FACTOR if basis == "X" else 1.0 - PASSIVE_BASIS_FACTOR
-
-
 def expected_gain_and_qber(
     model: YieldModel,
     mu: float,
@@ -344,24 +328,22 @@ def outcome_law(
     mu: float,
     nu: float | None = None,
     basis: str = "X",
-    keep: float = 1.0,
 ) -> np.ndarray:
-    """Probabilities of (recorded error, recorded correct, discarded detection,
-    no detection) for one pulse (pair); non-negative, summing to one.
+    """Probabilities of (recorded error, recorded correct, discarded detection, no detection) for one pulse
+    (pair) of a recorded entry (:data:`ENTRY_KEYS`) under its link's sifting; non-negative, summing to one.
 
-    A detection occurs with the gain of :func:`expected_gain_and_qber` and
-    errs with its QBER; it is recorded with probability ``keep`` (the
-    link's sifting, :func:`sift_keep`) and discarded otherwise.  The law is
-    computed once per model and arguments, and returned read-only.
+    A detection occurs with the gain of :func:`expected_gain_and_qber` and errs with its QBER.  On the relay
+    link every coincidence of an entry, whose senders' bases match, is recorded; on a point-to-point link a
+    detection is recorded when the passive analyzer takes the sender's basis, X with ``PASSIVE_BASIS_FACTOR``,
+    and discarded otherwise.  The law is computed once per model and arguments, and returned read-only.
     """
-    check_real(keep, "keep", 0.0, 1.0)
-    key = mu, nu, basis, keep
+    key = mu, nu, basis
     law = model._laws.get(key)
     if law is None:
         gain, qber = expected_gain_and_qber(model, mu, nu, basis)
+        keep = 1.0 if model.senders == 2 else PASSIVE_BASIS_FACTOR if basis == "X" else 1.0 - PASSIVE_BASIS_FACTOR
         recorded = keep * gain
         law = np.array([recorded * qber, recorded * (1.0 - qber), gain - recorded, 1.0 - gain])
         law.flags.writeable = False
         model._laws[key] = law
     return law
-

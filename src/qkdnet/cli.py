@@ -164,7 +164,10 @@ def cmd_simulate(args) -> int:
 
 
 def _read_table(path: str) -> CountTable:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"counts file not found: {path}") from None
     if path.endswith(".csv"):
         return CountTable.from_csv(text)
     return CountTable.from_json(text)

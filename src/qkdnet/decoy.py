@@ -119,6 +119,8 @@ class CountTable:
         table = None
         for i, row in enumerate(reader, start=2):  # row 1 is the header
             try:
+                if None in row or None in row.values():  # DictReader's marks of extra and missing fields
+                    raise ValueError(f"row width differs from the header's {len(reader.fieldnames)} fields")
                 link = row["link"]
                 label = tuple(row["intensity"].split(":"))
                 rec = _tallies(row, json.loads)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CountRecord, IntensitySet, check_link, outcome_law, parse_mode, sift_keep
+from .channel import CountRecord, IntensitySet, check_link, outcome_law, parse_mode
 from .decoy import CountTable, DecoyBounds, estimate_bounds, restrict_to_block
 from .keyrate import KeyRateResult, SecurityParams, entry_budgets, table_key
 from .mathkit import ConfigError, check_count, check_real, reuse_bases
@@ -37,7 +37,7 @@ def expected_table(model, intensities: IntensitySet, n_pulses: int, link: str) -
     table = CountTable(link=link)
     for (key, basis), sent in entry_budgets(n_pulses, intensities, check_link(link, model)).items():
         mus = [intensities.mu(label) for label in key]
-        err, correct, _, _ = outcome_law(model, *mus, basis=basis, keep=sift_keep(table.senders, basis))
+        err, correct, _, _ = outcome_law(model, *mus, basis=basis)
         detected = round(sent * (err + correct))
         errors = round(detected * err / (err + correct)) if detected else 0
         table.add(key, basis, CountRecord(sent, detected, errors))

@@ -30,7 +30,6 @@ from .channel import (
     outcome_law,
     parse_mode,
     qkd_yield_model,
-    sift_keep,
 )
 from .decoy import CountTable, DecoyBounds, InconsistentCountsError, estimate_bounds
 from .mathkit import ConfigError, binary_entropy, check_count, check_real, reuse_bases
@@ -175,19 +174,16 @@ def synthesize_table(
 ) -> CountTable:
     """Sample a full count table for one link from a ground-truth model.
 
-    The pulse budget is split across configurations by the basis bias and
-    X-intensity weights; slots where the two senders' bases differ on the
-    relay link are lost, and each entry keeps its detections with the
-    link's sifting acceptance (:func:`channel.sift_keep`).  One generator seeded with ``seed`` draws every
-    entry's tallies in one multinomial over the entries' stacked :func:`channel.outcome_law` rows: same seed,
-    same table.  Unless ``mode`` ("QKD" or "MDI") names ``link`` and ``model`` has its sender count, a
-    ConfigError is raised before any draw.
+    The pulse budget is split across configurations by the basis bias and X-intensity weights; slots where
+    the two senders' bases differ on the relay link are lost.  One generator seeded with ``seed`` draws every
+    entry's tallies in one multinomial over the entries' stacked :func:`channel.outcome_law` rows, which apply
+    the link's sifting: same seed, same table.  Unless ``mode`` ("QKD" or "MDI") names ``link`` and ``model``
+    has its sender count, a ConfigError is raised before any draw.
     """
     table = CountTable(link=link)
     senders = check_link(link, model, parse_mode(mode))
     budgets = list(entry_budgets(n_pulses, intensities, senders).items())
-    laws = [outcome_law(model, *map(intensities.mu, key), basis=basis, keep=sift_keep(senders, basis))
-            for (key, basis), _ in budgets]
+    laws = [outcome_law(model, *map(intensities.mu, key), basis=basis) for (key, basis), _ in budgets]
     tallies = np.random.default_rng(seed).multinomial([sent for _, sent in budgets], laws).tolist()
     for ((key, basis), sent), (errors, correct, _, _) in zip(budgets, tallies):
         table.add(key, basis, CountRecord(sent, errors + correct, errors))

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ENTRY_KEYS, LABELS, LINK_SENDERS, CountRecord, IntensitySet, check_link, outcome_law, sift_keep
+from .channel import (ENTRY_KEYS, LABELS, LINK_SENDERS, CountRecord, IntensitySet, check_link, expected_gain_and_qber,
+                      outcome_law)
 from .decoy import CountTable
 from .mathkit import ConfigError, check_count, check_real, check_weights
 
@@ -161,15 +162,19 @@ def schedule(
 def _outcome_table(models: dict, intensities: IntensitySet) -> np.ndarray:
     """Outcome law of each configuration, indexed by code: shape (N_CODES, 4).
 
-    A code's row is its :func:`channel.outcome_law`, kept by the link's sifting (:func:`channel.sift_keep`)
-    if the code is recorded and discarded whole if not.  Rows of links without a model, and of codes that
-    never occur, stay zero.
+    A recorded code's row is its entry's :func:`channel.outcome_law`; an unrecorded code, a relay pair whose
+    senders' bases differ, discards every detection.  Rows of links without a model, and of codes that never
+    occur, stay zero.
     """
     law = np.zeros((N_CODES, 4))
     for code, (link, labels, basis) in CONFIGS.items():
         if link in models:
-            keep = sift_keep(len(labels), basis) if code in RECORDED else 0.0
-            law[code] = outcome_law(models[link], *map(intensities.mu, labels), basis=basis, keep=keep)
+            mus = list(map(intensities.mu, labels))
+            if code in RECORDED:
+                law[code] = outcome_law(models[link], *mus, basis=basis)
+            else:
+                gain, _ = expected_gain_and_qber(models[link], *mus, basis=basis)
+                law[code] = 0.0, 0.0, gain, 1.0 - gain
     return law
 
 

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from qkdnet import mathkit
-from qkdnet.channel import X_LABELS, CountRecord, YieldModel, outcome_law, parse_mode, sift_keep
+from qkdnet import channel, mathkit
+from qkdnet.channel import X_LABELS, CountRecord, YieldModel, expected_gain_and_qber, parse_mode
 from qkdnet.decoy import CountTable
 from qkdnet.keyrate import entry_budgets
 
@@ -35,6 +35,36 @@ def colwise(rows) -> tuple:
     return tuple(tuple(array.tolist()) for array in rows.csc)
 
 
+def recorded_share(senders: int, basis: str) -> float:
+    """The share of a recorded entry's detections that its link keeps, written out once for the tests.
+
+    The relay link (two senders) keeps every coincidence of an entry, whose senders' bases match.  A
+    point-to-point link keeps a detection when the receiver's passive analyzer takes the sender's basis:
+    X with ``channel.PASSIVE_BASIS_FACTOR``, Z with the rest.
+    """
+    assert senders in (1, 2) and basis in ("Z", "X"), (senders, basis)
+    if senders == 2:
+        return 1.0
+    return channel.PASSIVE_BASIS_FACTOR if basis == "X" else 1.0 - channel.PASSIVE_BASIS_FACTOR
+
+
+def recorded_law(model: YieldModel, mus, basis: str, share: float) -> np.ndarray:
+    """(recorded error, recorded correct, discarded detection, no detection) for one pulse (pair) of
+    intensities ``mus`` when a ``share`` of the detections is recorded: ``channel.outcome_law`` written
+    out from the gain and QBER, in its arithmetic."""
+    gain, qber = expected_gain_and_qber(model, *mus, basis=basis)
+    recorded = share * gain
+    return np.array([recorded * qber, recorded * (1.0 - qber), gain - recorded, 1.0 - gain])
+
+
+def draw_record(n_pulses: int, law, seed: int) -> CountRecord:
+    """One multinomial draw of ``n_pulses`` over a four-outcome ``law``, from a generator seeded with ``seed``."""
+    if n_pulses == 0:
+        return CountRecord(0, 0, 0)
+    errors, correct, _, _ = np.random.default_rng(seed).multinomial(n_pulses, law).tolist()
+    return CountRecord(sent=int(n_pulses), detected=errors + correct, errors=errors)
+
+
 def sample_counts(
     model: YieldModel,
     mu: float,
@@ -42,21 +72,15 @@ def sample_counts(
     n_pulses: int = 0,
     seed: int = 0,
     basis: str = "X",
-    gain_factor: float = 1.0,
 ) -> CountRecord:
-    """Draw a finitely-sampled :class:`CountRecord` for one configuration.
+    """Draw a finitely-sampled :class:`CountRecord` for one configuration, every detection recorded.
 
-    One multinomial draw of ``n_pulses`` over :func:`outcome_law` with
-    ``keep=gain_factor`` (the sifting acceptance, :func:`sift_keep`), from a
+    One multinomial draw of ``n_pulses`` over :func:`recorded_law` with the whole share, from a
     generator seeded with ``seed``: same seed, same record.
     """
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
-    law = outcome_law(model, mu, nu, basis, keep=gain_factor)
-    if n_pulses == 0:
-        return CountRecord(0, 0, 0)
-    errors, correct, _, _ = np.random.default_rng(seed).multinomial(n_pulses, law).tolist()
-    return CountRecord(sent=int(n_pulses), detected=errors + correct, errors=errors)
+    return draw_record(n_pulses, recorded_law(model, [mu] if nu is None else [mu, nu], basis, 1.0), seed)
 
 
 def entry_budgets_per_mode(n_pulses: int, intensities, mode: str) -> dict:
@@ -77,18 +101,16 @@ def entry_budgets_per_mode(n_pulses: int, intensities, mode: str) -> dict:
 
 
 def synthesize_per_entry(model, intensities, n_pulses: int, mode: str, link: str, seed: int) -> CountTable:
-    """The count table ``keyrate.synthesize_table`` draws, from the same law, drawn entry by entry:
-    one :func:`sample_counts` generator per entry, seeded from ``SeedSequence(seed).generate_state``."""
+    """The count table ``keyrate.synthesize_table`` draws, from the same law, drawn entry by entry: one
+    :func:`draw_record` generator per entry, seeded from ``SeedSequence(seed).generate_state``, over the
+    entry's :func:`recorded_law` at its link's :func:`recorded_share`."""
     senders, table = parse_mode(mode), CountTable(link=link)
     budgets = entry_budgets(n_pulses, intensities, senders)
     seeds = np.random.SeedSequence(seed).generate_state(len(budgets) + 1)
     for i, ((key, basis), sent) in enumerate(sorted(budgets.items())):
         mus = [intensities.mu(label) for label in key]
-        rec = sample_counts(
-            model, *mus, n_pulses=sent, seed=int(seeds[i]), basis=basis,
-            gain_factor=sift_keep(senders, basis),
-        )
-        table.add(key, basis, rec)
+        law = recorded_law(model, mus, basis, recorded_share(senders, basis))
+        table.add(key, basis, draw_record(sent, law, int(seeds[i])))
     return table
 
 

@@ -18,13 +18,12 @@ from qkdnet.channel import (
     mdi_yield_model,
     outcome_law,
     qkd_yield_model,
-    sift_keep,
 )
 from qkdnet.experiments import expected_table
 from qkdnet.keyrate import synthesize_table
-from qkdnet.mathkit import ConfigError, poisson_pmf
+from qkdnet.mathkit import poisson_pmf
 from qkdnet.netsim import _outcome_table
-from references import sample_counts
+from references import draw_record, recorded_law, recorded_share, sample_counts
 
 
 def single_entry_model(y1=0.1):
@@ -216,26 +215,28 @@ class TestOutcomeLaw:
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.0, max_value=1.0),
         st.sampled_from(["Z", "X"]),
-        st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_rows_are_distributions(self, kind, dist, mu, nu, basis, keep):
+    def test_rows_are_distributions(self, kind, dist, mu, nu, basis):
         p = ChannelParams(distance_km=dist)
         if kind == "QKD":
-            law = outcome_law(qkd_yield_model(p), mu, None, basis, keep)
+            law = outcome_law(qkd_yield_model(p), mu, None, basis)
         else:
-            law = outcome_law(mdi_yield_model(p, p), mu, nu, basis, keep)
+            law = outcome_law(mdi_yield_model(p, p), mu, nu, basis)
         assert law.shape == (4,)
         assert law.min() >= 0.0
         assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("senders", [1, 2])
     @pytest.mark.parametrize("basis", ["Z", "X"])
-    def test_recorded_entries_carry_gain_and_qber(self, basis):
-        model = mdi_yield_model(ChannelParams(distance_km=10), ChannelParams(distance_km=10))
-        gain, qber = expected_gain_and_qber(model, 0.5, 0.1, basis)
-        err, correct, discarded, none = outcome_law(model, 0.5, 0.1, basis, keep=0.25)
-        assert err + correct == pytest.approx(0.25 * gain, rel=1e-12)
-        assert err == pytest.approx(0.25 * gain * qber, rel=1e-12)
-        assert discarded == pytest.approx(0.75 * gain, rel=1e-12)
+    def test_recorded_entries_carry_gain_and_qber(self, senders, basis):
+        side = ChannelParams(distance_km=10)
+        model, mus = (qkd_yield_model(side), (0.5,)) if senders == 1 else (mdi_yield_model(side, side), (0.5, 0.1))
+        gain, qber = expected_gain_and_qber(model, *mus, basis=basis)
+        share = recorded_share(senders, basis)
+        err, correct, discarded, none = outcome_law(model, *mus, basis=basis)
+        assert err + correct == pytest.approx(share * gain, rel=1e-12)
+        assert err == pytest.approx(share * gain * qber, rel=1e-12)
+        assert discarded == pytest.approx((1.0 - share) * gain, rel=1e-12)  # exactly 0 on the relay link
         assert none == pytest.approx(1.0 - gain, rel=1e-12)
 
     def test_either_bright_class_raises(self):
@@ -243,15 +244,21 @@ class TestOutcomeLaw:
         with pytest.raises(TailBoundError):
             outcome_law(mdi_yield_model(p, p), 0.1, 5.0)
 
-    def test_sift_keep(self):
-        assert sift_keep(2, "Z") == sift_keep(2, "X") == 1.0
-        assert sift_keep(1, "X") == channel.PASSIVE_BASIS_FACTOR
-        assert sift_keep(1, "Z") == 1.0 - channel.PASSIVE_BASIS_FACTOR
-        with pytest.raises(ValueError):
-            sift_keep(1, "Y")
-        for senders in (0, 3, "MDI", None, True):
-            with pytest.raises(ConfigError, match="^senders"):
-                sift_keep(senders, "Z")
+    @pytest.mark.parametrize("factor", [0.5, 0.3])
+    def test_kept_share_on_each_link_and_basis(self, monkeypatch, factor):
+        # the relay link keeps every coincidence of an entry; a point-to-point link keeps an X detection with
+        # the passive factor and a Z one with the rest, which only an asymmetric factor tells apart
+        monkeypatch.setattr(channel, "PASSIVE_BASIS_FACTOR", factor)
+        side = ChannelParams(distance_km=10)
+        for model, mus, shares in ((mdi_yield_model(side, side), (0.5, 0.1), {"Z": 1.0, "X": 1.0}),
+                                   (qkd_yield_model(side), (0.5,), {"Z": 1.0 - factor, "X": factor})):
+            for basis, share in shares.items():
+                gain, _ = expected_gain_and_qber(model, *mus, basis=basis)
+                law = outcome_law(model, *mus, basis=basis)
+                assert law[:2].sum() == pytest.approx(share * gain, rel=1e-12), (model.senders, basis)
+                assert law[2] == pytest.approx((1.0 - share) * gain, rel=1e-12), (model.senders, basis)
+            with pytest.raises(ValueError, match="^basis must be 'Z' or 'X', got 'Y'$"):
+                outcome_law(model, *mus, basis="Y")
 
     def test_passive_factor_reaches_every_count_table(self, monkeypatch):
         # an asymmetric passive analyzer: Z and X acceptance must agree across
@@ -277,12 +284,10 @@ class TestOutcomeLaw:
 
 
 def _law_keys(mode):
-    """Every (intensities, basis, keep) a table or a network plan reads from a model of ``mode``."""
+    """Every (intensities, basis) a table or a network plan reads from a model of ``mode``."""
     if mode == "QKD":
-        return [((mu,), basis, keep) for mu in (0.5, 0.1, 0.02, 0.0)
-                for basis in ("Z", "X") for keep in (sift_keep(1, basis), 1.0)]
-    return [((mu, nu), basis, keep) for mu in (0.5, 0.1, 0.0) for nu in (0.5, 0.02)
-            for basis in ("Z", "X") for keep in (0.0, 1.0)]
+        return [((mu,), basis) for mu in (0.5, 0.1, 0.02, 0.0) for basis in ("Z", "X")]
+    return [((mu, nu), basis) for mu in (0.5, 0.1, 0.0) for nu in (0.5, 0.02) for basis in ("Z", "X")]
 
 
 class TestLawMemo:
@@ -303,11 +308,11 @@ class TestLawMemo:
     @pytest.mark.parametrize("mode", ["QKD", "MDI"])
     def test_repeated_law_equals_a_fresh_models(self, mode):
         warm = self.build(mode)
-        for mus, basis, keep in _law_keys(mode):
-            first = outcome_law(warm, *mus, basis=basis, keep=keep)
-            again = outcome_law(warm, *mus, basis=basis, keep=keep)
+        for mus, basis in _law_keys(mode):
+            first = outcome_law(warm, *mus, basis=basis)
+            again = outcome_law(warm, *mus, basis=basis)
             assert again is first
-            assert again.tobytes() == outcome_law(self.build(mode), *mus, basis=basis, keep=keep).tobytes()
+            assert again.tobytes() == outcome_law(self.build(mode), *mus, basis=basis).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 again[0] = 0.5
         assert len(warm._laws) == len(_law_keys(mode))
@@ -315,13 +320,13 @@ class TestLawMemo:
     def test_checks_run_on_every_call(self):
         p = ChannelParams(distance_km=10)
         model = mdi_yield_model(p, p)
-        outcome_law(model, 0.1, 0.1, keep=0.5)
-        with pytest.raises(ValueError, match="keep"):
-            outcome_law(model, 0.1, 0.1, keep=1.5)
+        outcome_law(model, 0.1, 0.1)
         for _ in range(2):
             with pytest.raises(TailBoundError, match=r"^nu: "):
                 outcome_law(model, 0.1, 5.0)
-        assert list(model._laws) == [(0.1, 0.1, "X", 0.5)]
+            with pytest.raises(ValueError, match="^basis"):
+                outcome_law(model, 0.1, 0.1, basis="Y")
+        assert list(model._laws) == [(0.1, 0.1, "X")]
 
     def test_memo_is_not_part_of_the_value(self):
         model, other = self.build("QKD"), self.build("QKD")
@@ -338,9 +343,10 @@ class TestLawMemo:
 class TestSampleCounts:
     def test_one_multinomial_over_the_law(self):
         model = qkd_yield_model(ChannelParams(distance_km=10))
-        law = outcome_law(model, 0.5, basis="Z", keep=0.5)
+        gain, qber = expected_gain_and_qber(model, 0.5, basis="Z")
+        law = [gain * qber, gain * (1.0 - qber), 0.0, 1.0 - gain]  # every detection recorded
         err, correct, _, _ = np.random.default_rng(11).multinomial(10**7, law)
-        rec = sample_counts(model, 0.5, n_pulses=10**7, seed=11, basis="Z", gain_factor=0.5)
+        rec = sample_counts(model, 0.5, n_pulses=10**7, seed=11, basis="Z")
         assert rec == CountRecord(10**7, int(err + correct), int(err))
 
     def test_zero_pulses(self):
@@ -372,12 +378,15 @@ class TestSampleCounts:
                 bad += 1
         assert bad == 0
 
-    def test_gain_factor_scales_acceptance(self):
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_share_scales_acceptance(self, basis):
+        # the entry-by-entry reference draw of a point-to-point entry at its link's share
         model = qkd_yield_model(ChannelParams(distance_km=10))
-        gain, _ = expected_gain_and_qber(model, 0.5)
-        rec = sample_counts(model, 0.5, n_pulses=10**7, seed=5, gain_factor=0.5)
-        sigma = math.sqrt(10**7 * 0.5 * gain)
-        assert abs(rec.detected - 10**7 * 0.5 * gain) < 5 * sigma
+        gain, _ = expected_gain_and_qber(model, 0.5, basis=basis)
+        share = recorded_share(1, basis)
+        rec = draw_record(10**7, recorded_law(model, [0.5], basis, share), seed=5)
+        sigma = math.sqrt(10**7 * share * gain)
+        assert abs(rec.detected - 10**7 * share * gain) < 5 * sigma
 
 
 class TestYieldModelSerialization:

@@ -419,6 +419,30 @@ class TestKeyrate:
         captured = capsys.readouterr()
         assert captured.err == f"error: table has no (intensity, basis) entry {entry}\n" and captured.out == ""
 
+    @pytest.mark.parametrize("cut", [True, False], ids=["field-missing", "field-extra"])
+    def test_row_of_another_width_is_format_error(self, desk_run, tmp_path, capsys, monkeypatch, cut):
+        # the desk AC counts with the AC,u,X row cut to its link field, or with a seventh field appended: the
+        # first raised AttributeError out of main (exit 1, a traceback), the second was read and keyed (exit 0)
+        lines = (desk_run / "counts_AC.csv").read_text().splitlines(keepends=True)
+        assert lines[2].startswith("AC,u,X,")
+        lines[2] = "AC\n" if cut else lines[2].rstrip("\n") + ",999\n"
+        counts = tmp_path / "counts_AC.csv"
+        counts.write_text("".join(lines))
+        monkeypatch.setattr(mathkit, "linprog", lambda *args, **kwargs: pytest.fail("an LP was solved"))
+        capsys.readouterr()
+        assert main(["keyrate", "--config", str(PRESETS / "desk.json"), "--counts", str(counts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bad count-table CSV at row 3: row width differs from the header's 6 fields\n"
+        assert captured.out == ""
+
+    def test_missing_counts_file_is_config_error(self, tmp_path, capsys):
+        # as a missing --config is; it exited 1, as a pipeline error
+        missing = tmp_path / "no" / "such.csv"
+        capsys.readouterr()
+        assert main(["keyrate", "--config", str(PRESETS / "desk.json"), "--counts", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: counts file not found: {missing}\n" and captured.out == ""
+
     def test_malformed_elapsed_s_is_refused_before_the_bounds(self, desk_run, tmp_path, capsys):
         args = ["keyrate", "--config", write_config(tmp_path, SIM_CONFIG), "--counts", str(desk_run / "counts_AB.json")]
         capsys.readouterr()

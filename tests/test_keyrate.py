@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qkdnet import cli, experiments, keyrate, mathkit
-from qkdnet.channel import (ENTRY_KEYS, MODES, ChannelParams, IntensitySet, mdi_yield_model, outcome_law,
-                            qkd_yield_model, sift_keep)
+from qkdnet.channel import ENTRY_KEYS, MODES, ChannelParams, IntensitySet, mdi_yield_model, qkd_yield_model
 from qkdnet.cli import load_network, load_preset
 from qkdnet.decoy import CountTable, DecoyBounds, estimate_bounds
 from qkdnet.experiments import expected_table
@@ -26,7 +25,7 @@ from qkdnet.keyrate import (
 )
 from qkdnet.mathkit import ConfigError
 from qkdnet.netsim import run_plan, schedule
-from references import entry_budgets_per_mode, synthesize_per_entry
+from references import entry_budgets_per_mode, recorded_law, recorded_share, synthesize_per_entry
 
 NO_OVERHEAD = SecurityParams(eps_sec=21.0, eps_cor=2.0, f_ec=1.16)
 
@@ -250,8 +249,8 @@ class TestSynthesizeTable:
             entries = synthesize(model, intensities, n_pulses, mode, link, seed).entries
             tallies.append([(entries[k].errors, entries[k].detected - entries[k].errors) for k in keys])
         sent = np.array([budgets[k] for k in keys], dtype=float)
-        laws = np.array([outcome_law(model, *(intensities.mu(label) for label in key), basis=basis,
-                                     keep=sift_keep(len(key), basis))[:2] for key, basis in keys])
+        laws = np.array([recorded_law(model, [intensities.mu(label) for label in key], basis,
+                                      recorded_share(len(key), basis))[:2] for key, basis in keys])
         return keys, sent, laws, np.array(tallies, dtype=float)
 
     @pytest.mark.parametrize("mode, link, km, n_pulses", SYNTHESIS_CASES, ids=lambda x: str(x))

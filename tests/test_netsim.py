@@ -21,7 +21,6 @@ from qkdnet.channel import (
     expected_gain_and_qber,
     mdi_yield_model,
     qkd_yield_model,
-    sift_keep,
 )
 from qkdnet.cli import load_network, load_preset
 from qkdnet import netsim
@@ -38,6 +37,7 @@ from qkdnet.netsim import (
     run_plan,
     schedule,
 )
+from references import recorded_share
 
 
 def _within_five_sigma(count, n, p):
@@ -50,7 +50,7 @@ def assert_entries_match_model(result, models, intensities, min_sent=2000):
         for (key, basis), rec in table.entries.items():
             if rec.sent < min_sent:
                 continue
-            keep = sift_keep(models[link].senders, basis)
+            keep = recorded_share(models[link].senders, basis)
             mus = [intensities.mu(label) for label in key]
             gain, qber = expected_gain_and_qber(models[link], *mus, basis=basis)
             assert _within_five_sigma(rec.detected, rec.sent, keep * gain), (link, key, basis)
@@ -539,7 +539,7 @@ class TestRunPlan:
                                              (2, "BC", plan.basis_b, plan.intensity_b)):
             for b in (0, 1):
                 # a Z slot is discarded on the X branch, an X slot on the Z branch
-                discard = 1 - sift_keep(1, "ZX"[b])
+                discard = 1 - recorded_share(1, "ZX"[b])
                 for i in range(4):
                     n = np.count_nonzero((plan.session == code) & (basis == b) & (intensity == i))
                     p = discard * expected_gain_and_qber(models[link], mu[i])[0]
@@ -629,7 +629,7 @@ class TestOutcomeTable:
             else:
                 link, basis, i = ("AC", ba, ia) if session == 1 else ("BC", bb, ib)
                 gain, qber = expected_gain_and_qber(models[link], mu[i], basis="ZX"[basis])
-                keep = sift_keep(1, "ZX"[basis])
+                keep = recorded_share(1, "ZX"[basis])
                 want = (keep * gain * qber, keep * gain * (1 - qber), (1 - keep) * gain)
             want = (*want, 1.0 - gain)
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-12, err_msg=str(key))

@@ -65,3 +65,18 @@ def test_run_network_demo_refuses_too_few_slots(slots, message, monkeypatch, cap
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.endswith(f"error: {message}\n") and captured.out == ""
+
+
+@pytest.mark.parametrize("nodeid, junit", [
+    ("tests/test_cli.py::test_preset_stdout_is_pinned[sweep-hw-qkd-sweep]",
+     "tests.test_cli::test_preset_stdout_is_pinned[sweep-hw-qkd-sweep]"),
+    ("tests/test_cli.py::TestKeyrate::test_mode_follows_the_link[AB-MDI]",
+     "tests.test_cli.TestKeyrate::test_mode_follows_the_link[AB-MDI]"),
+    ("perfbench/tests/test_smoke.py::test_workload_reports_every_metric[multisig-0]",
+     "perfbench.tests.test_smoke::test_workload_reports_every_metric[multisig-0]"),
+    ("tests/test_x.py::test_y[a/b.py::c]", "tests.test_x::test_y[a/b.py::c]"),
+])
+def test_mutants_names_a_node_by_its_junit_id(nodeid, junit):
+    # the property-first run deselects PINNED by these ids; the whole-suite run reads them from the JUnit report
+    (path,) = [p for p in SCRIPTS if p.name == "mutants.py"]
+    assert load(path).junit_id(nodeid) == junit
